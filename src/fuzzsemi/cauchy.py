@@ -2,12 +2,16 @@
 
 First-order problems u'(t) = A[u(t)] + g(t), u(0) = u0 are solved by
 variation of parameters: u(t) = T(t)(u0) + integral_0^t T(t-s)(g(s)) ds,
-with T the exponential series of the operator and the integral taken as a
-composite trapezoid in the fuzzy algebra (all quadrature weights are
-positive, so levelwise this is the classical trapezoid rule on each
-endpoint function).  Second-order problems with vanishing initial
-velocity use the cosh series, and the wave formula adds t * u2 on top of
-the even-derivative series of the initial profile.
+with T the exponential series of the operator and the integral taken by
+adaptive Gauss-Kronrod quadrature in the fuzzy algebra: the 15-point
+Kronrod rule is accepted on an interval once it agrees with the embedded
+7-point Gauss rule to the interval's share of tol, and the interval is
+bisected otherwise.  All weights of both rules are positive, so levelwise
+each rule is the classical one applied to every endpoint function.  The
+series truncation (of T(t)(u0) and of every integrand value) and the
+quadrature each get half of tol.  Second-order problems with vanishing
+initial velocity use the cosh series, and the wave formula adds t * u2 on
+top of the even-derivative series of the initial profile.
 
 A finite-difference residual checker probes whether a trajectory
 satisfies the differential equation in the generalized sense: at each
@@ -39,8 +43,41 @@ from .semigroup import SemigroupEvaluator, required_order
 from .spaces import FuzzyFunction, ProductElement, pair
 
 DEFAULT_TIME_NODES = 64
-_QUAD_START_PANELS = 8
-_QUAD_MAX_DOUBLINGS = 20
+_QUAD_MAX_INTERVALS = 1000  # Gauss-Kronrod intervals per integral before giving up
+
+# QUADPACK qk15 abscissae on [-1, 1] from the end towards the centre: odd
+# positions (and the centre) are the 7-point Gauss nodes.  Every weight is
+# positive.
+_XGK = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.0,
+)
+_WGK = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
+_WG = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+)
+# the same rules on all 15 nodes, left to right; Gauss nodes sit at odd indices
+_GK_NODES = tuple(-x for x in _XGK[:-1]) + _XGK[::-1]
+_GK_KRONROD = _WGK[:-1] + _WGK[::-1]
+_GK_GAUSS = _WG[:-1] + _WG[::-1]
 
 
 @dataclass(frozen=True)
@@ -121,26 +158,43 @@ def integrate_fuzzy(f: Callable, t_end: float, panels: int):
     return acc
 
 
-def _refined_integral(f: Callable, t_end: float, tol: float):
-    """Trapezoid with panel doubling until two refinements agree to tol.
+def _weighted_sum(weights, vals, half: float):
+    """half * sum_i weights[i] * vals[i], added left to right."""
+    acc = spaces.elem_scale(half * weights[0], vals[0])
+    for w, v in zip(weights[1:], vals[1:]):
+        acc = spaces.elem_add(acc, spaces.elem_scale(half * w, v))
+    return acc
 
-    Each doubling reuses the coarse sum: T_{2n} = T_n / 2 + h' * (sum of
-    midpoint values), which holds levelwise because all weights are
-    positive.
+
+def _refined_integral(f: Callable, t_end: float, tol: float):
+    """Adaptive Gauss-Kronrod integral of f over [0, t_end] to within tol.
+
+    An interval's 15-point Kronrod sum is accepted when its distance to
+    the 7-point Gauss sum over the same values is at most the interval's
+    tol; otherwise the interval is bisected and each half gets half the
+    tol.  Intervals are refined depth first, left half first, and accepted
+    sums are added left to right, so the result is deterministic.  All
+    weights are positive, so every step holds levelwise.
     """
-    n = _QUAD_START_PANELS
-    coarse = integrate_fuzzy(f, t_end, n)
-    for _ in range(_QUAD_MAX_DOUBLINGS):
-        h_new = t_end / (2 * n)
-        mids = (np.arange(n) + 0.5) * (t_end / n)
-        msum = f(float(mids[0]))
-        for s in mids[1:]:
-            msum = spaces.elem_add(msum, f(float(s)))
-        fine = spaces.elem_add(spaces.elem_scale(0.5, coarse), spaces.elem_scale(h_new, msum))
-        if spaces.elem_dist(coarse, fine) <= tol:
-            return fine
-        coarse, n = fine, 2 * n
-    raise QuadratureStall(f"no convergence to {tol} after {_QUAD_MAX_DOUBLINGS} doublings")
+    if not t_end > 0:
+        raise ValueError("t_end must be > 0")
+    total = None
+    pending = [(0.0, float(t_end), tol)]
+    evaluated = 0
+    while pending:
+        if evaluated >= _QUAD_MAX_INTERVALS:
+            raise QuadratureStall(f"no convergence to {tol} within {_QUAD_MAX_INTERVALS} intervals")
+        a, b, share = pending.pop()
+        centre, half = 0.5 * (a + b), 0.5 * (b - a)
+        vals = [f(centre + half * x) for x in _GK_NODES]
+        kronrod = _weighted_sum(_GK_KRONROD, vals, half)
+        gauss = _weighted_sum(_GK_GAUSS, vals[1::2], half)
+        evaluated += 1
+        if spaces.elem_dist(kronrod, gauss) <= share:
+            total = kronrod if total is None else spaces.elem_add(total, kronrod)
+        else:
+            pending += [(centre, b, 0.5 * share), (a, centre, 0.5 * share)]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +212,16 @@ def solve_first_order(problem: CauchyProblem, grid: np.ndarray | None = None) ->
         t = float(t)
         if t == 0.0:
             return problem.initial
-        state = flow.at(t, problem.initial)
-        if problem.forcing is not None:
-            forced = _refined_integral(
-                lambda s: flow.at(t - s, problem.forcing(s)), t, problem.tol
-            )
-            state = spaces.elem_add(state, forced)
-        return state
+        if problem.forcing is None:
+            return flow.at(t, problem.initial)
+        # The truncation errors of T(t)(u0) and of every integrand value
+        # (integrated over [0, t]) share one half of tol, the quadrature
+        # takes the other half.
+        part = SemigroupEvaluator(problem.operator, "exp", 0.5 * problem.tol / (1.0 + abs(t)))
+        forced = _refined_integral(
+            lambda s: part.at(t - s, problem.forcing(s)), t, 0.5 * problem.tol
+        )
+        return spaces.elem_add(part.at(t, problem.initial), forced)
 
     return Trajectory(times, tuple(evaluate(t) for t in times), evaluate)
 

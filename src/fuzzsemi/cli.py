@@ -209,6 +209,15 @@ def _require(cond, path, message):
         raise SchemaError(f"{path}: {message}")
 
 
+def _is_number(value):
+    # JSON true/false arrive as bool, which is a subclass of int
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _positive_finite(value):
+    return _is_number(value) and math.isfinite(value) and value > 0
+
+
 def _parse_operator(obj, path, m_levels):
     _require(isinstance(obj, dict), path, "must be an object")
     kind = obj.get("kind")
@@ -237,7 +246,8 @@ def _parse_operator(obj, path, m_levels):
         return scale_operator(1.0)
     if kind == "scale":
         factor = obj.get("factor")
-        _require(isinstance(factor, (int, float)), path + ".factor", "missing numeric factor")
+        _require(_is_number(factor) and math.isfinite(factor), path + ".factor",
+                 "missing finite numeric factor")
         return scale_operator(float(factor))
     raise SchemaError(f"{path}.kind: unknown kind {kind!r}")
 
@@ -253,7 +263,7 @@ def parse_problem(config, m_levels=core.DEFAULT_LEVELS):
     """Build a CauchyProblem from the documented config schema."""
     _require(isinstance(config, dict), "config", "must be an object")
     order = config.get("order", 1)
-    _require(order in (1, 2), "config.order", "must be 1 or 2")
+    _require(_is_number(order) and order in (1, 2), "config.order", "must be 1 or 2")
     _require("operator" in config, "config.operator", "missing")
     op = _parse_operator(config["operator"], "config.operator", m_levels)
     _require("u0" in config, "config.u0", "missing")
@@ -273,9 +283,9 @@ def parse_problem(config, m_levels=core.DEFAULT_LEVELS):
             _require(False, "config.g", "constant forcing for product problems is not supported")
         forcing = lambda s, g_val=g_val: g_val
     horizon = config.get("T", 1.0)
-    _require(isinstance(horizon, (int, float)) and horizon > 0, "config.T", "must be > 0")
+    _require(_positive_finite(horizon), "config.T", "must be a finite number > 0")
     tol = config.get("tol", 1e-9)
-    _require(isinstance(tol, (int, float)) and tol > 0, "config.tol", "must be > 0")
+    _require(_positive_finite(tol), "config.tol", "must be a finite number > 0")
     velocity = spaces.elem_zero(initial) if order == 2 else None
     return cauchy.CauchyProblem(
         op, initial, forcing=forcing, initial_velocity=velocity,
@@ -284,6 +294,9 @@ def parse_problem(config, m_levels=core.DEFAULT_LEVELS):
 
 
 def cmd_solve(args) -> int:
+    if args.nodes < 2:
+        print("error: --nodes must be >= 2", file=sys.stderr)
+        return 1
     try:
         with open(args.config) as fh:
             config = json.load(fh)
@@ -295,10 +308,9 @@ def cmd_solve(args) -> int:
         grid = cauchy.uniform_times(problem.horizon, args.nodes)
         solver = cauchy.solve_second_order if problem.initial_velocity is not None else cauchy.solve_first_order
         traj = solver(problem, grid)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FuzzsemiError as exc:
+    except (FuzzsemiError, OverflowError) as exc:
+        # SchemaError and QuadratureStall are FuzzsemiErrors; OverflowError
+        # comes from series whose terms overflow (|t| * bound too large)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     payload = {

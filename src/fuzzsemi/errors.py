@@ -46,7 +46,7 @@ class UnsupportedVelocity(FuzzsemiError):
 
 
 class QuadratureStall(FuzzsemiError):
-    """Adaptive quadrature failed to converge within the doubling budget."""
+    """Adaptive quadrature failed to converge within its interval budget."""
 
 
 class NoApplicableForm(FuzzsemiError):

@@ -5,9 +5,11 @@ accumulated with fuzzy addition; cosh and sinh use the even and odd
 coefficient ladders with A^p under the 2p-th (resp. (2p-1)-th) factorial.
 Because scalar addition does not distribute over mixed-sign factors in
 this algebra, the sum is evaluated literally term by term -- coefficients
-are never merged, and scaling-and-squaring style accelerations are
-unsound here.  A documented consequence: supports widen for negative t on
-genuinely fuzzy inputs.
+are never merged.  Merging coefficients of mixed sign is what is unsound
+here; splitting t >= 0 into substeps and composing them is sound by the
+semigroup law (for t < 0 only when the operator is fully linear, see
+`check_semigroup_law`).  A documented consequence: supports widen for
+negative t on genuinely fuzzy inputs.
 
 Truncation is controlled rigorously: the Cauchy tail of the series is
 bounded by sum_{i>m} (|t| M)^i / i! (and the even/odd analogues

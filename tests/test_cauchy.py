@@ -67,13 +67,83 @@ def test_integrate_validates():
 
 
 def test_quadrature_stall(monkeypatch):
-    monkeypatch.setattr(cauchy, "_QUAD_MAX_DOUBLINGS", 1)
+    monkeypatch.setattr(cauchy, "_QUAD_MAX_INTERVALS", 1)
     problem = CauchyProblem(
         zero_operator(), core.crisp(0.0), forcing=lambda s: core.crisp(math.sin(20 * s)),
         horizon=1.0, tol=1e-14,
     )
     with pytest.raises(QuadratureStall):
         solve_first_order(problem, np.array([0.0, 1.0]))
+
+
+def _scale_forced_endpoints(a, u0, g, t):
+    # levelwise closed form e^{at} u0 + (e^{at} - 1)/a g for a > 0, on endpoint arrays
+    grow, gain = math.exp(a * t), math.expm1(a * t) / a
+    return grow * u0.lower + gain * g.lower, grow * u0.upper + gain * g.upper
+
+
+def _endpoint_gap(state, want):
+    return max(np.abs(state.lower - want[0]).max(), np.abs(state.upper - want[1]).max())
+
+
+def test_forced_fuzzy_64_nodes_within_tol():
+    g = core.make_triangular(-0.5, 0.2, 0.8)
+    problem = CauchyProblem(scale_operator(1.0), U0, forcing=lambda s: g, horizon=1.0, tol=1e-9)
+    traj = solve_first_order(problem, cauchy.uniform_times(1.0, 64))
+    worst = max(
+        _endpoint_gap(st, _scale_forced_endpoints(1.0, U0, g, float(t)))
+        for t, st in zip(traj.times, traj.states)
+    )
+    assert worst <= 1e-9
+
+
+def test_constant_forcing_takes_one_rule_per_node():
+    calls = []
+
+    def forcing(s):
+        calls.append(s)
+        return V0
+
+    grid = np.linspace(0.0, 1.0, 9)
+    problem = CauchyProblem(scale_operator(1.0), U0, forcing=forcing, horizon=1.0, tol=1e-9)
+    traj = solve_first_order(problem, grid)
+    assert 0 < len(calls) <= 15 * (grid.size - 1)
+    for t, st in zip(traj.times, traj.states):
+        assert _endpoint_gap(st, _scale_forced_endpoints(1.0, U0, V0, float(t))) <= 1e-9
+
+
+def test_kinked_forcing_is_bisected():
+    calls = []
+
+    def forcing(s):
+        calls.append(s)
+        return core.crisp(abs(s - 0.3))
+
+    def exact(t):
+        return 0.3 * t - 0.5 * t * t if t <= 0.3 else 0.045 + 0.5 * (t - 0.3) ** 2
+
+    grid = np.array([0.0, 0.2, 0.45, 0.77, 1.0])
+    tol = 1e-9
+    problem = CauchyProblem(zero_operator(), core.crisp(0.0), forcing=forcing, horizon=1.0, tol=tol)
+    traj = solve_first_order(problem, grid)
+    assert len(calls) > 15 * (grid.size - 1)  # the kink forces bisection
+    for t, st in zip(traj.times, traj.states):
+        want = exact(float(t))
+        assert np.abs(st.lower - want).max() <= tol
+        assert np.abs(st.upper - want).max() <= tol
+
+
+def test_refined_integral_exact_for_polynomials():
+    # both rules integrate degree 10 exactly, so one interval of 15 values suffices
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        return core.crisp(s ** 10)
+
+    got = cauchy._refined_integral(f, 2.0, 1e-9)
+    assert len(calls) == 15
+    assert got.lower[0] == pytest.approx(2.0 ** 11 / 11, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from fuzzsemi import checks, cli, core
+from fuzzsemi import cauchy, checks, cli, core
 from fuzzsemi.errors import SchemaError
 
 
@@ -190,6 +190,62 @@ def test_parse_problem_rejects_bad_fields():
         cli.parse_problem({"order": 1, "operator": {"kind": "identity"}, "u0": {"tri": [0, 1, 2]}, "T": -1})
     with pytest.raises(SchemaError):
         cli.parse_problem({"order": 1, "operator": {"kind": "identity"}})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("order", True),
+    ("T", True),
+    ("T", math.inf),
+    ("T", math.nan),
+    ("tol", False),
+    ("tol", math.inf),
+])
+def test_parse_problem_rejects_booleans_and_non_finite(field, value):
+    config = {"order": 1, "operator": {"kind": "identity"}, "u0": {"tri": [0, 1, 2]}, field: value}
+    with pytest.raises(SchemaError, match=f"config.{field}"):
+        cli.parse_problem(config)
+
+
+@pytest.mark.parametrize("factor", [True, math.inf, math.nan])
+def test_parse_problem_rejects_bad_scale_factor(factor):
+    config = {"operator": {"kind": "scale", "factor": factor}, "u0": {"tri": [0, 1, 2]}}
+    with pytest.raises(SchemaError, match="config.operator.factor"):
+        cli.parse_problem(config)
+
+
+def test_solve_boolean_order_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"order": True, "operator": {"kind": "identity"}, "u0": {"tri": [0, 1, 2]}})
+    assert run("solve", cfg) == 1
+    assert "config.order" in capsys.readouterr().err
+
+
+def test_solve_infinite_horizon_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"operator": {"kind": "identity"}, "u0": {"tri": [0, 1, 2]}, "T": math.inf})
+    assert run("solve", cfg) == 1
+    assert "config.T" in capsys.readouterr().err
+
+
+def test_solve_overflowing_scale_factor_exits_cleanly(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"operator": {"kind": "scale", "factor": 1e300}, "u0": {"tri": [0, 1, 2]}})
+    assert run("solve", cfg, "--nodes", "2") == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_solve_quadrature_stall_exits_cleanly(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cauchy, "_QUAD_MAX_INTERVALS", 0)
+    cfg = write_config(tmp_path, {
+        "operator": {"kind": "scale", "factor": 1.0},
+        "u0": {"tri": [0, 1, 2]},
+        "g": {"kind": "const", "value": {"tri": [1, 1, 1]}},
+    })
+    assert run("solve", cfg, "--nodes", "2") == 1
+    assert capsys.readouterr().err.startswith("error: no convergence")
+
+
+def test_solve_too_few_nodes(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"operator": {"kind": "identity"}, "u0": {"tri": [0, 1, 2]}})
+    assert run("solve", cfg, "--nodes", "1") == 1
+    assert "--nodes" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

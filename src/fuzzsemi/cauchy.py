@@ -13,6 +13,14 @@ quadrature each get half of tol.  Second-order problems with vanishing
 initial velocity use the cosh series, and the wave formula adds t * u2 on
 top of the even-derivative series of the initial profile.
 
+The powers A^p(x) of a series do not depend on t, so a solver computes
+them once: its trajectory keeps one power ladder for the initial state,
+shared by every time node and every later re-solve, and a forced solve
+keeps one more for the last forcing value, reused while the forcing
+returns that same object (constant forcing always does).  A trajectory
+therefore keeps (max order + 1) elements per ladder alive, and its
+``evaluate`` is not for concurrent use from several threads.
+
 A finite-difference residual checker probes whether a trajectory
 satisfies the differential equation in the generalized sense: at each
 sample time it forms the four one-sided difference quotients (forward /
@@ -108,7 +116,10 @@ class Trajectory:
     """Sampled solution: states at increasing times starting from 0.
 
     ``evaluate`` re-solves at an arbitrary time; the residual checker uses
-    it to form difference quotients at shifted times.
+    it to form difference quotients at shifted times.  The solvers'
+    evaluators hold the trajectory's power ladders, a cache that grows on
+    use, so one ``evaluate`` must not be called from several threads at
+    once.
     """
 
     times: np.ndarray
@@ -207,21 +218,29 @@ def solve_first_order(problem: CauchyProblem, grid: np.ndarray | None = None) ->
         raise ValueError("first-order problems carry no initial velocity")
     times = uniform_times(problem.horizon) if grid is None else np.asarray(grid, dtype=float)
     flow = SemigroupEvaluator(problem.operator, "exp", problem.tol)
+    initial_powers = [problem.initial]
+    # the ladder of the last forcing value; holding it keeps that value
+    # alive, so an `is` match cannot come from a recycled object id
+    forcing_powers = [None]
+
+    def integrand(part, t: float, s: float):
+        g = problem.forcing(s)
+        if forcing_powers[0] is not g:
+            forcing_powers[:] = [g]
+        return part.at(t - s, g, forcing_powers)
 
     def evaluate(t: float):
         t = float(t)
         if t == 0.0:
             return problem.initial
         if problem.forcing is None:
-            return flow.at(t, problem.initial)
+            return flow.at(t, problem.initial, initial_powers)
         # The truncation errors of T(t)(u0) and of every integrand value
         # (integrated over [0, t]) share one half of tol, the quadrature
         # takes the other half.
         part = SemigroupEvaluator(problem.operator, "exp", 0.5 * problem.tol / (1.0 + abs(t)))
-        forced = _refined_integral(
-            lambda s: part.at(t - s, problem.forcing(s)), t, 0.5 * problem.tol
-        )
-        return spaces.elem_add(part.at(t, problem.initial), forced)
+        forced = _refined_integral(lambda s: integrand(part, t, s), t, 0.5 * problem.tol)
+        return spaces.elem_add(part.at(t, problem.initial, initial_powers), forced)
 
     return Trajectory(times, tuple(evaluate(t) for t in times), evaluate)
 
@@ -238,10 +257,11 @@ def solve_second_order(problem: CauchyProblem, grid: np.ndarray | None = None) -
         )
     times = uniform_times(problem.horizon) if grid is None else np.asarray(grid, dtype=float)
     flow = SemigroupEvaluator(problem.operator, "cosh", problem.tol)
+    initial_powers = [problem.initial]
 
     def evaluate(t: float):
         t = float(t)
-        return problem.initial if t == 0.0 else flow.at(t, problem.initial)
+        return problem.initial if t == 0.0 else flow.at(t, problem.initial, initial_powers)
 
     return Trajectory(times, tuple(evaluate(t) for t in times), evaluate)
 

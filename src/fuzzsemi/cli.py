@@ -10,8 +10,7 @@ Three subcommands:
 Exit codes: 0 success, 1 usage / schema / I-O error, 2 tolerance or
 verification failure.  Outputs carry a ``"schema": "fuzzsemi/1"`` field
 and contain no timestamps, so identical invocations produce byte-identical
-files.  ``--threads`` is accepted for interface stability; evaluation is
-sequential either way, so the flag never changes numeric output.
+files.
 """
 
 from __future__ import annotations
@@ -171,8 +170,9 @@ def cmd_example(args) -> int:
         c = core.make_triangular(0.0, 1.0, 2.0, m)
         x = core.make_triangular(0.0, 1.0, 2.0, m)
         ev = semigroup.SemigroupEvaluator(builtin("RemarkA", c), "exp", engine_tol)
-        states = tuple(ev.at(float(t), x) for t in times)
-        traj = cauchy.Trajectory(times, states, lambda t: ev.at(float(t), x))
+        powers = [x]  # one power ladder for every time
+        states = tuple(ev.at(float(t), x, powers) for t in times)
+        traj = cauchy.Trajectory(times, states, lambda t: ev.at(float(t), x, powers))
         closed = [semigroup.generator_pair_closed_form(c, x, float(t), "A") for t in times]
     else:  # wave
         c = core.make_triangular(0.0, 1.0, 2.0, m)
@@ -214,8 +214,29 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _finite_number(value):
+    # JSON integers are unbounded; past the float range they are not finite
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _positive_finite(value):
-    return _is_number(value) and math.isfinite(value) and value > 0
+    return _finite_number(value) and value > 0
+
+
+def _require_numbers(value, path):
+    """Nested lists whose leaves are all JSON numbers (no booleans, strings or nulls)."""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            _require_numbers(item, f"{path}[{i}]")
+    else:
+        _require(_is_number(value), path, "must be a number")
+
+
+# what building a fuzzy number or an operator raises on malformed numeric data
+_BAD_DATA = (ValueError, TypeError, OverflowError, FuzzsemiError)
 
 
 def _parse_operator(obj, path, m_levels):
@@ -227,35 +248,37 @@ def _parse_operator(obj, path, m_levels):
         _require(isinstance(name, str), path + ".name", "missing builtin name")
         c = None
         if "c" in obj:
-            try:
-                c = core.fuzzy_from_json(obj["c"], m_levels)
-            except (ValueError, FuzzsemiError) as exc:
-                raise SchemaError(f"{path}.c: {exc}") from exc
+            c = _parse_fuzzy(obj["c"], path + ".c", m_levels)
         try:
             return builtin(name, c)
-        except (ValueError, FuzzsemiError) as exc:
+        except _BAD_DATA as exc:
             raise SchemaError(f"{path}: {exc}") from exc
     if kind == "matrix":
         entries = obj.get("entries")
         _require(isinstance(entries, list) and entries, path + ".entries", "missing matrix entries")
+        _require_numbers(entries, path + ".entries")
         try:
             return lift_matrix(entries)
-        except ValueError as exc:
+        except _BAD_DATA as exc:
             raise SchemaError(f"{path}.entries: {exc}") from exc
     if kind == "identity":
         return scale_operator(1.0)
     if kind == "scale":
         factor = obj.get("factor")
-        _require(_is_number(factor) and math.isfinite(factor), path + ".factor",
+        _require(_finite_number(factor), path + ".factor",
                  "missing finite numeric factor")
         return scale_operator(float(factor))
     raise SchemaError(f"{path}.kind: unknown kind {kind!r}")
 
 
 def _parse_fuzzy(obj, path, m_levels):
+    if isinstance(obj, dict):
+        for key in ("tri", "levels", "lower", "upper"):
+            if key in obj:
+                _require_numbers(obj[key], f"{path}.{key}")
     try:
         return core.fuzzy_from_json(obj, m_levels)
-    except (ValueError, FuzzsemiError) as exc:
+    except _BAD_DATA as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
@@ -300,7 +323,7 @@ def cmd_solve(args) -> int:
     try:
         with open(args.config) as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or bad UTF-8
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     try:
@@ -308,9 +331,7 @@ def cmd_solve(args) -> int:
         grid = cauchy.uniform_times(problem.horizon, args.nodes)
         solver = cauchy.solve_second_order if problem.initial_velocity is not None else cauchy.solve_first_order
         traj = solver(problem, grid)
-    except (FuzzsemiError, OverflowError) as exc:
-        # SchemaError and QuadratureStall are FuzzsemiErrors; OverflowError
-        # comes from series whose terms overflow (|t| * bound too large)
+    except FuzzsemiError as exc:  # SchemaError, SeriesOverflow, QuadratureStall, ...
         print(f"error: {exc}", file=sys.stderr)
         return 1
     payload = {
@@ -355,8 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--levels", type=int, default=core.DEFAULT_LEVELS,
                         help="membership-grid panels (default %(default)s)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="reserved; never changes numeric output")
     common.add_argument("--out", help="write the JSON payload to this path")
     common.add_argument("--csv", help="write level-band CSV to this path")
     common.add_argument("--bands", type=_band_list, default=DEFAULT_BANDS,
@@ -408,9 +427,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
         return 1
     if getattr(args, "t_max", None) is None and args.command == "example":
         args.t_max = _EXAMPLE_T_MAX.get(args.name, 1.0)

@@ -45,6 +45,11 @@ class UnsupportedVelocity(FuzzsemiError):
     """Second-order solving requires a vanishing initial velocity."""
 
 
+class SeriesOverflow(FuzzsemiError, OverflowError):
+    """The series terms overflow the float range: |t| times the operator's
+    norm bound is too large for the truncated series."""
+
+
 class QuadratureStall(FuzzsemiError):
     """Adaptive quadrature failed to converge within its interval budget."""
 

@@ -23,10 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import core, operators, spaces
-from .errors import HDifferenceError, MixedSignsError
+from .errors import HDifferenceError, MixedSignsError, SeriesOverflow
 from .operators import LinearOperator
 
 KINDS = ("exp", "cosh", "sinh")
@@ -83,9 +81,9 @@ def required_order(t: float, bound: float, tol: float, kind: str = "exp") -> int
         if len(terms) >= 2 and term < terms[-2] and term < cutoff:
             break
         if not math.isfinite(term) or len(terms) >= _MAX_TERMS:
-            raise OverflowError(
-                f"series terms overflow for |t| * bound = {abs(t) * bound:g}; "
-                "split the time interval instead"
+            raise SeriesOverflow(
+                f"series terms overflow for |t| * M = {abs(t) * bound:g} (M the "
+                "operator's norm bound); shorten the horizon or reduce the operator's norm"
             )
     # once terms decay their ratio only shrinks, so the remainder is geometric
     q = terms[-1] / terms[-2] if len(terms) >= 2 and terms[-2] > 0.0 else 0.0
@@ -102,39 +100,53 @@ def required_order(t: float, bound: float, tol: float, kind: str = "exp") -> int
     return order
 
 
-def series_apply(op: LinearOperator, kind: str, t: float, x, order: int):
+def series_apply(op: LinearOperator, kind: str, t: float, x, order: int, powers: list | None = None):
     """Partial sum of the operator series at the given truncation order.
 
-    Powers are accumulated iteratively (y_{p+1} = A(y_p)) and coefficients
-    by incremental factor multiplication, with a fixed left-to-right
+    Powers come from the ladder y_0 = x, y_{p+1} = A(y_p) and coefficients
+    from incremental factor multiplication, with a fixed left-to-right
     fuzzy-addition order for reproducibility.
+
+    ``powers`` is an optional ladder ``[x, A(x), A^2(x), ...]`` owned by the
+    caller; it must start with x itself.  The entries this order needs
+    are read from it and the missing ones are appended in place, so later
+    calls for the same x and operator -- at other times, kinds or
+    tolerances -- apply the operator only past the longest order seen.  The
+    ladder does not change the result: the same terms are added in the same
+    order.  It holds one element per power, and it is only sound while x
+    and the operator's outputs are not mutated (every element type here is
+    immutable).
     """
+    if kind not in KINDS:
+        raise ValueError(f"unknown series kind {kind!r}")
+    if powers is None:
+        powers = [x]
+    elif not powers or powers[0] is not x:
+        raise ValueError("the power ladder must start with x itself")
+    while len(powers) <= order:
+        powers.append(op(powers[-1]))
+
     if kind == "exp":
-        acc, y, coeff = x, x, 1.0
+        acc, coeff = x, 1.0
         for p in range(1, order + 1):
-            y = op(y)
             coeff *= t / p
-            acc = spaces.elem_add(acc, spaces.elem_scale(coeff, y))
+            acc = spaces.elem_add(acc, spaces.elem_scale(coeff, powers[p]))
         return acc
     if kind == "cosh":
-        acc, y, coeff = x, x, 1.0
+        acc, coeff = x, 1.0
         for p in range(1, order + 1):
-            y = op(y)
             coeff *= t * t / ((2 * p - 1) * (2 * p))
-            acc = spaces.elem_add(acc, spaces.elem_scale(coeff, y))
+            acc = spaces.elem_add(acc, spaces.elem_scale(coeff, powers[p]))
         return acc
-    if kind == "sinh":
-        if order == 0:
-            return spaces.elem_zero(x)
-        y = op(x)
-        coeff = t
-        acc = spaces.elem_scale(coeff, y)
-        for p in range(2, order + 1):
-            y = op(y)
-            coeff *= t * t / ((2 * p - 2) * (2 * p - 1))
-            acc = spaces.elem_add(acc, spaces.elem_scale(coeff, y))
-        return acc
-    raise ValueError(f"unknown series kind {kind!r}")
+    # sinh
+    if order == 0:
+        return spaces.elem_zero(x)
+    coeff = t
+    acc = spaces.elem_scale(coeff, powers[1])
+    for p in range(2, order + 1):
+        coeff *= t * t / ((2 * p - 2) * (2 * p - 1))
+        acc = spaces.elem_add(acc, spaces.elem_scale(coeff, powers[p]))
+    return acc
 
 
 @dataclass(frozen=True)
@@ -162,9 +174,15 @@ class SemigroupEvaluator:
         scale = max(1.0, spaces.elem_norm(x))
         return required_order(t, self.operator.norm_bound, self.tol / scale, self.kind)
 
-    def at(self, t: float, x):
-        """Truncated series at time t; exact identity (or zero, for sinh) at t = 0."""
-        return series_apply(self.operator, self.kind, float(t), x, self.order_for(t, x))
+    def at(self, t: float, x, powers: list | None = None):
+        """Truncated series at time t; exact identity (or zero, for sinh) at t = 0.
+
+        ``powers`` is an optional power ladder ``[x, A(x), ...]`` for x that
+        the caller keeps across calls; see `series_apply`.  It does not
+        depend on t, the kind or tol, so one ladder serves every evaluation
+        of the same x under the same operator.
+        """
+        return series_apply(self.operator, self.kind, float(t), x, self.order_for(t, x), powers)
 
     __call__ = at
 
@@ -237,11 +255,9 @@ def generator_pair_closed_form(c: core.FuzzyNumber, x: core.FuzzyNumber, t: floa
     if t < 0:
         raise ValueError("closed form stated for t >= 0")
     if which == "A":
-        coeff = float(x.lower[-1]) - float(np.trapezoid(x.lower, x.levels))
-        rate = operators.mu_coeff(c)
+        coeff, rate = operators.mu_coeff(x), operators.mu_coeff(c)
     elif which == "B":
-        coeff = float(x.upper[0]) - float(np.trapezoid(x.upper, x.levels))
-        rate = operators.upper_spread_coeff(c)
+        coeff, rate = operators.upper_spread_coeff(x), operators.upper_spread_coeff(c)
     else:
         raise ValueError("which must be 'A' or 'B'")
     if rate <= 0:

@@ -25,8 +25,8 @@ from fuzzsemi.errors import (
     QuadratureStall,
     UnsupportedVelocity,
 )
-from fuzzsemi.operators import builtin, identity, lift_matrix, scale_operator, zero_operator
-from fuzzsemi.semigroup import generator_pair_closed_form
+from fuzzsemi.operators import LinearOperator, builtin, identity, lift_matrix, scale_operator, zero_operator
+from fuzzsemi.semigroup import SemigroupEvaluator, generator_pair_closed_form
 from fuzzsemi.spaces import FuzzyFunction, pair
 
 import helpers
@@ -144,6 +144,60 @@ def test_refined_integral_exact_for_polynomials():
     got = cauchy._refined_integral(f, 2.0, 1e-9)
     assert len(calls) == 15
     assert got.lower[0] == pytest.approx(2.0 ** 11 / 11, rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# power ladders
+
+
+def _counting(op):
+    """op with a counter of its applications."""
+    calls = []
+
+    def fn(x):
+        calls.append(None)
+        return op(x)
+
+    return LinearOperator(fn, op.norm_bound, op.homogeneity, op.name, op.domain), calls
+
+
+def test_unforced_solve_applies_operator_once_per_power():
+    op, calls = _counting(lift_matrix(cauchy.COUPLED_MATRIX))
+    w0 = pair(U0, V0)
+    grid = cauchy.uniform_times(1.0, 64)
+    traj = solve_first_order(CauchyProblem(op, w0, horizon=1.0, tol=1e-9), grid)
+    flow = SemigroupEvaluator(op, "exp", 1e-9)
+    assert len(calls) == max(flow.order_for(float(t), w0) for t in grid)
+    for t, st in zip(traj.times, traj.states):
+        assert spaces.elem_dist(st, problem5_closed_form(U0, V0, float(t))) <= 1e-8
+    # the re-solves at t +- h extend the same ladder only past its longest order
+    sample, h = grid[1:-1:8], 1e-3
+    residual_check(traj, lift_matrix(cauchy.COUPLED_MATRIX), h=h, times=sample)
+    assert len(calls) == max(flow.order_for(float(t), w0) for t in (*grid, *(sample + h), *(sample - h)))
+
+
+def test_constant_forcing_shares_one_ladder():
+    op, calls = _counting(scale_operator(1.0))
+    tol, horizon = 1e-9, 1.0
+    problem = CauchyProblem(op, U0, forcing=lambda s: V0, horizon=horizon, tol=tol)
+    grid = cauchy.uniform_times(horizon, 64)
+    traj = solve_first_order(problem, grid)
+    # part evaluators use tol / (2 (1 + t)); the order grows with t, so t = horizon bounds it
+    part = SemigroupEvaluator(op, "exp", 0.5 * tol / (1.0 + horizon))
+    assert len(calls) <= part.order_for(horizon, U0) + part.order_for(horizon, V0)
+    for t, st in zip(traj.times, traj.states):
+        assert _endpoint_gap(st, _scale_forced_endpoints(1.0, U0, V0, float(t))) <= tol
+
+
+def test_fresh_forcing_objects_match_closed_form():
+    g = core.make_triangular(-0.5, 0.2, 0.8)
+    op, calls = _counting(scale_operator(1.0))
+    fresh = lambda s: core.make_triangular(-0.5, 0.2, 0.8)  # a new object on every call
+    problem = CauchyProblem(op, U0, forcing=fresh, horizon=1.0, tol=1e-9)
+    traj = solve_first_order(problem, cauchy.uniform_times(1.0, 5))
+    assert len(calls) > 15 * 4  # no ladder is shared between forcing values
+    for t, st in zip(traj.times, traj.states):
+        assert _endpoint_gap(st, _scale_forced_endpoints(1.0, U0, g, float(t))) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import random
 
 import pytest
 
@@ -129,10 +131,12 @@ def test_solve_matrix_second_order(tmp_path):
     assert csv_path.exists()
 
 
-def test_solve_malformed_json(tmp_path):
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe not utf-8", b"[" * 100_000 + b"]" * 100_000])
+def test_solve_malformed_json(tmp_path, capsys, content):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
+    path.write_bytes(content)
     assert run("solve", str(path)) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read config")
 
 
 def test_solve_missing_file(tmp_path):
@@ -199,6 +203,7 @@ def test_parse_problem_rejects_bad_fields():
     ("T", math.nan),
     ("tol", False),
     ("tol", math.inf),
+    ("T", 10 ** 400),
 ])
 def test_parse_problem_rejects_booleans_and_non_finite(field, value):
     config = {"order": 1, "operator": {"kind": "identity"}, "u0": {"tri": [0, 1, 2]}, field: value}
@@ -206,10 +211,29 @@ def test_parse_problem_rejects_booleans_and_non_finite(field, value):
         cli.parse_problem(config)
 
 
-@pytest.mark.parametrize("factor", [True, math.inf, math.nan])
+@pytest.mark.parametrize("factor", [True, math.inf, math.nan, 10 ** 400])
 def test_parse_problem_rejects_bad_scale_factor(factor):
     config = {"operator": {"kind": "scale", "factor": factor}, "u0": {"tri": [0, 1, 2]}}
     with pytest.raises(SchemaError, match="config.operator.factor"):
+        cli.parse_problem(config)
+
+
+_PAIR = {"u0": {"tri": [0, 1, 2]}, "v0": {"tri": [1, 2, 3]}}
+
+
+@pytest.mark.parametrize("config, path", [
+    ({"operator": {"kind": "identity"}, "u0": {"tri": [True, 1, 2]}}, r"config.u0.tri\[0\]"),
+    ({"operator": {"kind": "identity"}, "u0": {"tri": [None, 1, 2]}}, r"config.u0.tri\[0\]"),
+    ({"operator": {"kind": "identity"}, "u0": {"tri": [[0], 1, 2]}}, "config.u0"),
+    ({"operator": {"kind": "identity"}, "u0": {"tri": [10 ** 400, 10 ** 400, 10 ** 400]}}, "config.u0"),
+    ({"operator": {"kind": "identity"}, "u0": {"levels": {}, "lower": [0, 1], "upper": [2, 1]}},
+     "config.u0.levels"),
+    ({"operator": {"kind": "matrix", "entries": [[{}, 1], [1, 1]]}, **_PAIR},
+     r"config.operator.entries\[0\]\[0\]"),
+    ({"operator": {"kind": "matrix", "entries": [[10 ** 400, 0], [0, 1]]}, **_PAIR}, "config.operator.entries"),
+])
+def test_parse_problem_rejects_malformed_numbers(config, path):
+    with pytest.raises(SchemaError, match=path):
         cli.parse_problem(config)
 
 
@@ -228,7 +252,10 @@ def test_solve_infinite_horizon_rejected(tmp_path, capsys):
 def test_solve_overflowing_scale_factor_exits_cleanly(tmp_path, capsys):
     cfg = write_config(tmp_path, {"operator": {"kind": "scale", "factor": 1e300}, "u0": {"tri": [0, 1, 2]}})
     assert run("solve", cfg, "--nodes", "2") == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "shorten the horizon" in err
+    assert "split the time interval" not in err
 
 
 def test_solve_quadrature_stall_exits_cleanly(tmp_path, capsys, monkeypatch):
@@ -246,6 +273,73 @@ def test_solve_too_few_nodes(tmp_path, capsys):
     cfg = write_config(tmp_path, {"operator": {"kind": "identity"}, "u0": {"tri": [0, 1, 2]}})
     assert run("solve", cfg, "--nodes", "1") == 1
     assert "--nodes" in capsys.readouterr().err
+
+
+# seeded mutations of valid configs: the exit-code contract must hold on all of them
+
+_FUZZ_BASES = (
+    {"order": 1, "operator": {"kind": "scale", "factor": 0.5}, "u0": {"tri": [0, 1, 2]},
+     "T": 0.5, "tol": 1e-6},
+    {"order": 1, "operator": {"kind": "identity"}, "u0": {"tri": [0, 1, 2]},
+     "g": {"kind": "const", "value": {"tri": [0, 0.5, 1]}}, "T": 0.5, "tol": 1e-6},
+    {"order": 2, "operator": {"kind": "matrix", "entries": [[1, 1], [-1, -1]]},
+     "u0": {"tri": [0, 1, 2]}, "v0": {"tri": [1, 2, 3]}, "T": 0.5, "tol": 1e-6},
+    {"order": 1, "operator": {"kind": "builtin", "name": "RemarkA", "c": {"tri": [0, 1, 2]}},
+     "u0": {"levels": [0, 0.5, 1], "lower": [0, 0.5, 1], "upper": [2, 1.5, 1]},
+     "g": "zero", "T": 0.5, "tol": 1e-6},
+)
+_FUZZ_VALUES = (
+    None, True, False, "x", "", [], {}, [1, 2], [[1, 0], [0, 1]], {"tri": [0, 1, 2]},
+    {"tri": [2, 1, 0]}, 0, -1, 2, 3, 1e-300, 1e300, -1e300, 10 ** 400, math.nan, math.inf, -math.inf,
+)
+_FUZZ_MATRICES = (
+    [], [[]], [[1]], [[1, 2], [3]], [[1, 0], [0, 1], [1, 1]], [["a", 1], [1, 1]],
+    [[None, 1], [1, 1]], [[{}, 1], [1, 1]], [[math.nan, 1], [1, 1]], [[math.inf, 0], [0, 1]],
+    [[1e300, 0], [0, 1]], [[10 ** 400, 0], [0, 1]], [[True, False], [False, True]],
+    [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+)
+
+
+def _slots(node):
+    """Every (container, key) pair inside a JSON tree."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+    for key in list(keys):
+        yield node, key
+        yield from _slots(node[key])
+
+
+def _mutate(config, rng):
+    config = copy.deepcopy(config)
+    for _ in range(rng.randint(1, 3)):
+        slots = list(_slots(config))
+        if not slots:
+            break
+        container, key = rng.choice(slots)
+        action = rng.random()
+        if key == "entries":
+            container[key] = copy.deepcopy(rng.choice(_FUZZ_MATRICES))
+        elif action < 0.2 and isinstance(container, dict):
+            del container[key]
+        elif action < 0.3 and isinstance(container, dict):
+            container[rng.choice(("extra", "kind", "value", "g", "v0", "c", "tri"))] = rng.choice(_FUZZ_VALUES)
+        else:
+            container[key] = copy.deepcopy(rng.choice(_FUZZ_VALUES))
+    return config
+
+
+def test_solve_fuzzed_configs_keep_exit_code_contract(tmp_path, capsys):
+    rng = random.Random(20261018)
+    path = tmp_path / "config.json"
+    for case in range(300):
+        config = _mutate(rng.choice(_FUZZ_BASES), rng)
+        path.write_text(json.dumps(config))  # NaN and +-Infinity as JSON extensions
+        try:
+            code = run("solve", str(path), "--levels", "4", "--nodes", "2", "--out", str(tmp_path / "out.json"))
+        except Exception as exc:  # report the input that broke the contract
+            raise AssertionError(f"case {case}: {config!r} raised {exc!r}") from exc
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (case, config, code)
+        assert "Traceback" not in err, (case, config, err)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +387,8 @@ def test_usage_error_exit_code():
     assert run("--bogus") == 1
 
 
-def test_threads_flag_validated():
-    assert run("verify", "core", "--threads", "0") == 1
+def test_threads_flag_removed():
+    assert run("verify", "core", "--threads", "1") == 1
 
 
 def test_band_override(tmp_path):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from fuzzsemi import core
@@ -126,6 +127,30 @@ def test_truncation_cauchy_tail(rng):
             a = series_apply(op, "exp", t, x, m)
             b = series_apply(op, "exp", t, x, m + 10)
             assert core.distance(a, b) <= 1e-9
+
+
+def _endpoints(element):
+    parts = element.components if hasattr(element, "components") else (element,)
+    return np.concatenate([np.concatenate([u.lower, u.upper]) for u in parts])
+
+
+@pytest.mark.parametrize("kind", ["exp", "cosh", "sinh"])
+def test_shared_power_ladder_is_bit_identical(kind):
+    op = lift_matrix(((0.5, -1.0), (1.0, 0.25)))
+    x = pair(core.make_triangular(0, 1, 2), core.make_triangular(-1, 0.5, 3))
+    powers = [x]
+    for order in (8, 5, 2, 0, 1, 3, 6, 9, 12):  # read back, then extend
+        for t in (0.7, -0.4):
+            got = series_apply(op, kind, t, x, order, powers)
+            assert np.array_equal(_endpoints(got), _endpoints(series_apply(op, kind, t, x, order)))
+    assert len(powers) == 12 + 1
+
+
+def test_power_ladder_must_start_with_x():
+    y = core.make_triangular(0, 1, 2)
+    for powers in ([], [y]):
+        with pytest.raises(ValueError):
+            series_apply(identity(), "exp", 1.0, X, 3, powers)
 
 
 # ---------------------------------------------------------------------------

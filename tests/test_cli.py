@@ -131,8 +131,16 @@ def test_solve_matrix_second_order(tmp_path):
     assert csv_path.exists()
 
 
-@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe not utf-8", b"[" * 100_000 + b"]" * 100_000])
-def test_solve_malformed_json(tmp_path, capsys, content):
+def test_solve_malformed_json(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text("{not json")
+    assert run("solve", str(path)) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read config")
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe not utf-8", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf8", "deeply-nested"])
+def test_solve_unreadable_config(tmp_path, capsys, content):
     path = tmp_path / "broken.json"
     path.write_bytes(content)
     assert run("solve", str(path)) == 1

@@ -47,11 +47,13 @@ from .errors import (
     UnsupportedVelocity,
 )
 from .operators import LinearOperator
-from .semigroup import SemigroupEvaluator, required_order
+from .semigroup import SemigroupEvaluator, _coefficients, required_order
 from .spaces import FuzzyFunction, ProductElement, pair
 
 DEFAULT_TIME_NODES = 64
 _QUAD_MAX_INTERVALS = 1000  # Gauss-Kronrod intervals per integral before giving up
+# a few ulps: the rounding floor of an interval's sum, relative to its norm
+_QUAD_ROUNDING_FLOOR = 4.0 * float(np.finfo(float).eps)
 
 # QUADPACK qk15 abscissae on [-1, 1] from the end towards the centre: odd
 # positions (and the centre) are the 7-point Gauss nodes.  Every weight is
@@ -186,6 +188,11 @@ def _refined_integral(f: Callable, t_end: float, tol: float):
     tol.  Intervals are refined depth first, left half first, and accepted
     sums are added left to right, so the result is deterministic.  All
     weights are positive, so every step holds levelwise.
+
+    A rejected interval whose tol share is below a few ulps of its Kronrod
+    sum raises `QuadratureStall` at once: rounding alone moves the sum by
+    that much, and bisection halves the share together with the sum, so
+    no depth of refinement could meet it.
     """
     if not t_end > 0:
         raise ValueError("t_end must be > 0")
@@ -203,6 +210,8 @@ def _refined_integral(f: Callable, t_end: float, tol: float):
         evaluated += 1
         if spaces.elem_dist(kronrod, gauss) <= share:
             total = kronrod if total is None else spaces.elem_add(total, kronrod)
+        elif share < _QUAD_ROUNDING_FLOOR * spaces.elem_norm(kronrod):
+            raise QuadratureStall(f"tol share {share:g} on [{a:g}, {b:g}] is below the sum's rounding floor")
         else:
             pending += [(centre, b, 0.5 * share), (a, centre, 0.5 * share)]
     return total
@@ -291,9 +300,7 @@ def solve_wave(
     for x in x_nodes:
         x = float(x)
         acc = u1_derivatives(x, 0)
-        coeff = 1.0
-        for p in range(1, order + 1):
-            coeff *= t * t / ((2 * p - 1) * (2 * p))
+        for p, coeff in zip(range(1, order + 1), _coefficients("cosh", t)):
             acc = core.add(acc, core.scalar_mul(coeff, u1_derivatives(x, 2 * p)))
         if u2 is not None:
             acc = core.add(acc, core.scalar_mul(t, u2.at(x)))

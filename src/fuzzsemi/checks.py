@@ -335,15 +335,7 @@ def suite_spaces(seed: int):
 
 def _builtin_catalogue(m_levels=core.DEFAULT_LEVELS):
     c = core.make_triangular(0.0, 1.0, 2.0, m_levels)
-    return [
-        builtin("A1"),
-        builtin("A2", c),
-        builtin("A3", c),
-        builtin("A4"),
-        builtin("A5"),
-        builtin("RemarkA", c),
-        builtin("RemarkB", c),
-    ]
+    return [builtin(name, c) for name in operators.BUILTIN_NAMES]
 
 
 def suite_operators(seed: int):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import math
@@ -33,8 +34,8 @@ from .spaces import FuzzyFunction, ProductElement, pair
 log = logging.getLogger("fuzzsemi")
 
 SCHEMA = "fuzzsemi/1"
-EXAMPLE_NAMES = ("problem4", "problem5", "problem6", "wave", "remarkA")
 DEFAULT_BANDS = (0.0, 0.5, 1.0)
+_MAX_GRID_POINTS = 100_000  # upper limit of every grid-size flag
 
 
 class _UsageError(Exception):
@@ -120,84 +121,83 @@ def _example_payload(name, times, series_states, closed_states, tol):
     }
 
 
+def _system_example(matrix, order, closed_form, args, times, u0, v0, tol):
+    # closed_form is a name, looked up at call time so wrappers on `cauchy` see it
+    op = lift_matrix(matrix)
+    w0 = pair(u0, v0)
+    velocity = spaces.elem_zero(w0) if order == 2 else None
+    solver = cauchy.solve_second_order if order == 2 else cauchy.solve_first_order
+    problem = cauchy.CauchyProblem(op, w0, initial_velocity=velocity, horizon=max(args.t_max, 1.0), tol=tol)
+    return solver(problem, times), [getattr(cauchy, closed_form)(u0, v0, float(t)) for t in times]
+
+
+def _remark_a_example(args, times, u0, v0, tol):
+    c = core.make_triangular(0.0, 1.0, 2.0, args.levels)
+    x = core.make_triangular(0.0, 1.0, 2.0, args.levels)
+    ev = semigroup.SemigroupEvaluator(builtin("RemarkA", c), "exp", tol)
+    powers = [x]  # one power ladder for every time
+    traj = cauchy.Trajectory(times, [ev.at(float(t), x, powers) for t in times])
+    return traj, [semigroup.generator_pair_closed_form(c, x, float(t), "A") for t in times]
+
+
+def _wave_example(args, times, u0, v0, tol):
+    c = core.make_triangular(0.0, 1.0, 2.0, args.levels)
+    xs = np.linspace(0.0, 1.0, args.nodes)
+    states = [
+        cauchy.solve_wave(lambda x_, order: core.scalar_mul(math.exp(x_), c), None, float(t), xs,
+                          bound=2.0 * math.e, tol=tol)
+        for t in times
+    ]
+    closed = [
+        FuzzyFunction(xs, tuple(core.scalar_mul(math.cosh(float(t)) * math.exp(float(x)), c) for x in xs))
+        for t in times
+    ]
+    return cauchy.Trajectory(times, states), closed
+
+
+# name: (run(args, times, u0, v0, tol) -> (trajectory, closed-form states), default --t-max)
+_EXAMPLES = {
+    "problem4": (functools.partial(_system_example, cauchy.SWAP_MATRIX, 1, "problem4_closed_form"), 2.0),
+    "problem5": (functools.partial(_system_example, cauchy.COUPLED_MATRIX, 1, "problem5_closed_form"), 1.0),
+    "problem6": (functools.partial(_system_example, cauchy.COUPLED_MATRIX, 2, "problem6_closed_form"), 1.0),
+    "wave": (_wave_example, 1.0),
+    "remarkA": (_remark_a_example, 2.0),
+}
+EXAMPLE_NAMES = tuple(_EXAMPLES)
+
+
 def cmd_example(args) -> int:
-    if args.name not in EXAMPLE_NAMES:
+    if args.name not in _EXAMPLES:
         print(
             f"error: unknown example {args.name!r}; valid names: {', '.join(EXAMPLE_NAMES)}",
             file=sys.stderr,
         )
         return 1
-    if args.t_max < 0 or args.t_points < 1 or args.tol <= 0 or args.levels < 1:
-        print("error: --t-max/--t-points/--tol/--levels out of range", file=sys.stderr)
+    run, default_t_max = _EXAMPLES[args.name]
+    if args.t_max is None:
+        args.t_max = default_t_max
+    if not (
+        0 <= args.t_max < math.inf and 0 < args.tol < math.inf
+        and 1 <= args.t_points <= _MAX_GRID_POINTS and 1 <= args.levels <= _MAX_GRID_POINTS
+        and 2 <= args.nodes <= _MAX_GRID_POINTS
+    ):
+        print("error: --t-max/--t-points/--tol/--levels/--nodes out of range", file=sys.stderr)
         return 1
-    m = args.levels
-    tol = args.tol
-    engine_tol = tol / 10.0  # keep truncation strictly inside the reported budget
+    engine_tol = args.tol / 10.0  # keep truncation strictly inside the reported budget
     if args.t_max > 0 and args.t_points > 1:
         times = np.linspace(0.0, args.t_max, args.t_points)
     else:
         times = np.array([0.0])
 
-    u0 = core.make_triangular(0.0, 1.0, 2.0, m)
-    v0 = core.make_triangular(1.0, 2.0, 3.0, m)
+    u0 = core.make_triangular(0.0, 1.0, 2.0, args.levels)
+    v0 = core.make_triangular(1.0, 2.0, 3.0, args.levels)
+    traj, closed = run(args, times, u0, v0, engine_tol)
 
-    if args.name == "problem4":
-        op = lift_matrix(cauchy.SWAP_MATRIX)
-        traj = cauchy.solve_first_order(
-            cauchy.CauchyProblem(op, pair(u0, v0), horizon=max(args.t_max, 1.0), tol=engine_tol),
-            times,
-        )
-        closed = [cauchy.problem4_closed_form(u0, v0, float(t)) for t in times]
-    elif args.name == "problem5":
-        op = lift_matrix(cauchy.COUPLED_MATRIX)
-        traj = cauchy.solve_first_order(
-            cauchy.CauchyProblem(op, pair(u0, v0), horizon=max(args.t_max, 1.0), tol=engine_tol),
-            times,
-        )
-        closed = [cauchy.problem5_closed_form(u0, v0, float(t)) for t in times]
-    elif args.name == "problem6":
-        op = lift_matrix(cauchy.COUPLED_MATRIX)
-        w0 = pair(u0, v0)
-        traj = cauchy.solve_second_order(
-            cauchy.CauchyProblem(
-                op, w0, initial_velocity=spaces.elem_zero(w0),
-                horizon=max(args.t_max, 1.0), tol=engine_tol,
-            ),
-            times,
-        )
-        closed = [cauchy.problem6_closed_form(u0, v0, float(t)) for t in times]
-    elif args.name == "remarkA":
-        c = core.make_triangular(0.0, 1.0, 2.0, m)
-        x = core.make_triangular(0.0, 1.0, 2.0, m)
-        ev = semigroup.SemigroupEvaluator(builtin("RemarkA", c), "exp", engine_tol)
-        powers = [x]  # one power ladder for every time
-        states = tuple(ev.at(float(t), x, powers) for t in times)
-        traj = cauchy.Trajectory(times, states, lambda t: ev.at(float(t), x, powers))
-        closed = [semigroup.generator_pair_closed_form(c, x, float(t), "A") for t in times]
-    else:  # wave
-        c = core.make_triangular(0.0, 1.0, 2.0, m)
-        xs = np.linspace(0.0, 1.0, args.nodes)
-        states = tuple(
-            cauchy.solve_wave(
-                lambda x_, order: core.scalar_mul(math.exp(x_), c), None, float(t), xs,
-                bound=2.0 * math.e, tol=engine_tol,
-            )
-            for t in times
-        )
-        traj = cauchy.Trajectory(times, states)
-        closed = [
-            FuzzyFunction(
-                xs,
-                tuple(core.scalar_mul(math.cosh(float(t)) * math.exp(float(x)), c) for x in xs),
-            )
-            for t in times
-        ]
-
-    payload = _example_payload(args.name, times, traj.states, closed, tol)
+    payload = _example_payload(args.name, times, traj.states, closed, args.tol)
     _emit(payload, args.out)
     if args.csv:
         _write_band_csv(args.csv, times, traj.states, args.bands)
-    return 0 if payload["max_distance"] <= tol else 2
+    return 0 if payload["max_distance"] <= args.tol else 2
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +317,8 @@ def parse_problem(config, m_levels=core.DEFAULT_LEVELS):
 
 
 def cmd_solve(args) -> int:
-    if args.nodes < 2:
-        print("error: --nodes must be >= 2", file=sys.stderr)
+    if not 2 <= args.nodes <= _MAX_GRID_POINTS:
+        print(f"error: --nodes must be in [2, {_MAX_GRID_POINTS}]", file=sys.stderr)
         return 1
     try:
         with open(args.config) as fh:
@@ -326,14 +326,10 @@ def cmd_solve(args) -> int:
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or bad UTF-8
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
-    try:
-        problem = parse_problem(config, args.levels)
-        grid = cauchy.uniform_times(problem.horizon, args.nodes)
-        solver = cauchy.solve_second_order if problem.initial_velocity is not None else cauchy.solve_first_order
-        traj = solver(problem, grid)
-    except FuzzsemiError as exc:  # SchemaError, SeriesOverflow, QuadratureStall, ...
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    problem = parse_problem(config, args.levels)
+    grid = cauchy.uniform_times(problem.horizon, args.nodes)
+    solver = cauchy.solve_second_order if problem.initial_velocity is not None else cauchy.solve_first_order
+    traj = solver(problem, grid)
     payload = {
         "schema": SCHEMA,
         "command": "solve",
@@ -414,9 +410,6 @@ def _band_list(text):
     return values
 
 
-_EXAMPLE_T_MAX = {"problem4": 2.0, "problem5": 1.0, "problem6": 1.0, "wave": 1.0, "remarkA": 2.0}
-
-
 def main(argv=None) -> int:
     level = os.environ.get("FUZZSEMI_LOG", "WARNING").upper()
     if level not in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"):
@@ -428,11 +421,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if getattr(args, "t_max", None) is None and args.command == "example":
-        args.t_max = _EXAMPLE_T_MAX.get(args.name, 1.0)
     try:
         return args.func(args)
-    except OSError as exc:
+    except (OSError, FuzzsemiError) as exc:  # SchemaError, SeriesOverflow, QuadratureStall, ...
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,8 +24,6 @@ LINEAR = "linear"
 #: additive and homogeneous under nonnegative factors only
 POSITIVE_HOMOGENEOUS = "positive"
 
-BUILTIN_NAMES = ("A1", "A2", "A3", "A4", "A5", "RemarkA", "RemarkB")
-
 PROBE_SEED = 42
 PROBE_RANDOM_COUNT = 32
 _PROBE_NORM_SLACK = 1e-9
@@ -178,8 +176,24 @@ def mu_coeff(c: FuzzyNumber) -> float:
 
 
 def upper_spread_coeff(c: FuzzyNumber) -> float:
-    """Support right endpoint minus the level-averaged upper endpoint."""
+    """Support right endpoint minus the level-averaged upper endpoint; as the
+    RemarkB coefficient it is nonnegative, so its exponential closed form applies."""
     return float(c.upper[0]) - _level_integral(c, c.upper)
+
+
+# name: (coefficient functional of x, whether the output is coeff * c rather
+# than crisp, certified norm bound (times ||c|| when it is coeff * c),
+# homogeneity); `builtin` documents the bounds
+_CATALOGUE = {
+    "A1": (lambda x: _level_integral(x, x.lower + x.upper), False, 2.0, LINEAR),
+    "A2": (lambda x: _level_integral(x, x.upper[0] - x.upper), True, 2.0, POSITIVE_HOMOGENEOUS),
+    "A3": (lambda x: _level_integral(x, x.lower[-1] - x.lower), True, 2.0, POSITIVE_HOMOGENEOUS),
+    "A4": (lambda x: _level_integral(x, x.lower), False, 1.0, POSITIVE_HOMOGENEOUS),
+    "A5": (lambda x: _level_integral(x, x.upper), False, 1.0, POSITIVE_HOMOGENEOUS),
+    "RemarkA": (mu_coeff, True, 2.0, POSITIVE_HOMOGENEOUS),
+    "RemarkB": (upper_spread_coeff, True, 2.0, POSITIVE_HOMOGENEOUS),
+}
+BUILTIN_NAMES = tuple(_CATALOGUE)
 
 
 def builtin(name: str, c: FuzzyNumber | None = None) -> LinearOperator:
@@ -190,7 +204,8 @@ def builtin(name: str, c: FuzzyNumber | None = None) -> LinearOperator:
     fixed fuzzy constant ``c`` by such an integral.  The certified bounds
     are analytic: every coefficient is at most 2||x|| (A1 sums two
     endpoint integrals, each at most ||x||), so the bound is 2 for A1,
-    2*||c|| for the c-scaling operators and 1 for A4, A5.
+    2*||c|| for the c-scaling operators and 1 for A4, A5.  The crisp
+    operators ignore ``c``.
 
     A1 is fully linear.  The remaining operators are additive and
     positively homogeneous only: their coefficients switch endpoint role
@@ -199,54 +214,22 @@ def builtin(name: str, c: FuzzyNumber | None = None) -> LinearOperator:
 
     RemarkA and RemarkB require mu_coeff(c) > 0.
     """
-    if name in ("A2", "A3", "RemarkA", "RemarkB"):
-        if c is None:
-            raise ValueError(f"{name} needs the fuzzy constant c")
-        if name in ("RemarkA", "RemarkB") and mu_coeff(c) <= 0.0:
-            raise MuNotPositive(f"mu = {mu_coeff(c)} must be > 0 for {name}")
-
-    if name == "A1":
+    if name not in _CATALOGUE:
+        raise ValueError(f"unknown builtin {name!r}; valid names: {', '.join(BUILTIN_NAMES)}")
+    functional, scales_c, bound, homogeneity = _CATALOGUE[name]
+    if not scales_c:
         def fn(x):
-            return core.crisp(_level_integral(x, x.lower + x.upper), levels=x.levels)
-        return LinearOperator(fn, 2.0, LINEAR, "A1", "fuzzy")
+            return core.crisp(functional(x), levels=x.levels)
+        return LinearOperator(fn, bound, homogeneity, name, "fuzzy")
 
-    if name == "A2":
-        def fn(x, c=c):
-            coeff = _level_integral(x, x.upper[0] - x.upper)
-            return core.scalar_mul(coeff, c)
-        return LinearOperator(fn, 2.0 * core.norm(c), POSITIVE_HOMOGENEOUS, "A2", "fuzzy")
+    if c is None:
+        raise ValueError(f"{name} needs the fuzzy constant c")
+    if name in ("RemarkA", "RemarkB") and mu_coeff(c) <= 0.0:
+        raise MuNotPositive(f"mu = {mu_coeff(c)} must be > 0 for {name}")
 
-    if name == "A3":
-        def fn(x, c=c):
-            coeff = _level_integral(x, x.lower[-1] - x.lower)
-            return core.scalar_mul(coeff, c)
-        return LinearOperator(fn, 2.0 * core.norm(c), POSITIVE_HOMOGENEOUS, "A3", "fuzzy")
-
-    if name == "A4":
-        def fn(x):
-            return core.crisp(_level_integral(x, x.lower), levels=x.levels)
-        return LinearOperator(fn, 1.0, POSITIVE_HOMOGENEOUS, "A4", "fuzzy")
-
-    if name == "A5":
-        def fn(x):
-            return core.crisp(_level_integral(x, x.upper), levels=x.levels)
-        return LinearOperator(fn, 1.0, POSITIVE_HOMOGENEOUS, "A5", "fuzzy")
-
-    if name == "RemarkA":
-        def fn(x, c=c):
-            coeff = float(x.lower[-1]) - _level_integral(x, x.lower)
-            return core.scalar_mul(coeff, c)
-        return LinearOperator(fn, 2.0 * core.norm(c), POSITIVE_HOMOGENEOUS, "RemarkA", "fuzzy")
-
-    if name == "RemarkB":
-        # coefficient taken from the upper endpoints at level 0 so that it
-        # is nonnegative and the exponential closed form applies
-        def fn(x, c=c):
-            coeff = float(x.upper[0]) - _level_integral(x, x.upper)
-            return core.scalar_mul(coeff, c)
-        return LinearOperator(fn, 2.0 * core.norm(c), POSITIVE_HOMOGENEOUS, "RemarkB", "fuzzy")
-
-    raise ValueError(f"unknown builtin {name!r}; valid names: {', '.join(BUILTIN_NAMES)}")
+    def fn(x):
+        return core.scalar_mul(functional(x), c)
+    return LinearOperator(fn, bound * core.norm(c), homogeneity, name, "fuzzy")
 
 
 def lift_matrix(entries) -> LinearOperator:

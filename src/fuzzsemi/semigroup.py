@@ -2,7 +2,7 @@
 
 The exponential family T(t)(x) is the formal series sum_p (t^p / p!) A^p(x)
 accumulated with fuzzy addition; cosh and sinh use the even and odd
-coefficient ladders with A^p under the 2p-th (resp. (2p-1)-th) factorial.
+coefficients t^2p / (2p)! and t^(2p-1) / (2p-1)! on A^p.
 Because scalar addition does not distribute over mixed-sign factors in
 this algebra, the sum is evaluated literally term by term -- coefficients
 are never merged.  Merging coefficients of mixed sign is what is unsound
@@ -14,14 +14,17 @@ negative t on genuinely fuzzy inputs.
 Truncation is controlled rigorously: the Cauchy tail of the series is
 bounded by sum_{i>m} (|t| M)^i / i! (and the even/odd analogues
 sum |t|^{2i} M^i / (2i)! etc.) where M is the operator's certified norm
-bound, so `required_order` can pick the smallest order whose exact tail
-falls below the target.
+bound.  `_coefficients(kind, t, m)` is the one ladder c_p(t) m^p of each
+kind: `series_apply` and the wave solver take m = 1, and `required_order`
+takes (|t|, M) to pick the smallest order whose exact tail is below target.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, count, repeat
+from operator import mul, truediv
 
 from . import core, operators, spaces
 from .errors import HDifferenceError, MixedSignsError, SeriesOverflow
@@ -33,31 +36,21 @@ _TAIL_TERM_CUTOFF = 1e-3  # stop summing once terms drop below tol * this
 _MAX_TERMS = 100_000
 
 
-def _tail_terms(t: float, bound: float, kind: str):
-    """Yield the norm-bound series terms for p = 1, 2, ... (p = 0 is the
-    identity term and never part of a tail)."""
-    z = abs(t) * bound
-    z2 = t * t * bound
-    if kind == "exp":
-        term, p = z, 1
-        while True:
-            yield term
-            p += 1
-            term *= z / p
-    elif kind == "cosh":
-        term, p = z2 / 2.0, 1
-        while True:
-            yield term
-            p += 1
-            term *= z2 / ((2 * p - 1) * (2 * p))
-    elif kind == "sinh":
-        term, p = abs(t) * bound, 1
-        while True:
-            yield term
-            p += 1
-            term *= z2 / ((2 * p - 2) * (2 * p - 1))
-    else:
+def _coefficients(kind: str, t: float, m: float = 1.0):
+    """Iterator over c_p(t) * m^p for p = 1, 2, ...: each term is the last one
+    times z / p (exp), z2 / ((2p-1)(2p)) (cosh) or z2 / ((2p-2)(2p-1)) (sinh).
+    z = t * m and z2 = t * t * m are formed once, so m = 1.0 gives the
+    coefficients of t bit for bit.  An unknown kind raises here, not later."""
+    if kind not in KINDS:
         raise ValueError(f"unknown series kind {kind!r}")
+    z, z2 = t * m, t * t * m
+    if kind == "exp":
+        first, num, dens = z, z, count(2)
+    elif kind == "cosh":
+        first, num, dens = z2 / 2.0, z2, map(mul, count(3, 2), count(4, 2))
+    else:
+        first, num, dens = z, z2, map(mul, count(2, 2), count(3, 2))
+    return accumulate(map(truediv, repeat(num), dens), mul, initial=first)
 
 
 def required_order(t: float, bound: float, tol: float, kind: str = "exp") -> int:
@@ -76,7 +69,7 @@ def required_order(t: float, bound: float, tol: float, kind: str = "exp") -> int
 
     terms = []
     cutoff = tol * _TAIL_TERM_CUTOFF
-    for term in _tail_terms(t, bound, kind):
+    for term in _coefficients(kind, abs(t), bound):
         terms.append(term)
         if len(terms) >= 2 and term < terms[-2] and term < cutoff:
             break
@@ -117,34 +110,18 @@ def series_apply(op: LinearOperator, kind: str, t: float, x, order: int, powers:
     and the operator's outputs are not mutated (every element type here is
     immutable).
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown series kind {kind!r}")
+    coeffs = _coefficients(kind, t)
     if powers is None:
         powers = [x]
     elif not powers or powers[0] is not x:
         raise ValueError("the power ladder must start with x itself")
     while len(powers) <= order:
         powers.append(op(powers[-1]))
-
-    if kind == "exp":
-        acc, coeff = x, 1.0
-        for p in range(1, order + 1):
-            coeff *= t / p
-            acc = spaces.elem_add(acc, spaces.elem_scale(coeff, powers[p]))
-        return acc
-    if kind == "cosh":
-        acc, coeff = x, 1.0
-        for p in range(1, order + 1):
-            coeff *= t * t / ((2 * p - 1) * (2 * p))
-            acc = spaces.elem_add(acc, spaces.elem_scale(coeff, powers[p]))
-        return acc
-    # sinh
-    if order == 0:
+    if kind == "sinh" and order == 0:
         return spaces.elem_zero(x)
-    coeff = t
-    acc = spaces.elem_scale(coeff, powers[1])
-    for p in range(2, order + 1):
-        coeff *= t * t / ((2 * p - 2) * (2 * p - 1))
+    # exp and cosh start from the identity term x; sinh has none
+    acc = spaces.elem_scale(next(coeffs), powers[1]) if kind == "sinh" else x
+    for p, coeff in zip(range(2 if kind == "sinh" else 1, order + 1), coeffs):
         acc = spaces.elem_add(acc, spaces.elem_scale(coeff, powers[p]))
     return acc
 

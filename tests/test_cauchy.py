@@ -76,6 +76,24 @@ def test_quadrature_stall(monkeypatch):
         solve_first_order(problem, np.array([0.0, 1.0]))
 
 
+def test_quadrature_stalls_at_once_below_rounding_floor():
+    # a forcing value of 1e300 puts the rounding of every Gauss-Kronrod sum
+    # far above tol 1e-6; bisection cannot help, so the first interval stops
+    g = core.make_triangular(-1e300, 0.5, 1, 4)
+    calls = []
+
+    def forcing(s):
+        calls.append(s)
+        return g
+
+    problem = CauchyProblem(
+        identity(), core.make_triangular(0, 1, 2, 4), forcing=forcing, horizon=0.5, tol=1e-6
+    )
+    with pytest.raises(QuadratureStall, match="rounding floor"):
+        solve_first_order(problem, np.array([0.0, 0.5]))
+    assert len(calls) <= 30  # at most two intervals of 15 nodes
+
+
 def _scale_forced_endpoints(a, u0, g, t):
     # levelwise closed form e^{at} u0 + (e^{at} - 1)/a g for a > 0, on endpoint arrays
     grow, gain = math.exp(a * t), math.expm1(a * t) / a

@@ -283,6 +283,12 @@ def test_solve_too_few_nodes(tmp_path, capsys):
     assert "--nodes" in capsys.readouterr().err
 
 
+def test_solve_too_many_nodes(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"operator": {"kind": "identity"}, "u0": {"tri": [0, 1, 2]}})
+    assert run("solve", cfg, "--nodes", "100000000000000000000") == 1
+    assert "--nodes" in capsys.readouterr().err
+
+
 # seeded mutations of valid configs: the exit-code contract must hold on all of them
 
 _FUZZ_BASES = (
@@ -412,11 +418,25 @@ def test_bad_band_list():
     assert run("example", "remarkA", "--bands", "2,3") == 1
 
 
-def test_example_bad_numeric_flags():
-    assert run("example", "problem5", "--t-max", "-1") == 1
-    assert run("example", "problem5", "--t-points", "0") == 1
-    assert run("example", "problem5", "--tol", "0") == 1
-    assert run("example", "problem5", "--levels", "0") == 1
+def test_example_bad_numeric_flags(capsys):
+    for argv in (
+        ("problem5", "--t-max", "-1"),
+        ("problem5", "--t-points", "0"),
+        ("problem5", "--tol", "0"),
+        ("problem5", "--levels", "0"),
+        ("problem4", "--tol", "nan"),
+        ("problem4", "--t-max", "inf"),
+        ("problem4", "--t-points", "100000000000000000000"),
+        ("remarkA", "--t-max", "800"),  # the series overflows
+        ("problem5", "--t-max", "1e3", "--t-points", "2"),
+        ("wave", "--t-max", "1e6", "--t-points", "2"),
+        ("wave", "--nodes", "1"),
+        ("wave", "--nodes", "-3"),
+    ):
+        assert run("example", *argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), (argv, err)
+        assert "Traceback" not in err, (argv, err)
 
 
 def test_state_json_shapes():

@@ -91,8 +91,27 @@ def test_mu_must_be_positive():
 def test_builtin_requires_constant():
     with pytest.raises(ValueError):
         builtin("A2")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         builtin("nope")
+    for name in operators.BUILTIN_NAMES:
+        assert name in str(info.value)
+
+
+def test_builtin_catalogue_pinned():
+    # ||C|| = 2, so the c-scaling operators are bounded by 2 * 2
+    expected = {
+        "A1": (2.0, operators.LINEAR),
+        "A2": (4.0, operators.POSITIVE_HOMOGENEOUS),
+        "A3": (4.0, operators.POSITIVE_HOMOGENEOUS),
+        "A4": (1.0, operators.POSITIVE_HOMOGENEOUS),
+        "A5": (1.0, operators.POSITIVE_HOMOGENEOUS),
+        "RemarkA": (4.0, operators.POSITIVE_HOMOGENEOUS),
+        "RemarkB": (4.0, operators.POSITIVE_HOMOGENEOUS),
+    }
+    assert operators.BUILTIN_NAMES == tuple(expected)
+    for name, (bound, homogeneity) in expected.items():
+        op = builtin(name, C)
+        assert (op.name, op.norm_bound, op.homogeneity, op.domain) == (name, bound, homogeneity, "fuzzy")
 
 
 def test_builtin_rejects_wrong_space():

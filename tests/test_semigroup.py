@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fuzzsemi import core
+from fuzzsemi import core, spaces
 from fuzzsemi.errors import MixedSignsError
 from fuzzsemi.operators import builtin, canonical_probes, identity, lift_matrix, zero_operator
 from fuzzsemi.semigroup import (
@@ -144,6 +144,42 @@ def test_shared_power_ladder_is_bit_identical(kind):
             got = series_apply(op, kind, t, x, order, powers)
             assert np.array_equal(_endpoints(got), _endpoints(series_apply(op, kind, t, x, order)))
     assert len(powers) == 12 + 1
+
+
+def _explicit_series(op, kind, t, x, order):
+    # the exp / cosh / sinh recurrences written out, one loop per kind
+    powers = [x]
+    while len(powers) <= order:
+        powers.append(op(powers[-1]))
+    if kind == "sinh":
+        if order == 0:
+            return spaces.elem_zero(x)
+        coeff, acc = t, spaces.elem_scale(t, powers[1])
+        for p in range(2, order + 1):
+            coeff *= t * t / ((2 * p - 2) * (2 * p - 1))
+            acc = spaces.elem_add(acc, spaces.elem_scale(coeff, powers[p]))
+        return acc
+    acc, coeff = x, 1.0
+    for p in range(1, order + 1):
+        coeff *= t / p if kind == "exp" else t * t / ((2 * p - 1) * (2 * p))
+        acc = spaces.elem_add(acc, spaces.elem_scale(coeff, powers[p]))
+    return acc
+
+
+@pytest.mark.parametrize("kind", ["exp", "cosh", "sinh"])
+def test_series_apply_matches_explicit_recurrences(kind):
+    op = lift_matrix(((0.5, -1.0), (1.0, 0.25)))
+    x = pair(core.make_triangular(0, 1, 2), core.make_triangular(-1, 0.5, 3))
+    for t in (0.7, -0.4, 3.0, 1e-3):
+        for order in (0, 1, 2, 7, 20):
+            got = series_apply(op, kind, t, x, order)
+            assert np.array_equal(_endpoints(got), _endpoints(_explicit_series(op, kind, t, x, order)))
+
+
+def test_series_apply_rejects_unknown_kind():
+    for order in (0, 3):
+        with pytest.raises(ValueError, match="tanh"):
+            series_apply(identity(), "tanh", 1.0, X, order)
 
 
 def test_power_ladder_must_start_with_x():

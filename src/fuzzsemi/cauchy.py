@@ -296,16 +296,15 @@ def solve_wave(
     x_nodes = np.asarray(x_nodes, dtype=float)
     order = required_order(t, 1.0, tol / bound, "cosh")
 
-    values = []
-    for x in x_nodes:
-        x = float(x)
-        acc = u1_derivatives(x, 0)
-        for p, coeff in zip(range(1, order + 1), _coefficients("cosh", t)):
-            acc = core.add(acc, core.scalar_mul(coeff, u1_derivatives(x, 2 * p)))
-        if u2 is not None:
-            acc = core.add(acc, core.scalar_mul(t, u2.at(x)))
-        values.append(acc)
-    return FuzzyFunction(x_nodes, tuple(values))
+    def derivative(k):  # the k-th derivative of the profile, sampled at every node
+        return FuzzyFunction(x_nodes, tuple(u1_derivatives(float(x), k) for x in x_nodes))
+
+    acc = derivative(0)
+    for p, coeff in zip(range(1, order + 1), _coefficients("cosh", t)):
+        acc = core.add(acc, core.scalar_mul(coeff, derivative(2 * p)))
+    if u2 is not None:
+        acc = core.add(acc, core.scalar_mul(t, u2.resample_nodes(x_nodes)))
+    return acc
 
 
 # ---------------------------------------------------------------------------

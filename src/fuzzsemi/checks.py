@@ -41,6 +41,12 @@ def _rel(err: float, *magnitudes: float) -> float:
     return err / max(1.0, *magnitudes) if magnitudes else err
 
 
+def _validity_defect(x) -> float:
+    if isinstance(x, ProductElement):
+        return max(_validity_defect(c) for c in x.components)
+    return float(core.nesting_defect(x.ends).max())
+
+
 def random_symmetric_triangular(rng, m_levels=_PROPERTY_LEVELS) -> FuzzyNumber:
     center = rng.uniform(-2.0, 2.0)
     delta = rng.uniform(0.0, 2.0)
@@ -153,15 +159,7 @@ def suite_core(seed: int):
         recs.append(_rec("core", name, CASES, v, EXACT_TOL))
 
     # nesting of freshly built numbers, recomputed from the arrays
-    nest = 0.0
-    for _ in range(CASES):
-        u = rf()
-        nest = max(
-            nest,
-            float(np.max(np.maximum(-np.diff(u.lower), 0.0), initial=0.0)),
-            float(np.max(np.maximum(np.diff(u.upper), 0.0), initial=0.0)),
-            float(np.max(u.lower - u.upper, initial=0.0)),
-        )
+    nest = max(_validity_defect(rf()) for _ in range(CASES))
     recs.append(_rec("core", "nesting", CASES, nest, 0.0))
 
     # the stated failures of linearity: witnesses must not vanish
@@ -555,18 +553,6 @@ def suite_semigroup(seed: int):
 
 # ---------------------------------------------------------------------------
 # solver
-
-
-def _validity_defect(x) -> float:
-    if isinstance(x, ProductElement):
-        return max(_validity_defect(c) for c in x.components)
-    if isinstance(x, FuzzyFunction):
-        return max(_validity_defect(v) for v in x.values)
-    return max(
-        float(np.max(np.maximum(-np.diff(x.lower), 0.0), initial=0.0)),
-        float(np.max(np.maximum(np.diff(x.upper), 0.0), initial=0.0)),
-        float(np.max(x.lower - x.upper, initial=0.0)),
-    )
 
 
 def _rk4(field, y0: np.ndarray, t_end: float, steps: int = 400) -> np.ndarray:

@@ -121,8 +121,10 @@ def _example_payload(name, times, series_states, closed_states, tol):
     }
 
 
-def _system_example(matrix, order, closed_form, args, times, u0, v0, tol):
+def _system_example(matrix, order, closed_form, args, times, tol):
     # closed_form is a name, looked up at call time so wrappers on `cauchy` see it
+    u0 = core.make_triangular(0.0, 1.0, 2.0, args.levels)
+    v0 = core.make_triangular(1.0, 2.0, 3.0, args.levels)
     op = lift_matrix(matrix)
     w0 = pair(u0, v0)
     velocity = spaces.elem_zero(w0) if order == 2 else None
@@ -131,16 +133,15 @@ def _system_example(matrix, order, closed_form, args, times, u0, v0, tol):
     return solver(problem, times), [getattr(cauchy, closed_form)(u0, v0, float(t)) for t in times]
 
 
-def _remark_a_example(args, times, u0, v0, tol):
-    c = core.make_triangular(0.0, 1.0, 2.0, args.levels)
-    x = core.make_triangular(0.0, 1.0, 2.0, args.levels)
+def _remark_a_example(args, times, tol):
+    c = x = core.make_triangular(0.0, 1.0, 2.0, args.levels)  # the constant and the initial value
     ev = semigroup.SemigroupEvaluator(builtin("RemarkA", c), "exp", tol)
     powers = [x]  # one power ladder for every time
     traj = cauchy.Trajectory(times, [ev.at(float(t), x, powers) for t in times])
     return traj, [semigroup.generator_pair_closed_form(c, x, float(t), "A") for t in times]
 
 
-def _wave_example(args, times, u0, v0, tol):
+def _wave_example(args, times, tol):
     c = core.make_triangular(0.0, 1.0, 2.0, args.levels)
     xs = np.linspace(0.0, 1.0, args.nodes)
     states = [
@@ -155,7 +156,7 @@ def _wave_example(args, times, u0, v0, tol):
     return cauchy.Trajectory(times, states), closed
 
 
-# name: (run(args, times, u0, v0, tol) -> (trajectory, closed-form states), default --t-max)
+# name: (run(args, times, tol) -> (trajectory, closed-form states), default --t-max)
 _EXAMPLES = {
     "problem4": (functools.partial(_system_example, cauchy.SWAP_MATRIX, 1, "problem4_closed_form"), 2.0),
     "problem5": (functools.partial(_system_example, cauchy.COUPLED_MATRIX, 1, "problem5_closed_form"), 1.0),
@@ -189,9 +190,7 @@ def cmd_example(args) -> int:
     else:
         times = np.array([0.0])
 
-    u0 = core.make_triangular(0.0, 1.0, 2.0, args.levels)
-    v0 = core.make_triangular(1.0, 2.0, 3.0, args.levels)
-    traj, closed = run(args, times, u0, v0, engine_tol)
+    traj, closed = run(args, times, engine_tol)
 
     payload = _example_payload(args.name, times, traj.states, closed, args.tol)
     _emit(payload, args.out)

@@ -8,11 +8,17 @@ Endpoints are interpolated linearly between grid levels, so every
 triangular number is represented exactly and all the arithmetic here
 (levelwise interval sum, scaled interval, partial difference) is exact
 for such data up to rounding.
+
+Every leaf element keeps its endpoints in one array ``ends`` whose last
+two axes are (lower/upper, level): (2, levels) for a fuzzy number and
+(nodes, 2, levels) for a sampled function (`spaces.FuzzyFunction`).  The
+algebra, metric and norm act on those two axes only, so each is written
+once for both kinds: a function's operation is the number's, at every node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -39,27 +45,59 @@ def _frozen(a) -> np.ndarray:
     return out
 
 
+class Leaf:
+    """Base of fuzzy numbers and sampled fuzzy functions: read-only endpoint
+    data ``ends`` of shape (..., 2, levels) on the grid ``levels``, lower
+    endpoints in ``ends[..., 0, :]`` and upper ones in ``ends[..., 1, :]``."""
+
+    def _with(self, ends, **attrs):
+        # same kind and grids (unless overridden) around endpoints valid by construction
+        ends.flags.writeable = False
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__, **attrs)
+        out.__dict__["ends"] = ends
+        return out
+
+    def resample(self, levels: np.ndarray):
+        """Linearly interpolate the endpoint functions onto a new level grid.
+
+        Exact for piecewise-linear endpoints whenever ``levels`` refines the
+        current grid (in particular for any triangular number).
+        """
+        levels = _frozen(levels)
+        if np.array_equal(levels, self.levels):
+            return self
+        rows = [np.interp(levels, self.levels, row) for row in self.ends.reshape(-1, self.levels.size)]
+        ends = np.reshape(rows, (*self.ends.shape[:-1], levels.size))
+        tol = MONOTONICITY_TOLERANCE * np.maximum(1.0, np.abs(ends).max(axis=(-2, -1)))
+        out = _try_build(self, ends, tol, levels=levels)
+        if out is None:  # pragma: no cover - interpolation preserves monotonicity
+            raise ValueError("resampling produced an invalid fuzzy number")
+        return out
+
+
 @dataclass(frozen=True, eq=False)
-class FuzzyNumber:
+class FuzzyNumber(Leaf):
     """Levelwise representation of a fuzzy number.
 
     Attributes:
         levels: strictly increasing grid of membership levels, first 0, last 1.
         lower:  left endpoints per level (nondecreasing in the level).
         upper:  right endpoints per level (nonincreasing in the level).
+        ends:   the (2, levels) array whose rows are ``lower`` and ``upper``.
 
     Instances are immutable; the backing arrays are made read-only at
     construction, so values can be shared freely between threads.
     """
 
     levels: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
+    lower: InitVar[np.ndarray]
+    upper: InitVar[np.ndarray]
 
-    def __post_init__(self):
+    def __post_init__(self, lower, upper):
         levels = _frozen(self.levels)
-        lower = _frozen(self.lower)
-        upper = _frozen(self.upper)
+        lower = np.asarray(lower, dtype=float)
+        upper = np.asarray(upper, dtype=float)
         if levels.ndim != 1 or levels.shape != lower.shape or levels.shape != upper.shape:
             raise ValueError("levels, lower and upper must be 1-d arrays of equal length")
         if levels.size < 2:
@@ -75,21 +113,14 @@ class FuzzyNumber:
         if (lower > upper).any():
             raise ValueError("lower endpoint exceeds upper endpoint")
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "ends", _frozen((lower, upper)))
 
     @classmethod
-    def _trusted(cls, levels, lower, upper):
-        # internal fast path for freshly computed arrays whose invariants
-        # are guaranteed by construction (monotone rounding of sums and
-        # constant multiples of monotone data); levels is shared as-is
+    def _trusted(cls, levels, ends):
+        # fast path for fresh endpoints valid by construction; levels is shared as-is
+        ends.flags.writeable = False
         self = object.__new__(cls)
-        levels.flags.writeable = False
-        lower.flags.writeable = False
-        upper.flags.writeable = False
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        self.__dict__.update(levels=levels, ends=ends)
         return self
 
     def __repr__(self):
@@ -102,11 +133,7 @@ class FuzzyNumber:
     def __eq__(self, other):
         if not isinstance(other, FuzzyNumber):
             return NotImplemented
-        return (
-            np.array_equal(self.levels, other.levels)
-            and np.array_equal(self.lower, other.lower)
-            and np.array_equal(self.upper, other.upper)
-        )
+        return np.array_equal(self.levels, other.levels) and np.array_equal(self.ends, other.ends)
 
     def __add__(self, other):
         if isinstance(other, FuzzyNumber):
@@ -118,52 +145,40 @@ class FuzzyNumber:
             return scalar_mul(float(lam), self)
         return NotImplemented
 
-    def resample(self, levels: np.ndarray) -> "FuzzyNumber":
-        """Linearly interpolate the endpoint functions onto a new level grid.
 
-        Exact for piecewise-linear endpoints whenever ``levels`` refines the
-        current grid (in particular for any triangular number).
-        """
-        levels = np.asarray(levels, dtype=float)
-        if np.array_equal(levels, self.levels):
-            return self
-        lo = np.interp(levels, self.levels, self.lower)
-        up = np.interp(levels, self.levels, self.upper)
-        out = _try_build(levels, lo, up, _noise_tol(lo, up))
-        if out is None:  # pragma: no cover - interpolation preserves monotonicity
-            raise ValueError("resampling produced an invalid fuzzy number")
-        return out
+# the constructor takes lower and upper; afterwards they are row views of ends
+FuzzyNumber.lower = property(lambda u: u.ends[0], doc="left endpoints per level (read-only view)")
+FuzzyNumber.upper = property(lambda u: u.ends[1], doc="right endpoints per level (read-only view)")
 
 
-def _noise_tol(*arrays) -> float:
-    scale = max(1.0, *(float(np.abs(a).max()) for a in arrays if a.size))
-    return MONOTONICITY_TOLERANCE * scale
+def nesting_defect(ends: np.ndarray) -> np.ndarray:
+    """Per leaf of ``ends``, the worst drop of a lower endpoint, rise of an
+    upper endpoint or excess of lower over upper; 0 for nested level sets."""
+    lo, up = ends[..., 0, :], ends[..., 1, :]
+    gaps = np.concatenate((lo[..., :-1] - lo[..., 1:], up[..., 1:] - up[..., :-1], lo - up), axis=-1)
+    return np.maximum(gaps, 0.0).max(axis=-1)
 
 
-def _try_build(levels, lower, upper, tol=MONOTONICITY_TOLERANCE):
-    """Build a FuzzyNumber, clamping violations up to ``tol``; None beyond.
+def _try_build(x: Leaf, ends, tol=MONOTONICITY_TOLERANCE, **attrs):
+    """``x._with(ends)``, clamping violations up to ``tol`` per leaf; None beyond.
 
     Used where endpoint arrays come out of a subtraction or interpolation:
     sub-tolerance wiggles are treated as rounding noise and repaired by
     monotone clamping, larger ones mean the candidate is not a fuzzy number.
     """
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    drop = float(np.max(np.maximum(-np.diff(lower), 0.0), initial=0.0))
-    rise = float(np.max(np.maximum(np.diff(upper), 0.0), initial=0.0))
-    cross = float(np.max(lower - upper, initial=0.0))
-    if drop > tol or rise > tol or cross > tol:
+    if (nesting_defect(ends) > tol).any():
         return None
-    lo = np.maximum.accumulate(lower)
-    up = np.minimum.accumulate(upper)
+    lo = np.maximum.accumulate(ends[..., 0, :], axis=-1)
+    up = np.minimum.accumulate(ends[..., 1, :], axis=-1)
     # with lo nondecreasing and up nonincreasing the only possible order
     # violation is at the top level; a midpoint clamp there keeps both
     # monotonicities intact (min/max against a constant)
-    if lo[-1] > up[-1]:
-        mid = 0.5 * (lo[-1] + up[-1])
-        lo = np.minimum(lo, mid)
-        up = np.maximum(up, mid)
-    return FuzzyNumber._trusted(levels, lo, up)
+    crossed = lo[..., -1:] > up[..., -1:]
+    if crossed.any():
+        mid = 0.5 * (lo[..., -1:] + up[..., -1:])
+        lo = np.where(crossed, np.minimum(lo, mid), lo)
+        up = np.where(crossed, np.maximum(up, mid), up)
+    return x._with(np.stack((lo, up), axis=-2), **attrs)
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +246,16 @@ def crisp(value: float, m_levels: int = DEFAULT_LEVELS, levels: np.ndarray | Non
         r = np.asarray(levels, dtype=float)
         v = np.full(r.shape, float(value))
         return FuzzyNumber(r, v, v.copy())
-    v = np.full(r.shape, float(value))
-    return FuzzyNumber._trusted(r, v, v.copy())
+    return FuzzyNumber._trusted(r, np.full((2, r.size), float(value)))
 
 
 def zero(m_levels: int = DEFAULT_LEVELS, levels: np.ndarray | None = None) -> FuzzyNumber:
     return crisp(0.0, m_levels, levels)
 
 
-def zero_like(u: FuzzyNumber) -> FuzzyNumber:
-    return crisp(0.0, levels=u.levels)
+def zero_like(u: Leaf) -> Leaf:
+    """The crisp zero (+0.0 endpoints) of u's kind, on u's grids."""
+    return u._with(np.zeros_like(u.ends))
 
 
 def is_crisp(u: FuzzyNumber) -> bool:
@@ -251,7 +266,7 @@ def is_crisp(u: FuzzyNumber) -> bool:
 # algebra
 
 
-def common_grid(u: FuzzyNumber, v: FuzzyNumber):
+def common_grid(u: Leaf, v: Leaf):
     """Resample both operands onto the union of their level grids.
 
     Lossless for piecewise-linear endpoint data; documented as lossy
@@ -263,34 +278,33 @@ def common_grid(u: FuzzyNumber, v: FuzzyNumber):
     return u.resample(merged), v.resample(merged)
 
 
-def add(u: FuzzyNumber, v: FuzzyNumber) -> FuzzyNumber:
-    """Levelwise interval sum of two fuzzy numbers."""
+def add(u: Leaf, v: Leaf) -> Leaf:
+    """Levelwise interval sum of two fuzzy numbers (nodewise for functions)."""
     u, v = common_grid(u, v)
     # rounding is monotone, so sums of monotone arrays stay monotone
-    return FuzzyNumber._trusted(u.levels, u.lower + v.lower, u.upper + v.upper)
+    return u._with(u.ends + v.ends)
 
 
-def scalar_mul(lam: float, u: FuzzyNumber) -> FuzzyNumber:
+def scalar_mul(lam: float, u: Leaf) -> Leaf:
     """Levelwise scaled interval; negative factors swap the endpoints."""
     lam = float(lam)
     if lam == 0.0:
         return zero_like(u)
-    if lam > 0.0:
-        return FuzzyNumber._trusted(u.levels, lam * u.lower, lam * u.upper)
-    return FuzzyNumber._trusted(u.levels, lam * u.upper, lam * u.lower)
+    return u._with(lam * (u.ends if lam > 0.0 else u.ends[..., ::-1, :]))
 
 
-def hukuhara_diff(u: FuzzyNumber, v: FuzzyNumber) -> FuzzyNumber:
+def hukuhara_diff(u: Leaf, v: Leaf) -> Leaf:
     """Partial inverse of addition: the w with v + w = u, when it exists.
 
     The candidate has endpoints u.lower - v.lower and u.upper - v.upper; it
     is returned iff it satisfies the nesting invariants (violations up to
     MONOTONICITY_TOLERANCE are clamped as rounding noise).  Raises
     HDifferenceError otherwise -- the difference does not exist for every
-    pair, e.g. 0 minus any genuinely fuzzy number.
+    pair, e.g. 0 minus any genuinely fuzzy number.  For functions it exists
+    iff it exists at every node.
     """
     u, v = common_grid(u, v)
-    w = _try_build(u.levels, u.lower - v.lower, u.upper - v.upper)
+    w = _try_build(u, u.ends - v.ends)
     if w is None:
         raise HDifferenceError("the difference would not have nested level sets")
     return w
@@ -317,21 +331,19 @@ def oriented_hukuhara_diff(x1: FuzzyNumber, x2: FuzzyNumber):
 # metric, norm, membership
 
 
-def distance(u: FuzzyNumber, v: FuzzyNumber) -> float:
-    """Supremum over levels of the larger endpoint gap.
+def distance(u: Leaf, v: Leaf) -> float:
+    """Supremum over levels (and nodes) of the larger endpoint gap.
 
     For piecewise-linear endpoints the supremum over the whole level
     interval is attained at a grid node, so the grid maximum is exact.
     """
     u, v = common_grid(u, v)
-    gap_lo = np.abs(u.lower - v.lower).max()
-    gap_up = np.abs(u.upper - v.upper).max()
-    return float(max(gap_lo, gap_up))
+    return float(np.abs(u.ends - v.ends).max())
 
 
-def norm(u: FuzzyNumber) -> float:
+def norm(u: Leaf) -> float:
     """Distance to the crisp zero: max absolute endpoint."""
-    return float(max(np.abs(u.lower).max(), np.abs(u.upper).max()))
+    return float(np.abs(u.ends).max())
 
 
 def membership(u: FuzzyNumber, x: float) -> float:

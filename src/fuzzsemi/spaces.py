@@ -1,19 +1,23 @@
 """Fuzzy-valued function spaces, sequence spaces and box-metric products.
 
 Functions are represented by samples at space-grid nodes rather than by
-closures: every metric then reduces to a finite loop over nodes and
-levels.  Sequence spaces are finite truncations; membership of the
-underlying infinite object in a summability class is not (and cannot be)
-checked from finite data.
+closures, stored as one (nodes, 2, levels) endpoint array: every metric
+then reduces to a finite maximum or sum over nodes and levels, and the
+`core` algebra applies to a function as it does to one fuzzy number.
+Sequence spaces are finite truncations; membership of the underlying
+infinite object in a summability class is not (and cannot be) checked
+from finite data.
 
 The module also provides the generic element operations (`elem_add`,
 `elem_scale`, ...) that let the semigroup engine and the Cauchy solvers
-run uniformly over fuzzy numbers, sampled functions and product elements.
+run uniformly over fuzzy numbers, sampled functions and product elements:
+products recurse over their components, and every leaf goes to `core`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import InitVar, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,34 +37,41 @@ def uniform_nodes(a: float, b: float, n_panels: int = DEFAULT_NODES) -> np.ndarr
     return np.linspace(float(a), float(b), n_panels + 1)
 
 
+def _node_grid(nodes) -> np.ndarray:
+    nodes = np.array(nodes, dtype=float)
+    nodes.flags.writeable = False
+    if nodes.ndim != 1 or nodes.size < 2 or not np.isfinite(nodes).all() or (np.diff(nodes) <= 0).any():
+        raise ValueError("nodes must be a strictly increasing finite 1-d grid")
+    return nodes
+
+
 @dataclass(frozen=True, eq=False)
-class FuzzyFunction:
+class FuzzyFunction(core.Leaf):
     """A fuzzy-number-valued function on [a, b], sampled at grid nodes.
 
-    All values must share one level grid; between nodes the function is
-    understood as the levelwise linear interpolant (a convex combination
-    of valid fuzzy numbers, hence again valid).
+    All values must share one level grid; ``ends[i]`` holds the (2, levels)
+    endpoints of the value at ``nodes[i]``, and ``values`` reads them back
+    as fuzzy numbers.  Between nodes the function is understood as the
+    levelwise linear interpolant (a convex combination of valid fuzzy
+    numbers, hence again valid).
     """
 
     nodes: np.ndarray
-    values: tuple
+    values: InitVar[tuple]
 
-    def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float)
-        nodes.flags.writeable = False
-        values = tuple(self.values)
-        if nodes.ndim != 1 or nodes.size < 2 or (np.diff(nodes) <= 0).any():
-            raise ValueError("nodes must be a strictly increasing 1-d grid")
+    def __post_init__(self, values):
+        nodes = _node_grid(self.nodes)
+        values = tuple(values)
         if len(values) != nodes.size:
             raise ValueError("need one value per node")
-        base = values[0].levels
-        for v in values:
-            if not isinstance(v, FuzzyNumber):
-                raise ValueError("values must be FuzzyNumber instances")
-            if not np.array_equal(v.levels, base):
-                raise ValueError("all values must share one level grid")
+        if not all(isinstance(v, FuzzyNumber) for v in values):
+            raise ValueError("values must be FuzzyNumber instances")
+        levels = values[0].levels
+        if not all(np.array_equal(v.levels, levels) for v in values):
+            raise ValueError("all values must share one level grid")
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "ends", core._frozen([v.ends for v in values]))
 
     @property
     def a(self) -> float:
@@ -73,31 +84,27 @@ class FuzzyFunction:
     def __repr__(self):
         return f"FuzzyFunction(on [{self.a:g}, {self.b:g}], {self.nodes.size} nodes)"
 
+    def _ends_at(self, xs: np.ndarray) -> np.ndarray:
+        # the stored endpoints at a node, else the levelwise linear
+        # interpolation between the bracketing nodes
+        outside = (xs < self.a) | (xs > self.b)
+        if outside.any():
+            raise DomainMismatch(f"{xs[outside][0]} outside [{self.a}, {self.b}]")
+        right = np.searchsorted(self.nodes, xs).clip(1, self.nodes.size - 1)
+        x0, x1, e0, e1 = self.nodes[right - 1], self.nodes[right], self.ends[right - 1], self.ends[right]
+        t = ((xs - x0) / (x1 - x0))[:, None, None]
+        mixed = (1.0 - t) * e0 + t * e1
+        return np.where((x0 == xs)[:, None, None], e0, np.where((x1 == xs)[:, None, None], e1, mixed))
+
     def at(self, x: float) -> FuzzyNumber:
         """Levelwise linear interpolation between the bracketing nodes."""
-        x = float(x)
-        if x < self.a or x > self.b:
-            raise DomainMismatch(f"{x} outside [{self.a}, {self.b}]")
-        idx = int(np.searchsorted(self.nodes, x, side="right"))
-        if idx >= self.nodes.size:
-            return self.values[-1]
-        if self.nodes[idx - 1] == x:
-            return self.values[idx - 1]
-        x0, x1 = self.nodes[idx - 1], self.nodes[idx]
-        t = (x - x0) / (x1 - x0)
-        v0, v1 = self.values[idx - 1], self.values[idx]
-        # convex combination of nested level sets is again nested
-        return FuzzyNumber._trusted(
-            v0.levels,
-            (1.0 - t) * v0.lower + t * v1.lower,
-            (1.0 - t) * v0.upper + t * v1.upper,
-        )
+        return FuzzyNumber._trusted(self.levels, self._ends_at(np.array([float(x)]))[0])
 
     def resample_nodes(self, nodes: np.ndarray) -> "FuzzyFunction":
-        nodes = np.asarray(nodes, dtype=float)
+        nodes = _node_grid(nodes)
         if np.array_equal(nodes, self.nodes):
             return self
-        return FuzzyFunction(nodes, tuple(self.at(x) for x in nodes))
+        return self._with(self._ends_at(nodes), nodes=nodes)
 
     @classmethod
     def sample(
@@ -109,6 +116,10 @@ class FuzzyFunction:
     ) -> "FuzzyFunction":
         nodes = uniform_nodes(a, b, n_panels)
         return cls(nodes, tuple(fn(float(x)) for x in nodes))
+
+
+# the constructor takes the values; afterwards they are read back as views of ends
+FuzzyFunction.values = property(lambda f: tuple(FuzzyNumber._trusted(f.levels, e) for e in f.ends))
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,24 +179,23 @@ def _aligned(f: FuzzyFunction, g: FuzzyFunction):
 
 def sup_distance(f: FuzzyFunction, g: FuzzyFunction) -> float:
     """Supremum over nodes of the pointwise fuzzy distance."""
-    f, g = _aligned(f, g)
-    return max(core.distance(u, v) for u, v in zip(f.values, g.values))
+    return core.distance(*_aligned(f, g))
 
 
 def func_norm(f: FuzzyFunction) -> float:
-    return max(core.norm(v) for v in f.values)
+    return core.norm(f)
 
 
 def lp_distance(f: FuzzyFunction, g: FuzzyFunction, p: float = 1.0) -> float:
-    """Integral metric (trapezoid over the stored nodes) of order p >= 1.
+    """Integral metric (trapezoid over the stored nodes) of finite order p >= 1.
 
     No refinement happens inside the metric; callers control the node
     count, which keeps metric values deterministic and comparable.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    f, g = _aligned(f, g)
-    gaps = np.array([core.distance(u, v) for u, v in zip(f.values, g.values)])
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be a finite number >= 1, got {p}")
+    f, g = core.common_grid(*_aligned(f, g))
+    gaps = np.abs(f.ends - g.ends).max(axis=(-2, -1))  # pointwise fuzzy distances
     return float(np.trapezoid(gaps**p, f.nodes) ** (1.0 / p))
 
 
@@ -208,9 +218,9 @@ def _seq_terms(x) -> tuple:
 
 
 def rho_p_metric(x, y, p: float = 1.0) -> float:
-    """p-norm of the termwise fuzzy distances of two finite sequences."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    """p-norm (finite p >= 1) of the termwise fuzzy distances of two finite sequences."""
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be a finite number >= 1, got {p}")
     xs, ys = _seq_terms(x), _seq_terms(y)
     if len(xs) != len(ys):
         raise LengthMismatch(f"{len(xs)} terms vs {len(ys)}")
@@ -228,82 +238,70 @@ def mu_metric(x, y) -> float:
 
 def box_distance(w1: ProductElement, w2: ProductElement) -> float:
     """Box metric on a finite product: max of the component metrics."""
-    if len(w1) != len(w2):
-        raise ArityMismatch(f"{len(w1)} components vs {len(w2)}")
-    return max(elem_dist(a, b) for a, b in zip(w1.components, w2.components))
+    return max(elem_dist(a, b) for a, b in _components(w1, w2))
 
 
 # ---------------------------------------------------------------------------
 # generic element operations (fuzzy numbers, functions, products)
 
 
+def _leaf(x, message: str):
+    if not isinstance(x, core.Leaf):
+        raise SpaceMismatch(message.format(type(x).__name__))
+    return x
+
+
+def _leaves(x, y, message: str):
+    """Two leaves of one kind, functions aligned on one node grid."""
+    kind = type(x)
+    if kind is not type(y) or not issubclass(kind, core.Leaf):
+        raise SpaceMismatch(message.format(kind.__name__, type(y).__name__))
+    return _aligned(x, y) if kind is FuzzyFunction else (x, y)
+
+
+def _components(x: ProductElement, y):
+    if not isinstance(y, ProductElement):
+        raise SpaceMismatch(f"cannot combine a product with {type(y).__name__}")
+    if len(x) != len(y):
+        raise ArityMismatch(f"{len(x)} components vs {len(y)}")
+    return zip(x.components, y.components)
+
+
 def elem_add(x, y):
-    if isinstance(x, FuzzyNumber) and isinstance(y, FuzzyNumber):
-        return core.add(x, y)
-    if isinstance(x, ProductElement) and isinstance(y, ProductElement):
-        if len(x) != len(y):
-            raise ArityMismatch(f"{len(x)} components vs {len(y)}")
-        return ProductElement(tuple(elem_add(a, b) for a, b in zip(x.components, y.components)))
-    if isinstance(x, FuzzyFunction) and isinstance(y, FuzzyFunction):
-        x, y = _aligned(x, y)
-        return FuzzyFunction(x.nodes, tuple(core.add(u, v) for u, v in zip(x.values, y.values)))
-    raise SpaceMismatch(f"cannot add {type(x).__name__} and {type(y).__name__}")
+    if isinstance(x, ProductElement):
+        return ProductElement(tuple(elem_add(a, b) for a, b in _components(x, y)))
+    return core.add(*_leaves(x, y, "cannot add {} and {}"))
 
 
 def elem_scale(lam: float, x):
-    if isinstance(x, FuzzyNumber):
-        return core.scalar_mul(lam, x)
     if isinstance(x, ProductElement):
         return ProductElement(tuple(elem_scale(lam, c) for c in x.components))
-    if isinstance(x, FuzzyFunction):
-        return FuzzyFunction(x.nodes, tuple(core.scalar_mul(lam, v) for v in x.values))
-    raise SpaceMismatch(f"cannot scale {type(x).__name__}")
+    return core.scalar_mul(lam, _leaf(x, "cannot scale {}"))
 
 
 def elem_dist(x, y) -> float:
-    if isinstance(x, FuzzyNumber) and isinstance(y, FuzzyNumber):
-        return core.distance(x, y)
-    if isinstance(x, ProductElement) and isinstance(y, ProductElement):
+    if isinstance(x, ProductElement):
         return box_distance(x, y)
-    if isinstance(x, FuzzyFunction) and isinstance(y, FuzzyFunction):
-        return sup_distance(x, y)
-    raise SpaceMismatch(f"cannot compare {type(x).__name__} and {type(y).__name__}")
+    return core.distance(*_leaves(x, y, "cannot compare {} and {}"))
 
 
 def elem_norm(x) -> float:
-    if isinstance(x, FuzzyNumber):
-        return core.norm(x)
     if isinstance(x, ProductElement):
         return max(elem_norm(c) for c in x.components)
-    if isinstance(x, FuzzyFunction):
-        return func_norm(x)
-    raise SpaceMismatch(f"no norm for {type(x).__name__}")
+    return core.norm(_leaf(x, "no norm for {}"))
 
 
 def elem_hdiff(x, y):
     """Componentwise Hukuhara difference; exists iff every component's does."""
-    if isinstance(x, FuzzyNumber) and isinstance(y, FuzzyNumber):
-        return core.hukuhara_diff(x, y)
-    if isinstance(x, ProductElement) and isinstance(y, ProductElement):
-        if len(x) != len(y):
-            raise ArityMismatch(f"{len(x)} components vs {len(y)}")
-        return ProductElement(tuple(elem_hdiff(a, b) for a, b in zip(x.components, y.components)))
-    if isinstance(x, FuzzyFunction) and isinstance(y, FuzzyFunction):
-        x, y = _aligned(x, y)
-        return FuzzyFunction(
-            x.nodes, tuple(core.hukuhara_diff(u, v) for u, v in zip(x.values, y.values))
-        )
-    raise SpaceMismatch(f"cannot subtract {type(y).__name__} from {type(x).__name__}")
+    if isinstance(x, ProductElement):
+        return ProductElement(tuple(elem_hdiff(a, b) for a, b in _components(x, y)))
+    return core.hukuhara_diff(*_leaves(x, y, "cannot subtract {1} from {0}"))
 
 
 def elem_zero(x):
-    if isinstance(x, FuzzyNumber):
-        return core.zero_like(x)
     if isinstance(x, ProductElement):
         return ProductElement(tuple(elem_zero(c) for c in x.components))
-    if isinstance(x, FuzzyFunction):
-        return FuzzyFunction(x.nodes, tuple(core.zero_like(v) for v in x.values))
-    raise SpaceMismatch(f"no zero for {type(x).__name__}")
+    return core.zero_like(_leaf(x, "no zero for {}"))
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +318,8 @@ def function_to_json(f: FuzzyFunction) -> dict:
 
 
 def function_from_json(obj) -> FuzzyFunction:
+    if not isinstance(obj, dict):
+        raise ValueError("fuzzy function JSON must be an object")
     try:
         nodes = np.asarray(obj["nodes"], dtype=float)
         values = tuple(core.fuzzy_from_json(v) for v in obj["values"])

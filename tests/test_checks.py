@@ -3,7 +3,7 @@ import pytest
 from fuzzsemi import checks
 
 
-@pytest.mark.parametrize("suite", ["operators", "semigroup", "solver"])
+@pytest.mark.parametrize("suite", ["core", "spaces", "operators", "semigroup", "solver"])
 def test_suite_passes(suite):
     records = checks.SUITES[suite](seed=42)
     failures = [r for r in records if not r["passed"]]

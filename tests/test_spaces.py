@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from fuzzsemi import core, spaces
-from fuzzsemi.errors import ArityMismatch, DomainMismatch, LengthMismatch, SpaceMismatch
+from fuzzsemi.errors import ArityMismatch, DomainMismatch, HDifferenceError, LengthMismatch, SpaceMismatch
 from fuzzsemi.spaces import FuzzyFunction, FuzzySequence, ProductElement, pair
 
 import helpers
@@ -23,11 +25,19 @@ def const_fn(value, a=0.0, b=1.0, nodes=5):
 def test_function_requires_increasing_nodes():
     with pytest.raises(ValueError):
         FuzzyFunction(np.array([0.0, 0.0, 1.0]), (tri(0, 1, 2),) * 3)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            FuzzyFunction(np.array([0.0, 1.0, bad]), (tri(0, 1, 2),) * 3)
 
 
 def test_function_requires_shared_level_grid():
     with pytest.raises(ValueError):
         FuzzyFunction(np.array([0.0, 1.0]), (tri(0, 1, 2, 4), tri(0, 1, 2, 8)))
+
+
+def test_function_rejects_values_that_are_not_fuzzy_numbers():
+    with pytest.raises(ValueError, match="FuzzyNumber"):
+        FuzzyFunction(np.array([0.0, 1.0]), (1.0, 2.0))
 
 
 def test_function_at_interpolates():
@@ -86,6 +96,9 @@ def test_lp_distance_constant():
     assert spaces.lp_distance(f, f, 1) == 0.0
     with pytest.raises(ValueError):
         spaces.lp_distance(f, z, 0.5)
+    for p in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            spaces.lp_distance(f, z, p)
 
 
 def test_lp_distance_matches_quadrature_oracle():
@@ -126,6 +139,9 @@ def test_sequence_metrics():
         spaces.mu_metric(x, FuzzySequence((core.zero(16),)))
     with pytest.raises(LengthMismatch):
         spaces.rho_p_metric(x, FuzzySequence((core.zero(16),)), 1)
+    for p in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            spaces.rho_p_metric(x, y, p)
 
 
 def test_sequence_requires_terms():
@@ -182,6 +198,26 @@ def test_elem_ops_on_functions():
     assert spaces.sup_distance(back, f) <= 1e-12
 
 
+def test_function_ops_on_different_level_grids_match_per_node_core():
+    nodes = np.linspace(0.0, 1.0, 4)
+    f = FuzzyFunction(nodes, tuple(tri(x, x + 1, x + 3, 4) for x in nodes))
+    g = FuzzyFunction(nodes, tuple(tri(-x, 0.5 - x, 1 - x, 8) for x in nodes))
+    pairs = list(zip(f.values, g.values))
+    added = spaces.elem_add(f, g)
+    assert added.values[0].levels.size == 9  # union of the two level grids
+    assert added.values == tuple(core.add(u, v) for u, v in pairs)
+    assert spaces.sup_distance(f, g) == max(core.distance(u, v) for u, v in pairs)
+    assert spaces.elem_hdiff(f, g).values == tuple(core.hukuhara_diff(u, v) for u, v in pairs)
+    # the difference must exist at every node: one wide value at one node breaks it
+    wide = FuzzyFunction(nodes, g.values[:2] + (tri(-5, 0, 5, 8),) + g.values[3:])
+    for i in (0, 1, 3):
+        core.hukuhara_diff(f.values[i], wide.values[i])  # exists at every other node
+    with pytest.raises(HDifferenceError):
+        core.hukuhara_diff(f.values[2], wide.values[2])
+    with pytest.raises(HDifferenceError):
+        spaces.elem_hdiff(f, wide)
+
+
 def test_elem_ops_reject_mixed_kinds():
     with pytest.raises(SpaceMismatch):
         spaces.elem_add(tri(0, 1, 2), pair(tri(0, 1, 2), tri(0, 1, 2)))
@@ -205,3 +241,8 @@ def test_function_json_roundtrip():
     assert spaces.sup_distance(f, g) == 0.0
     with pytest.raises(ValueError):
         spaces.function_from_json({"nodes": [0, 1]})
+
+
+def test_function_from_json_rejects_non_objects():
+    with pytest.raises(ValueError, match="must be an object"):
+        spaces.function_from_json([1, 2])

@@ -258,6 +258,8 @@ def solve_second_order(problem: CauchyProblem, grid: np.ndarray | None = None) -
     """cosh-series solution of u'' = A[u], u(0) = u0, u'(0) = 0."""
     if problem.initial_velocity is None:
         raise ValueError("second-order problems need initial_velocity (the zero element)")
+    if problem.forcing is not None:
+        raise ValueError("second-order problems take no forcing")
     v0 = problem.initial_velocity
     if spaces.elem_dist(v0, spaces.elem_zero(v0)) != 0.0:
         raise UnsupportedVelocity(

@@ -16,7 +16,7 @@ from . import cauchy, core, operators, semigroup, spaces
 from .core import FuzzyNumber
 from .errors import HDifferenceError
 from .operators import builtin, canonical_probes, lift_matrix, random_fuzzy
-from .spaces import FuzzyFunction, FuzzySequence, ProductElement, pair
+from .spaces import FuzzyFunction, FuzzySequence, pair
 
 SUITE_NAMES = ("core", "spaces", "operators", "semigroup", "solver")
 
@@ -39,12 +39,6 @@ def _rec(suite, prop, cases, violation, tolerance):
 
 def _rel(err: float, *magnitudes: float) -> float:
     return err / max(1.0, *magnitudes) if magnitudes else err
-
-
-def _validity_defect(x) -> float:
-    if isinstance(x, ProductElement):
-        return max(_validity_defect(c) for c in x.components)
-    return float(core.nesting_defect(x.ends).max())
 
 
 def random_symmetric_triangular(rng, m_levels=_PROPERTY_LEVELS) -> FuzzyNumber:
@@ -159,7 +153,7 @@ def suite_core(seed: int):
         recs.append(_rec("core", name, CASES, v, EXACT_TOL))
 
     # nesting of freshly built numbers, recomputed from the arrays
-    nest = max(_validity_defect(rf()) for _ in range(CASES))
+    nest = max(core.nesting_defect(rf().ends).max() for _ in range(CASES))
     recs.append(_rec("core", "nesting", CASES, nest, 0.0))
 
     # the stated failures of linearity: witnesses must not vanish
@@ -586,8 +580,7 @@ def suite_solver(seed: int):
     traj5 = cauchy.solve_first_order(
         cauchy.CauchyProblem(coupled, w0, horizon=1.0, tol=tol), cauchy.uniform_times(1.0, 9)
     )
-    defect = max(max(_validity_defect(s) for s in traj4.states),
-                 max(_validity_defect(s) for s in traj5.states))
+    defect = max(core.nesting_defect(s.ends).max() for s in traj4.states + traj5.states)
     recs.append(_rec("solver", "trajectory_validity", len(traj4.states) + len(traj5.states), defect, 0.0))
 
     # series vs closed forms on fuzzy data

@@ -54,7 +54,7 @@ class _Parser(argparse.ArgumentParser):
 
 def state_to_json(state):
     if isinstance(state, ProductElement):
-        return {"product": [state_to_json(c) for c in state.components]}
+        return {"product": [core.fuzzy_to_json(c) for c in state.components]}
     if isinstance(state, FuzzyFunction):
         return spaces.function_to_json(state)
     return core.fuzzy_to_json(state)
@@ -80,14 +80,10 @@ def _write_band_csv(path, times, states, bands):
 
 def _iter_fuzzy(state):
     if isinstance(state, ProductElement):
-        for i, c in enumerate(state.components):
-            for comp, x, v in _iter_fuzzy(c):
-                yield (str(i) if comp == "" else f"{i}.{comp}"), x, v
-    elif isinstance(state, FuzzyFunction):
-        for x, v in zip(state.nodes, state.values):
-            yield "", repr(float(x)), v
-    else:
-        yield "", "", state
+        return [(str(i), "", c) for i, c in enumerate(state.components)]
+    if isinstance(state, FuzzyFunction):
+        return [("", repr(float(x)), v) for x, v in zip(state.nodes, state.values)]
+    return [("", "", state)]
 
 
 def _emit(payload: dict, out_path: str | None):
@@ -298,6 +294,7 @@ def parse_problem(config, m_levels=core.DEFAULT_LEVELS):
     g = config.get("g", "zero")
     if g != "zero":
         _require(isinstance(g, dict), "config.g", 'must be "zero" or an object')
+        _require(order == 1, "config.g", "forcing is not supported for second-order problems")
         _require(g.get("kind") == "const", "config.g.kind", 'only "const" forcing is supported')
         _require("value" in g, "config.g.value", "missing")
         g_val = _parse_fuzzy(g["value"], "config.g.value", m_levels)

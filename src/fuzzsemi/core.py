@@ -9,15 +9,17 @@ triangular number is represented exactly and all the arithmetic here
 (levelwise interval sum, scaled interval, partial difference) is exact
 for such data up to rounding.
 
-Every leaf element keeps its endpoints in one array ``ends`` whose last
-two axes are (lower/upper, level): (2, levels) for a fuzzy number and
-(nodes, 2, levels) for a sampled function (`spaces.FuzzyFunction`).  The
-algebra, metric and norm act on those two axes only, so each is written
-once for both kinds: a function's operation is the number's, at every node.
+Every element keeps its endpoints in one array ``ends`` whose last two
+axes are (lower/upper, level): (2, levels) for a fuzzy number, and
+(nodes, 2, levels) or (k, 2, levels) for a sampled function or a product
+(`spaces`).  The algebra, metric and norm act on those two axes only, so
+each is written once: a function's or product's operation is the number's
+at every node or component.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -46,9 +48,9 @@ def _frozen(a) -> np.ndarray:
 
 
 class Leaf:
-    """Base of fuzzy numbers and sampled fuzzy functions: read-only endpoint
-    data ``ends`` of shape (..., 2, levels) on the grid ``levels``, lower
-    endpoints in ``ends[..., 0, :]`` and upper ones in ``ends[..., 1, :]``."""
+    """Base of fuzzy numbers, sampled fuzzy functions and products: read-only
+    endpoint data ``ends`` of shape (..., 2, levels) on the grid ``levels``,
+    lower endpoints in ``ends[..., 0, :]`` and upper ones in ``ends[..., 1, :]``."""
 
     def _with(self, ends, **attrs):
         # same kind and grids (unless overridden) around endpoints valid by construction
@@ -219,12 +221,16 @@ def make_triangular(x_l: float, x_c: float, x_r: float, m_levels: int = DEFAULT_
     """Triangular number with support [x_l, x_r] and core {x_c}.
 
     Level sets are [x_c - (1-r)(x_c - x_l), x_c + (1-r)(x_r - x_c)].
+    A support wider than the float range is computed on halved data.
     """
     if not (x_l <= x_c <= x_r):
         raise OrderViolation(f"need x_l <= x_c <= x_r, got ({x_l}, {x_c}, {x_r})")
+    if not (math.isfinite(x_l) and math.isfinite(x_r)):
+        raise ValueError("endpoints must be finite")
     r = level_grid(m_levels)
-    lo = x_c - (1.0 - r) * (x_c - x_l)
-    up = x_c + (1.0 - r) * (x_r - x_c)
+    s = 1 if math.isfinite(x_r - x_l) else 0.5  # int 1 keeps integer differences exact
+    lo = (s * x_c - (1.0 - r) * (s * x_c - s * x_l)) / s
+    up = (s * x_c + (1.0 - r) * (s * x_r - s * x_c)) / s
     return FuzzyNumber(r, np.minimum(lo, x_c), np.maximum(up, x_c))
 
 
@@ -279,7 +285,7 @@ def common_grid(u: Leaf, v: Leaf):
 
 
 def add(u: Leaf, v: Leaf) -> Leaf:
-    """Levelwise interval sum of two fuzzy numbers (nodewise for functions)."""
+    """Levelwise interval sum of two fuzzy numbers (per node or component)."""
     u, v = common_grid(u, v)
     # rounding is monotone, so sums of monotone arrays stay monotone
     return u._with(u.ends + v.ends)
@@ -301,7 +307,7 @@ def hukuhara_diff(u: Leaf, v: Leaf) -> Leaf:
     MONOTONICITY_TOLERANCE are clamped as rounding noise).  Raises
     HDifferenceError otherwise -- the difference does not exist for every
     pair, e.g. 0 minus any genuinely fuzzy number.  For functions it exists
-    iff it exists at every node.
+    iff it exists at every node, for products iff in every component.
     """
     u, v = common_grid(u, v)
     w = _try_build(u, u.ends - v.ends)
@@ -332,7 +338,7 @@ def oriented_hukuhara_diff(x1: FuzzyNumber, x2: FuzzyNumber):
 
 
 def distance(u: Leaf, v: Leaf) -> float:
-    """Supremum over levels (and nodes) of the larger endpoint gap.
+    """Supremum over levels (and nodes or components) of the larger endpoint gap.
 
     For piecewise-linear endpoints the supremum over the whole level
     interval is attained at a grid node, so the grid maximum is exact.

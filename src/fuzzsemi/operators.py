@@ -10,6 +10,7 @@ lower bound on the operator metric, clearly labeled as such.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -235,7 +236,8 @@ def builtin(name: str, c: FuzzyNumber | None = None) -> LinearOperator:
 def lift_matrix(entries) -> LinearOperator:
     """Lift a real k x k matrix to product elements: image_i = sum_j a_ij * w_j.
 
-    Negative entries act by endpoint swap through scalar multiplication.
+    Each term is formed as `core.scalar_mul` forms it (negative entries
+    swap the endpoints, zeros give +0.0); each row adds them left to right.
     Fully linear; the certified bound is the max absolute row sum.
     """
     m = np.asarray(entries, dtype=float)
@@ -245,15 +247,12 @@ def lift_matrix(entries) -> LinearOperator:
         raise ValueError("matrix entries must be finite")
     k = m.shape[0]
     bound = float(np.abs(m).sum(axis=1).max())
+    factors = m[:, :, None, None]
 
     def fn(w):
-        comps = []
-        for i in range(k):
-            acc = spaces.elem_scale(m[i, 0], w.components[0])
-            for j in range(1, k):
-                acc = spaces.elem_add(acc, spaces.elem_scale(m[i, j], w.components[j]))
-            comps.append(acc)
-        return spaces.ProductElement(tuple(comps))
+        ends = np.where(factors < 0.0, w.ends[:, ::-1, :], w.ends)  # (k, k, 2, levels)
+        terms = np.where(factors == 0.0, 0.0, factors * ends)
+        return w._with(functools.reduce(np.add, terms.swapaxes(0, 1)))  # sum over j, left to right
 
     label = "matrix[" + "; ".join(" ".join(f"{v:g}" for v in row) for row in m) + "]"
     return LinearOperator(fn, bound, LINEAR, label, ("product", k))

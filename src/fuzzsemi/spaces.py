@@ -10,12 +10,13 @@ from finite data.
 
 The module also provides the generic element operations (`elem_add`,
 `elem_scale`, ...) that let the semigroup engine and the Cauchy solvers
-run uniformly over fuzzy numbers, sampled functions and product elements:
-products recurse over their components, and every leaf goes to `core`.
+run uniformly over fuzzy numbers, sampled functions and product elements
+(stacked as one (k, 2, levels) array): each is one `core` call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import InitVar, dataclass
 from typing import Callable, Sequence
@@ -142,22 +143,38 @@ class FuzzySequence:
 
 
 @dataclass(frozen=True, eq=False)
-class ProductElement:
-    """Fixed-arity tuple of elements of (possibly different) spaces."""
+class ProductElement(core.Leaf):
+    """Fixed-arity tuple of fuzzy numbers, stacked as one (k, 2, levels) array
+    ``ends`` on the union of their level grids; ``components`` and ``[i]``
+    read it back as fuzzy numbers."""
 
-    components: tuple
+    components: InitVar[tuple]
 
-    def __post_init__(self):
-        components = tuple(self.components)
+    def __post_init__(self, components):
+        components = tuple(components)
         if not components:
             raise ValueError("a product element needs at least one component")
-        object.__setattr__(self, "components", components)
+        if not all(isinstance(c, FuzzyNumber) for c in components):
+            raise SpaceMismatch("product components must be FuzzyNumber instances")
+        levels = components[0].levels
+        if not all(np.array_equal(c.levels, levels) for c in components):
+            levels = core._frozen(functools.reduce(np.union1d, (c.levels for c in components)))
+            components = tuple(c.resample(levels) for c in components)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "ends", core._frozen([c.ends for c in components]))
+
+    def __repr__(self):
+        return f"ProductElement({len(self)} components, {self.levels.size} levels)"
 
     def __len__(self):
-        return len(self.components)
+        return len(self.ends)
 
     def __getitem__(self, i):
         return self.components[i]
+
+
+# the constructor takes the components; afterwards they are read back as views of ends
+ProductElement.components = property(lambda w: tuple(FuzzyNumber._trusted(w.levels, e) for e in w.ends))
 
 
 def pair(u, v) -> ProductElement:
@@ -238,7 +255,7 @@ def mu_metric(x, y) -> float:
 
 def box_distance(w1: ProductElement, w2: ProductElement) -> float:
     """Box metric on a finite product: max of the component metrics."""
-    return max(elem_dist(a, b) for a, b in _components(w1, w2))
+    return core.distance(*_leaves(w1, w2, "cannot compare {} and {}"))
 
 
 # ---------------------------------------------------------------------------
@@ -252,55 +269,39 @@ def _leaf(x, message: str):
 
 
 def _leaves(x, y, message: str):
-    """Two leaves of one kind, functions aligned on one node grid."""
+    """Two leaves of one kind, functions aligned on one node grid, products of one arity."""
     kind = type(x)
     if kind is not type(y) or not issubclass(kind, core.Leaf):
         raise SpaceMismatch(message.format(kind.__name__, type(y).__name__))
-    return _aligned(x, y) if kind is FuzzyFunction else (x, y)
-
-
-def _components(x: ProductElement, y):
-    if not isinstance(y, ProductElement):
-        raise SpaceMismatch(f"cannot combine a product with {type(y).__name__}")
-    if len(x) != len(y):
+    if kind is FuzzyFunction:
+        return _aligned(x, y)
+    if kind is ProductElement and len(x) != len(y):
         raise ArityMismatch(f"{len(x)} components vs {len(y)}")
-    return zip(x.components, y.components)
+    return x, y
 
 
 def elem_add(x, y):
-    if isinstance(x, ProductElement):
-        return ProductElement(tuple(elem_add(a, b) for a, b in _components(x, y)))
     return core.add(*_leaves(x, y, "cannot add {} and {}"))
 
 
 def elem_scale(lam: float, x):
-    if isinstance(x, ProductElement):
-        return ProductElement(tuple(elem_scale(lam, c) for c in x.components))
     return core.scalar_mul(lam, _leaf(x, "cannot scale {}"))
 
 
 def elem_dist(x, y) -> float:
-    if isinstance(x, ProductElement):
-        return box_distance(x, y)
     return core.distance(*_leaves(x, y, "cannot compare {} and {}"))
 
 
 def elem_norm(x) -> float:
-    if isinstance(x, ProductElement):
-        return max(elem_norm(c) for c in x.components)
     return core.norm(_leaf(x, "no norm for {}"))
 
 
 def elem_hdiff(x, y):
     """Componentwise Hukuhara difference; exists iff every component's does."""
-    if isinstance(x, ProductElement):
-        return ProductElement(tuple(elem_hdiff(a, b) for a, b in _components(x, y)))
     return core.hukuhara_diff(*_leaves(x, y, "cannot subtract {1} from {0}"))
 
 
 def elem_zero(x):
-    if isinstance(x, ProductElement):
-        return ProductElement(tuple(elem_zero(c) for c in x.components))
     return core.zero_like(_leaf(x, "no zero for {}"))
 
 

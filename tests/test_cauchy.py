@@ -355,6 +355,15 @@ def test_second_order_requires_velocity_field():
         solve_second_order(CauchyProblem(identity(), U0))
 
 
+def test_second_order_rejects_forcing():
+    g = core.make_triangular(5, 6, 7)
+    with pytest.raises(ValueError, match="forcing"):
+        solve_second_order(
+            CauchyProblem(scale_operator(1.0), U0, forcing=lambda s: g,
+                          initial_velocity=core.zero(), horizon=1.0)
+        )
+
+
 def test_second_order_rejects_nonzero_velocity():
     with pytest.raises(UnsupportedVelocity):
         solve_second_order(

@@ -131,6 +131,19 @@ def test_solve_matrix_second_order(tmp_path):
     assert csv_path.exists()
 
 
+def test_solve_second_order_rejects_forcing(tmp_path, capsys):
+    config = {
+        "order": 2,
+        "operator": {"kind": "scale", "factor": 1},
+        "u0": {"tri": [0, 1, 2]},
+        "g": {"kind": "const", "value": {"tri": [5, 6, 7]}},
+    }
+    with pytest.raises(SchemaError, match="config.g"):
+        cli.parse_problem(config)
+    assert run("solve", write_config(tmp_path, config)) == 1
+    assert "config.g" in capsys.readouterr().err
+
+
 def test_solve_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

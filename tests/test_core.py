@@ -31,6 +31,27 @@ def test_triangular_levels_match_formula():
     assert np.allclose(u.upper, 2 - u.levels)
 
 
+def test_triangular_wider_than_float_range():
+    u = core.make_triangular(-1e308, -1e308, 1e308, 4)
+    assert (u.lower == -1e308).all()
+    assert u.upper.tolist() == [1e308, 5e307, 0.0, -5e307, -1e308]
+    v = core.make_triangular(-1.7e308, 0.0, 1.7e308, 4)
+    assert np.allclose(v.upper, 1.7e308 * (1.0 - v.levels), rtol=1e-15, atol=0.0)
+    assert np.array_equal(v.lower, -v.upper)
+    with pytest.raises(ValueError, match="finite"):
+        core.make_triangular(1, 2, np.inf, 4)
+
+
+def test_triangular_matches_plain_formula_bit_for_bit():
+    rng = np.random.default_rng(11)
+    r = core.level_grid(16)
+    for _ in range(500):
+        x_l, x_c, x_r = np.sort(rng.choice([-1.0, 1.0], 3) * 10.0 ** rng.uniform(-300, 300, 3))
+        u = core.make_triangular(x_l, x_c, x_r, 16)
+        assert np.array_equal(u.lower, np.minimum(x_c - (1.0 - r) * (x_c - x_l), x_c))
+        assert np.array_equal(u.upper, np.maximum(x_c + (1.0 - r) * (x_r - x_c), x_c))
+
+
 def test_degenerate_triangle_is_crisp():
     u = tri(5, 5, 5)
     assert core.is_crisp(u)

@@ -265,6 +265,26 @@ def test_lift_identity_matrix():
     assert spaces.box_distance(op(w), w) == 0.0
 
 
+def test_lift_matrix_matches_left_to_right_core_oracle(rng):
+    m = np.array([
+        [0.5, -2.0, 0.0, 1.25],
+        [0.0, -0.0, 1.5, 0.0],
+        [-1.0, 0.3, -0.7, 2.0],  # four terms: the summation order shows
+        [0.0, 0.0, -0.0, 0.0],  # only zero terms: +0.0 everywhere
+    ])
+    op = lift_matrix(m)
+    for _ in range(20):
+        comps = tuple(random_fuzzy(rng, 16) for _ in range(4))
+        want = []
+        for row in m:
+            acc = core.scalar_mul(row[0], comps[0])
+            for a, c in zip(row[1:], comps[1:]):
+                acc = core.add(acc, core.scalar_mul(a, c))
+            want.append(acc.ends)
+        got = op(spaces.ProductElement(comps))
+        assert got.ends.tobytes() == np.stack(want).tobytes()  # bit for bit, signed zeros too
+
+
 def test_lift_rejects_bad_matrices():
     with pytest.raises(ValueError):
         lift_matrix([[1, 2, 3]])

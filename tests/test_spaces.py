@@ -159,11 +159,11 @@ def test_box_distance():
 
 
 def test_box_distance_mixed_component_kinds():
-    w1 = ProductElement((tri(0, 1, 2), const_fn(tri(0, 1, 2))))
-    w2 = ProductElement((core.zero(16), const_fn(core.zero(16))))
-    assert spaces.box_distance(w1, w2) == pytest.approx(2.0, abs=1e-12)
-    sum_w = spaces.elem_add(w1, w1)
-    assert spaces.elem_dist(sum_w, spaces.elem_scale(2.0, w1)) <= 1e-12
+    # products are stacks of fuzzy numbers: a function component is rejected
+    with pytest.raises(SpaceMismatch):
+        ProductElement((tri(0, 1, 2), const_fn(tri(0, 1, 2))))
+    with pytest.raises(SpaceMismatch):
+        pair(tri(0, 1, 2), "nope")
 
 
 def test_box_translation_invariance():
@@ -187,6 +187,33 @@ def test_elem_ops_on_products():
     assert spaces.elem_dist(doubled, pair(tri(0, 2, 4), tri(2, 4, 6))) == 0.0
     diff = spaces.elem_hdiff(spaces.elem_add(w, w), w)
     assert spaces.elem_dist(diff, w) <= 1e-12
+
+
+def test_product_ops_on_different_level_grids_match_per_component_core():
+    xs = (tri(0, 1, 2, 4), tri(1, 2, 4, 8))
+    ys = (tri(-1, 0, 0.5, 8), tri(0, 1, 1.5, 4))
+    x, y = ProductElement(xs), ProductElement(ys)
+    assert x.levels.size == 9 and x[0] == xs[0].resample(x.levels)  # union of the two level grids
+    pairs = list(zip(xs, ys))
+    assert spaces.elem_add(x, y).components == tuple(core.add(u, v) for u, v in pairs)
+    for lam in (2.5, -1.5, 0.0, -0.0):
+        scaled = spaces.elem_scale(lam, x)
+        assert scaled.components == tuple(core.scalar_mul(lam, u) for u in x.components)
+        if lam == 0.0:
+            assert not np.signbit(scaled.ends).any()  # +0.0, as core.scalar_mul gives
+    assert spaces.elem_dist(x, y) == spaces.box_distance(x, y) == max(core.distance(u, v) for u, v in pairs)
+    assert spaces.elem_norm(x) == max(core.norm(u) for u in xs)
+    s = spaces.elem_add(x, y)
+    assert spaces.elem_hdiff(s, y).components == tuple(
+        core.hukuhara_diff(core.add(u, v), v) for u, v in pairs
+    )
+    # the difference must exist in every component: a wide second one breaks it
+    wide = pair(ys[0], tri(-5, 0, 5, 4))
+    core.hukuhara_diff(s[0], wide[0])
+    with pytest.raises(HDifferenceError):
+        core.hukuhara_diff(s[1], wide[1])
+    with pytest.raises(HDifferenceError):
+        spaces.elem_hdiff(s, wide)
 
 
 def test_elem_ops_on_functions():

@@ -7,11 +7,12 @@ adaptive Gauss-Kronrod quadrature in the fuzzy algebra: the 15-point
 Kronrod rule is accepted on an interval once it agrees with the embedded
 7-point Gauss rule to the interval's share of tol, and the interval is
 bisected otherwise.  All weights of both rules are positive, so levelwise
-each rule is the classical one applied to every endpoint function.  The
-series truncation (of T(t)(u0) and of every integrand value) and the
-quadrature each get half of tol.  Second-order problems with vanishing
-initial velocity use the cosh series, and the wave formula adds t * u2 on
-top of the even-derivative series of the initial profile.
+each rule is the classical one applied to every endpoint function; each
+rule's sum is one `core.combine` of the integrand values.  The series
+truncation (of T(t)(u0) and of every integrand value) and the quadrature
+each get half of tol.  Second-order problems with vanishing initial
+velocity use the cosh series, and the wave formula is one combination of
+the even derivatives of the initial profile and t * u2.
 
 The powers A^p(x) of a series do not depend on t, so a solver computes
 them once: its trajectory keeps one power ladder for the initial state,
@@ -34,11 +35,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable
 
 import numpy as np
 
-from . import core, spaces
+from . import core
 from .errors import (
     HDifferenceError,
     MissingDerivativeBound,
@@ -152,33 +154,6 @@ def uniform_times(horizon: float, n_nodes: int = DEFAULT_TIME_NODES) -> np.ndarr
 # quadrature
 
 
-def integrate_fuzzy(f: Callable, t_end: float, panels: int):
-    """Composite trapezoid of an element-valued integrand over [0, t_end].
-
-    Exact (at any panel count) for integrands affine in s, since the rule
-    is levelwise the classical trapezoid with positive weights.
-    """
-    if panels < 1:
-        raise ValueError("panels must be >= 1")
-    if not t_end > 0:
-        raise ValueError("t_end must be > 0")
-    grid = np.linspace(0.0, float(t_end), panels + 1)
-    vals = [f(float(s)) for s in grid]
-    half = 0.5 * (grid[1] - grid[0])
-    acc = spaces.elem_scale(half, spaces.elem_add(vals[0], vals[1]))
-    for i in range(1, panels):
-        acc = spaces.elem_add(acc, spaces.elem_scale(half, spaces.elem_add(vals[i], vals[i + 1])))
-    return acc
-
-
-def _weighted_sum(weights, vals, half: float):
-    """half * sum_i weights[i] * vals[i], added left to right."""
-    acc = spaces.elem_scale(half * weights[0], vals[0])
-    for w, v in zip(weights[1:], vals[1:]):
-        acc = spaces.elem_add(acc, spaces.elem_scale(half * w, v))
-    return acc
-
-
 def _refined_integral(f: Callable, t_end: float, tol: float):
     """Adaptive Gauss-Kronrod integral of f over [0, t_end] to within tol.
 
@@ -205,12 +180,12 @@ def _refined_integral(f: Callable, t_end: float, tol: float):
         a, b, share = pending.pop()
         centre, half = 0.5 * (a + b), 0.5 * (b - a)
         vals = [f(centre + half * x) for x in _GK_NODES]
-        kronrod = _weighted_sum(_GK_KRONROD, vals, half)
-        gauss = _weighted_sum(_GK_GAUSS, vals[1::2], half)
+        kronrod = core.combine([half * w for w in _GK_KRONROD], vals)
+        gauss = core.combine([half * w for w in _GK_GAUSS], vals[1::2])
         evaluated += 1
-        if spaces.elem_dist(kronrod, gauss) <= share:
-            total = kronrod if total is None else spaces.elem_add(total, kronrod)
-        elif share < _QUAD_ROUNDING_FLOOR * spaces.elem_norm(kronrod):
+        if core.distance(kronrod, gauss) <= share:
+            total = kronrod if total is None else core.add(total, kronrod)
+        elif share < _QUAD_ROUNDING_FLOOR * core.norm(kronrod):
             raise QuadratureStall(f"tol share {share:g} on [{a:g}, {b:g}] is below the sum's rounding floor")
         else:
             pending += [(centre, b, 0.5 * share), (a, centre, 0.5 * share)]
@@ -249,7 +224,7 @@ def solve_first_order(problem: CauchyProblem, grid: np.ndarray | None = None) ->
         # takes the other half.
         part = SemigroupEvaluator(problem.operator, "exp", 0.5 * problem.tol / (1.0 + abs(t)))
         forced = _refined_integral(lambda s: integrand(part, t, s), t, 0.5 * problem.tol)
-        return spaces.elem_add(part.at(t, problem.initial, initial_powers), forced)
+        return core.add(part.at(t, problem.initial, initial_powers), forced)
 
     return Trajectory(times, tuple(evaluate(t) for t in times), evaluate)
 
@@ -261,7 +236,7 @@ def solve_second_order(problem: CauchyProblem, grid: np.ndarray | None = None) -
     if problem.forcing is not None:
         raise ValueError("second-order problems take no forcing")
     v0 = problem.initial_velocity
-    if spaces.elem_dist(v0, spaces.elem_zero(v0)) != 0.0:
+    if core.norm(v0) != 0.0:
         raise UnsupportedVelocity(
             "only a vanishing initial velocity is supported; for the wave "
             "formula with nonzero velocity use solve_wave"
@@ -301,12 +276,12 @@ def solve_wave(
     def derivative(k):  # the k-th derivative of the profile, sampled at every node
         return FuzzyFunction(x_nodes, tuple(u1_derivatives(float(x), k) for x in x_nodes))
 
-    acc = derivative(0)
-    for p, coeff in zip(range(1, order + 1), _coefficients("cosh", t)):
-        acc = core.add(acc, core.scalar_mul(coeff, derivative(2 * p)))
+    coeffs = [1.0, *islice(_coefficients("cosh", t), order)]
+    terms = [derivative(2 * p) for p in range(order + 1)]
     if u2 is not None:
-        acc = core.add(acc, core.scalar_mul(t, u2.resample_nodes(x_nodes)))
-    return acc
+        coeffs.append(t)
+        terms.append(u2.resample_nodes(x_nodes))
+    return core.combine(coeffs, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +299,7 @@ def _quotient_forms(before, here, after, h: float):
     )
     for factor, left, right in candidates:
         try:
-            forms.append(spaces.elem_scale(factor, spaces.elem_hdiff(left, right)))
+            forms.append(core.scalar_mul(factor, core.hukuhara_diff(left, right)))
         except HDifferenceError:
             continue
     return forms
@@ -361,11 +336,11 @@ def residual_check(
         before = traj.evaluate(t - h)
         target = operator(here)
         if forcing is not None:
-            target = spaces.elem_add(target, forcing(t))
+            target = core.add(target, forcing(t))
         forms = _quotient_forms(before, here, after, h)
         if not forms:
             raise NoApplicableForm(f"no difference quotient exists at t = {t}")
-        worst = max(worst, min(spaces.elem_dist(q, target) for q in forms))
+        worst = max(worst, min(core.distance(q, target) for q in forms))
     return worst
 
 
@@ -379,8 +354,8 @@ def fuzziness_residual(u, v):
     This is the term that separates genuinely fuzzy solutions from the
     crisp-style formulas; it is invariant under negation.
     """
-    s = spaces.elem_add(u, v)
-    return spaces.elem_add(s, spaces.elem_scale(-1.0, s))
+    s = core.add(u, v)
+    return core.add(s, core.scalar_mul(-1.0, s))
 
 
 SWAP_MATRIX = ((0.0, 1.0), (1.0, 0.0))

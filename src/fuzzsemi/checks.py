@@ -224,48 +224,48 @@ def suite_spaces(seed: int):
         e = _random_function(rng, nodes, m)
         lam = rng.uniform(-2.0, 2.0)
         p = float(rng.integers(1, 4))
-        scale = max(spaces.func_norm(f), spaces.func_norm(g), spaces.func_norm(h), 1.0)
+        scale = max(core.norm(f), core.norm(g), core.norm(h), 1.0)
 
         worst["sup_translation"] = max(
             worst["sup_translation"],
-            _rel(abs(spaces.sup_distance(spaces.elem_add(f, h), spaces.elem_add(g, h))
-                     - spaces.sup_distance(f, g)), scale),
+            _rel(abs(core.distance(core.add(f, h), core.add(g, h))
+                     - core.distance(f, g)), scale),
         )
         worst["sup_scaling"] = max(
             worst["sup_scaling"],
-            _rel(abs(spaces.sup_distance(spaces.elem_scale(lam, f), spaces.elem_scale(lam, g))
-                     - abs(lam) * spaces.sup_distance(f, g)), scale * max(1.0, abs(lam))),
+            _rel(abs(core.distance(core.scalar_mul(lam, f), core.scalar_mul(lam, g))
+                     - abs(lam) * core.distance(f, g)), scale * max(1.0, abs(lam))),
         )
         joint = (
-            spaces.sup_distance(spaces.elem_add(f, g), spaces.elem_add(h, e))
-            - spaces.sup_distance(f, h) - spaces.sup_distance(g, e)
+            core.distance(core.add(f, g), core.add(h, e))
+            - core.distance(f, h) - core.distance(g, e)
         )
         worst["sup_subadditivity"] = max(worst["sup_subadditivity"], _rel(max(joint, 0.0), scale))
         lam2 = abs(lam)
         mu2 = rng.uniform(0.0, 2.0)
-        zero_f = spaces.elem_zero(f)
+        zero_f = core.zero_like(f)
         worst["sup_radial_same_sign"] = max(
             worst["sup_radial_same_sign"],
-            _rel(abs(spaces.sup_distance(spaces.elem_scale(lam2, f), spaces.elem_scale(mu2, f))
-                     - abs(lam2 - mu2) * spaces.sup_distance(zero_f, f)), scale * 4.0),
+            _rel(abs(core.distance(core.scalar_mul(lam2, f), core.scalar_mul(mu2, f))
+                     - abs(lam2 - mu2) * core.distance(zero_f, f)), scale * 4.0),
         )
         worst["sup_norm_difference"] = max(
             worst["sup_norm_difference"],
-            _rel(max(abs(spaces.func_norm(f) - spaces.func_norm(g)) - spaces.sup_distance(f, g), 0.0), scale),
+            _rel(max(abs(core.norm(f) - core.norm(g)) - core.distance(f, g), 0.0), scale),
         )
 
         worst["lp_translation"] = max(
             worst["lp_translation"],
-            _rel(abs(spaces.lp_distance(spaces.elem_add(f, h), spaces.elem_add(g, h), p)
+            _rel(abs(spaces.lp_distance(core.add(f, h), core.add(g, h), p)
                      - spaces.lp_distance(f, g, p)), scale),
         )
         worst["lp_scaling"] = max(
             worst["lp_scaling"],
-            _rel(abs(spaces.lp_distance(spaces.elem_scale(lam, f), spaces.elem_scale(lam, g), p)
+            _rel(abs(spaces.lp_distance(core.scalar_mul(lam, f), core.scalar_mul(lam, g), p)
                      - abs(lam) * spaces.lp_distance(f, g, p)), scale * max(1.0, abs(lam))),
         )
         jlp = (
-            spaces.lp_distance(spaces.elem_add(f, g), spaces.elem_add(h, e), p)
+            spaces.lp_distance(core.add(f, g), core.add(h, e), p)
             - spaces.lp_distance(f, h, p) - spaces.lp_distance(g, e, p)
         )
         worst["lp_subadditivity"] = max(worst["lp_subadditivity"], _rel(max(jlp, 0.0), scale))
@@ -302,17 +302,17 @@ def suite_spaces(seed: int):
         w4 = pair(random_fuzzy(rng, m), random_fuzzy(rng, m))
         worst["box_translation"] = max(
             worst["box_translation"],
-            _rel(abs(spaces.box_distance(spaces.elem_add(w1, w3), spaces.elem_add(w2, w3))
-                     - spaces.box_distance(w1, w2)), scale),
+            _rel(abs(core.distance(core.add(w1, w3), core.add(w2, w3))
+                     - core.distance(w1, w2)), scale),
         )
         worst["box_scaling"] = max(
             worst["box_scaling"],
-            _rel(abs(spaces.box_distance(spaces.elem_scale(lam, w1), spaces.elem_scale(lam, w2))
-                     - abs(lam) * spaces.box_distance(w1, w2)), scale * max(1.0, abs(lam))),
+            _rel(abs(core.distance(core.scalar_mul(lam, w1), core.scalar_mul(lam, w2))
+                     - abs(lam) * core.distance(w1, w2)), scale * max(1.0, abs(lam))),
         )
         jbox = (
-            spaces.box_distance(spaces.elem_add(w1, w2), spaces.elem_add(w3, w4))
-            - spaces.box_distance(w1, w3) - spaces.box_distance(w2, w4)
+            core.distance(core.add(w1, w2), core.add(w3, w4))
+            - core.distance(w1, w3) - core.distance(w2, w4)
         )
         worst["box_subadditivity"] = max(worst["box_subadditivity"], _rel(max(jbox, 0.0), scale))
 
@@ -398,7 +398,7 @@ def suite_operators(seed: int):
     worst_swap = 0.0
     for _ in range(200):
         w = pair(random_fuzzy(rng, m), random_fuzzy(rng, m))
-        worst_id = max(worst_id, spaces.box_distance(ident(w), w))
+        worst_id = max(worst_id, core.distance(ident(w), w))
         sw = swap(w)
         worst_swap = max(worst_swap, core.distance(sw[0], w[1]), core.distance(sw[1], w[0]))
     recs.append(_rec("operators", "lift_identity", 200, worst_id, 0.0))
@@ -436,7 +436,7 @@ def suite_semigroup(seed: int):
             for x in xs:
                 a = semigroup.series_apply(op, "exp", t, x, m_ord)
                 b = semigroup.series_apply(op, "exp", t, x, m_ord + 10)
-                worst = max(worst, spaces.elem_dist(a, b))
+                worst = max(worst, core.distance(a, b))
                 cases += 1
     recs.append(_rec("semigroup", "truncation_tail_sound", cases, worst, tol))
 
@@ -445,7 +445,7 @@ def suite_semigroup(seed: int):
     for op in ops:
         ev = semigroup.SemigroupEvaluator(op, "exp", tol)
         for x in probes[:8]:
-            worst = max(worst, spaces.elem_dist(ev.at(0.0, x), x))
+            worst = max(worst, core.distance(ev.at(0.0, x), x))
     recs.append(_rec("semigroup", "identity_at_zero", 8 * len(ops), worst, 0.0))
 
     # exponential law on same-sign grids
@@ -512,8 +512,8 @@ def suite_semigroup(seed: int):
         ch = semigroup.SemigroupEvaluator(op, "cosh", tol)
         sh = semigroup.SemigroupEvaluator(op, "sinh", tol)
         for x in probes[:8]:
-            worst0 = max(worst0, spaces.elem_dist(ch.at(0.0, x), x))
-            worstz = max(worstz, spaces.elem_dist(sh.at(0.0, x), spaces.elem_zero(x)))
+            worst0 = max(worst0, core.distance(ch.at(0.0, x), x))
+            worstz = max(worstz, core.distance(sh.at(0.0, x), core.zero_like(x)))
     recs.append(_rec("semigroup", "cosh_identity_at_zero", 8 * len(ops), worst0, 0.0))
     recs.append(_rec("semigroup", "sinh_zero_at_zero", 8 * len(ops), worstz, 0.0))
 
@@ -531,9 +531,9 @@ def suite_semigroup(seed: int):
         mb = op.norm_bound
         for t in (0.5, 1.0):
             for x in probes[:8]:
-                quot = spaces.elem_scale(1.0 / h, spaces.elem_hdiff(sh.at(t + h, x), sh.at(t, x)))
+                quot = core.scalar_mul(1.0 / h, core.hukuhara_diff(sh.at(t + h, x), sh.at(t, x)))
                 target = op(ch.at(t, x))
-                res = spaces.elem_dist(quot, target)
+                res = core.distance(quot, target)
                 allowance = (
                     h * mb ** 1.5 * math.sinh(math.sqrt(mb) * (t + h)) * max(1.0, core.norm(x))
                     + 2.0 * tol2 / h
@@ -585,23 +585,23 @@ def suite_solver(seed: int):
 
     # series vs closed forms on fuzzy data
     worst4 = max(
-        spaces.box_distance(st, cauchy.problem4_closed_form(u0, v0, float(t)))
+        core.distance(st, cauchy.problem4_closed_form(u0, v0, float(t)))
         for t, st in zip(traj4.times, traj4.states)
     )
     recs.append(_rec("solver", "problem4_series_vs_closed", len(traj4.states), worst4, 1e-8))
     worst5 = max(
-        spaces.box_distance(st, cauchy.problem5_closed_form(u0, v0, float(t)))
+        core.distance(st, cauchy.problem5_closed_form(u0, v0, float(t)))
         for t, st in zip(traj5.times, traj5.states)
     )
     recs.append(_rec("solver", "problem5_series_vs_closed", len(traj5.states), worst5, 1e-8))
 
-    zero_pair = spaces.elem_zero(w0)
+    zero_pair = core.zero_like(w0)
     traj6 = cauchy.solve_second_order(
         cauchy.CauchyProblem(coupled, w0, initial_velocity=zero_pair, horizon=1.0, tol=tol),
         cauchy.uniform_times(1.0, 9),
     )
     worst6 = max(
-        spaces.box_distance(st, cauchy.problem6_closed_form(u0, v0, float(t)))
+        core.distance(st, cauchy.problem6_closed_form(u0, v0, float(t)))
         for t, st in zip(traj6.times, traj6.states)
     )
     recs.append(_rec("solver", "problem6_series_vs_closed", len(traj6.states), worst6, 1e-8))
@@ -664,13 +664,11 @@ def suite_solver(seed: int):
             worst_iff = max(worst_iff, 1.0)
     recs.append(_rec("solver", "fuzziness_residual_iff_crisp", 200, worst_iff, 1e-12))
 
-    # quadrature of an affine integrand is exact at any panel count
-    worst_q = 0.0
+    # the forced solve's quadrature integrates an affine integrand exactly
     uu = core.make_triangular(-1.0, 0.5, 3.0)
-    for panels in (1, 2, 7):
-        got = cauchy.integrate_fuzzy(lambda s: core.scalar_mul(s, uu), 1.0, panels)
-        worst_q = max(worst_q, core.distance(got, core.scalar_mul(0.5, uu)))
-    recs.append(_rec("solver", "quadrature_affine_exact", 3, worst_q, 1e-14))
+    got = cauchy._refined_integral(lambda s: core.scalar_mul(s, uu), 1.0, 1e-14)
+    worst_q = core.distance(got, core.scalar_mul(0.5, uu))
+    recs.append(_rec("solver", "quadrature_affine_exact", 1, worst_q, 1e-14))
 
     # forced crisp problem: u' = u + 1, u(0) = 0 has solution e^t - 1
     one = core.crisp(1.0)
@@ -718,7 +716,7 @@ def suite_solver(seed: int):
         want = FuzzyFunction(
             xs, tuple(core.scalar_mul(math.cosh(t) * math.exp(float(x)), c) for x in xs)
         )
-        worst_w = max(worst_w, spaces.sup_distance(got, want))
+        worst_w = max(worst_w, core.distance(got, want))
     recs.append(_rec("solver", "wave_cosh_collapse", 2, worst_w, 1e-8))
     return recs
 

@@ -102,7 +102,7 @@ def _emit(payload: dict, out_path: str | None):
 
 def _example_payload(name, times, series_states, closed_states, tol):
     distances = [
-        spaces.elem_dist(a, b) for a, b in zip(series_states, closed_states)
+        core.distance(a, b) for a, b in zip(series_states, closed_states)
     ]
     return {
         "schema": SCHEMA,
@@ -123,7 +123,7 @@ def _system_example(matrix, order, closed_form, args, times, tol):
     v0 = core.make_triangular(1.0, 2.0, 3.0, args.levels)
     op = lift_matrix(matrix)
     w0 = pair(u0, v0)
-    velocity = spaces.elem_zero(w0) if order == 2 else None
+    velocity = core.zero_like(w0) if order == 2 else None
     solver = cauchy.solve_second_order if order == 2 else cauchy.solve_first_order
     problem = cauchy.CauchyProblem(op, w0, initial_velocity=velocity, horizon=max(args.t_max, 1.0), tol=tol)
     return solver(problem, times), [getattr(cauchy, closed_form)(u0, v0, float(t)) for t in times]
@@ -305,7 +305,7 @@ def parse_problem(config, m_levels=core.DEFAULT_LEVELS):
     _require(_positive_finite(horizon), "config.T", "must be a finite number > 0")
     tol = config.get("tol", 1e-9)
     _require(_positive_finite(tol), "config.tol", "must be a finite number > 0")
-    velocity = spaces.elem_zero(initial) if order == 2 else None
+    velocity = core.zero_like(initial) if order == 2 else None
     return cauchy.CauchyProblem(
         op, initial, forcing=forcing, initial_velocity=velocity,
         horizon=float(horizon), tol=float(tol),

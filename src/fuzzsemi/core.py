@@ -14,7 +14,13 @@ axes are (lower/upper, level): (2, levels) for a fuzzy number, and
 (nodes, 2, levels) or (k, 2, levels) for a sampled function or a product
 (`spaces`).  The algebra, metric and norm act on those two axes only, so
 each is written once: a function's or product's operation is the number's
-at every node or component.
+at every node or component.  This module is the only element algebra: its
+kernels check their own operands (one kind, one arity, one domain) through
+the `Leaf._match` hook that `spaces` overrides, and `combine` forms every
+real linear combination sum_j c_j x_j the series, quadrature and lifted
+matrices need.  Levelwise that is midpoint-radius interval arithmetic
+(Rump, BIT 39, 1999): a negative factor swaps the endpoints, a zero gives
++0.0, and the rule is written once, in `_scaled`.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import HDifferenceError, OrderViolation
+from .errors import HDifferenceError, OrderViolation, SpaceMismatch
 
 DEFAULT_LEVELS = 64  # panels in the default membership grid (grid has DEFAULT_LEVELS+1 points)
 
@@ -52,6 +58,18 @@ class Leaf:
     endpoint data ``ends`` of shape (..., 2, levels) on the grid ``levels``,
     lower endpoints in ``ends[..., 0, :]`` and upper ones in ``ends[..., 1, :]``."""
 
+    def __repr__(self):
+        # a failed __post_init__ leaves an instance without ends, and
+        # tracebacks and debuggers still ask for its repr
+        if "ends" not in self.__dict__:
+            return f"{type(self).__name__}(<construction failed>)"
+        return f"{type(self).__name__}({self._summary()})"
+
+    def _match(self, other):
+        """``self`` and ``other``, a leaf of the same kind, on one grid of nodes
+        or components; kinds with such a grid override this to align or raise."""
+        return self, other
+
     def _with(self, ends, **attrs):
         # same kind and grids (unless overridden) around endpoints valid by construction
         ends.flags.writeable = False
@@ -78,7 +96,13 @@ class Leaf:
         return out
 
 
-@dataclass(frozen=True, eq=False)
+def _leaf(u) -> Leaf:
+    if not isinstance(u, Leaf):
+        raise SpaceMismatch(f"{type(u).__name__} is not a fuzzy number, function or product")
+    return u
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class FuzzyNumber(Leaf):
     """Levelwise representation of a fuzzy number.
 
@@ -125,11 +149,10 @@ class FuzzyNumber(Leaf):
         self.__dict__.update(levels=levels, ends=ends)
         return self
 
-    def __repr__(self):
+    def _summary(self):
         return (
-            f"FuzzyNumber(levels={self.levels.size}, "
-            f"support=[{self.lower[0]:g}, {self.upper[0]:g}], "
-            f"core=[{self.lower[-1]:g}, {self.upper[-1]:g}])"
+            f"levels={self.levels.size}, support=[{self.lower[0]:g}, {self.upper[0]:g}], "
+            f"core=[{self.lower[-1]:g}, {self.upper[-1]:g}]"
         )
 
     def __eq__(self, other):
@@ -261,7 +284,7 @@ def zero(m_levels: int = DEFAULT_LEVELS, levels: np.ndarray | None = None) -> Fu
 
 def zero_like(u: Leaf) -> Leaf:
     """The crisp zero (+0.0 endpoints) of u's kind, on u's grids."""
-    return u._with(np.zeros_like(u.ends))
+    return _leaf(u)._with(np.zeros_like(u.ends))
 
 
 def is_crisp(u: FuzzyNumber) -> bool:
@@ -273,11 +296,17 @@ def is_crisp(u: FuzzyNumber) -> bool:
 
 
 def common_grid(u: Leaf, v: Leaf):
-    """Resample both operands onto the union of their level grids.
+    """Two leaves of one kind on common grids: functions on one node grid
+    (`Leaf._match`), both on the union of their level grids.
 
-    Lossless for piecewise-linear endpoint data; documented as lossy
+    Raises SpaceMismatch for leaves of different kinds, and whatever the
+    kind's hook raises (ArityMismatch, DomainMismatch).  Resampling is
+    lossless for piecewise-linear endpoint data; documented as lossy
     otherwise since interpolation inserts straight segments.
     """
+    if type(u) is not type(v) or not isinstance(u, Leaf):
+        raise SpaceMismatch(f"{type(u).__name__} and {type(v).__name__} are not elements of one space")
+    u, v = u._match(v)
     if u.levels is v.levels or np.array_equal(u.levels, v.levels):
         return u, v
     merged = np.union1d(u.levels, v.levels)
@@ -291,12 +320,44 @@ def add(u: Leaf, v: Leaf) -> Leaf:
     return u._with(u.ends + v.ends)
 
 
+def _scaled(lam: float, ends: np.ndarray) -> np.ndarray:
+    # lam * [lower, upper] levelwise: a negative factor swaps the endpoints,
+    # a zero gives +0.0 (never -0.0); lam must be a Python float
+    if lam == 0.0:
+        return np.zeros_like(ends)
+    return lam * (ends if lam > 0.0 else ends[..., ::-1, :])
+
+
 def scalar_mul(lam: float, u: Leaf) -> Leaf:
     """Levelwise scaled interval; negative factors swap the endpoints."""
-    lam = float(lam)
-    if lam == 0.0:
-        return zero_like(u)
-    return u._with(lam * (u.ends if lam > 0.0 else u.ends[..., ::-1, :]))
+    return _leaf(u)._with(_scaled(float(lam), u.ends))
+
+
+def combine(coeffs, xs) -> Leaf:
+    """The linear combination sum_j coeffs[j] * xs[j] of leaves of one kind.
+
+    Each term is scaled as `scalar_mul` scales it, on its own grids, and the
+    terms are added left to right as `add` adds them (resampling onto the
+    union grid only after scaling), so the result equals that chain of
+    kernels bit for bit.  Mixed-sign coefficients are never merged: in this
+    algebra (a + b) x and a x + b x differ when a b < 0.  ``coeffs`` and
+    ``xs`` must have the same, nonzero length.
+    """
+    grids = total = None  # the running sum's grids (a leaf) and endpoints
+    for lam, x in zip(coeffs, xs, strict=True):
+        term = _scaled(float(lam), _leaf(x).ends)
+        if grids is None:
+            grids, total = x, term
+            continue
+        shared = common_grid(grids, x)  # checks the kind; returns the same pair on shared grids
+        if shared[0] is grids and shared[1] is x:
+            total += term
+        else:  # resample the sum and the scaled term onto common grids, as add does
+            grids, x = common_grid(grids._with(total), x._with(term))
+            total = grids.ends + x.ends
+    if grids is None:
+        raise ValueError("a linear combination needs at least one term")
+    return grids._with(total)
 
 
 def hukuhara_diff(u: Leaf, v: Leaf) -> Leaf:
@@ -340,8 +401,12 @@ def oriented_hukuhara_diff(x1: FuzzyNumber, x2: FuzzyNumber):
 def distance(u: Leaf, v: Leaf) -> float:
     """Supremum over levels (and nodes or components) of the larger endpoint gap.
 
-    For piecewise-linear endpoints the supremum over the whole level
-    interval is attained at a grid node, so the grid maximum is exact.
+    On fuzzy numbers this is the supremum metric of R_F; on sampled
+    functions it is the paper's D* on C([a,b]; R_F), the supremum over nodes
+    of the pointwise distance (after aligning the node grids); on products
+    it is the box metric, the maximum of the component distances.  For
+    piecewise-linear endpoints the supremum over the whole level interval
+    is attained at a grid node, so the grid maximum is exact.
     """
     u, v = common_grid(u, v)
     return float(np.abs(u.ends - v.ends).max())
@@ -349,7 +414,7 @@ def distance(u: Leaf, v: Leaf) -> float:
 
 def norm(u: Leaf) -> float:
     """Distance to the crisp zero: max absolute endpoint."""
-    return float(np.abs(u.ends).max())
+    return float(np.abs(_leaf(u).ends).max())
 
 
 def membership(u: FuzzyNumber, x: float) -> float:

@@ -10,7 +10,6 @@ lower bound on the operator metric, clearly labeled as such.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -74,14 +73,14 @@ def identity(name: str = "I") -> LinearOperator:
 
 
 def zero_operator(name: str = "O") -> LinearOperator:
-    return LinearOperator(spaces.elem_zero, 0.0, LINEAR, name)
+    return LinearOperator(core.zero_like, 0.0, LINEAR, name)
 
 
 def scale_operator(factor: float) -> LinearOperator:
     """x -> factor * x; homogeneous under every real factor."""
     factor = float(factor)
     return LinearOperator(
-        lambda x: spaces.elem_scale(factor, x), abs(factor), LINEAR, f"scale({factor:g})"
+        lambda x: core.scalar_mul(factor, x), abs(factor), LINEAR, f"scale({factor:g})"
     )
 
 
@@ -117,10 +116,10 @@ def phi_distance(a: LinearOperator, b: LinearOperator, probes) -> float:
     """
     worst = 0.0
     for x in probes:
-        n = spaces.elem_norm(x)
+        n = core.norm(x)
         if n > 1.0 + _PROBE_NORM_SLACK:
             raise ProbeNormViolation(f"probe norm {n} exceeds 1")
-        worst = max(worst, spaces.elem_dist(a(x), b(x)))
+        worst = max(worst, core.distance(a(x), b(x)))
     return worst
 
 
@@ -236,9 +235,8 @@ def builtin(name: str, c: FuzzyNumber | None = None) -> LinearOperator:
 def lift_matrix(entries) -> LinearOperator:
     """Lift a real k x k matrix to product elements: image_i = sum_j a_ij * w_j.
 
-    Each term is formed as `core.scalar_mul` forms it (negative entries
-    swap the endpoints, zeros give +0.0); each row adds them left to right.
-    Fully linear; the certified bound is the max absolute row sum.
+    Each row is one `core.combine` of the components.  Fully linear; the
+    certified bound is the max absolute row sum.
     """
     m = np.asarray(entries, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -247,12 +245,11 @@ def lift_matrix(entries) -> LinearOperator:
         raise ValueError("matrix entries must be finite")
     k = m.shape[0]
     bound = float(np.abs(m).sum(axis=1).max())
-    factors = m[:, :, None, None]
+    rows = m.tolist()
 
     def fn(w):
-        ends = np.where(factors < 0.0, w.ends[:, ::-1, :], w.ends)  # (k, k, 2, levels)
-        terms = np.where(factors == 0.0, 0.0, factors * ends)
-        return w._with(functools.reduce(np.add, terms.swapaxes(0, 1)))  # sum over j, left to right
+        parts = w.components
+        return w._with(np.stack([core.combine(row, parts).ends for row in rows]))
 
     label = "matrix[" + "; ".join(" ".join(f"{v:g}" for v in row) for row in m) + "]"
     return LinearOperator(fn, bound, LINEAR, label, ("product", k))

@@ -2,7 +2,8 @@
 
 The exponential family T(t)(x) is the formal series sum_p (t^p / p!) A^p(x)
 accumulated with fuzzy addition; cosh and sinh use the even and odd
-coefficients t^2p / (2p)! and t^(2p-1) / (2p-1)! on A^p.
+coefficients t^2p / (2p)! and t^(2p-1) / (2p-1)! on A^p.  A partial sum
+is one `core.combine` of the powers A^p(x).
 Because scalar addition does not distribute over mixed-sign factors in
 this algebra, the sum is evaluated literally term by term -- coefficients
 are never merged.  Merging coefficients of mixed sign is what is unsound
@@ -23,10 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, count, repeat
+from itertools import accumulate, count, islice, repeat
 from operator import mul, truediv
 
-from . import core, operators, spaces
+from . import core, operators
 from .errors import HDifferenceError, MixedSignsError, SeriesOverflow
 from .operators import LinearOperator
 
@@ -110,20 +111,19 @@ def series_apply(op: LinearOperator, kind: str, t: float, x, order: int, powers:
     and the operator's outputs are not mutated (every element type here is
     immutable).
     """
-    coeffs = _coefficients(kind, t)
+    coeffs = islice(_coefficients(kind, t), order)
     if powers is None:
         powers = [x]
     elif not powers or powers[0] is not x:
         raise ValueError("the power ladder must start with x itself")
     while len(powers) <= order:
         powers.append(op(powers[-1]))
-    if kind == "sinh" and order == 0:
-        return spaces.elem_zero(x)
+    if order == 0:
+        return core.zero_like(x) if kind == "sinh" else x
     # exp and cosh start from the identity term x; sinh has none
-    acc = spaces.elem_scale(next(coeffs), powers[1]) if kind == "sinh" else x
-    for p, coeff in zip(range(2 if kind == "sinh" else 1, order + 1), coeffs):
-        acc = spaces.elem_add(acc, spaces.elem_scale(coeff, powers[p]))
-    return acc
+    if kind == "sinh":
+        return core.combine(list(coeffs), powers[1:order + 1])
+    return core.combine([1.0, *coeffs], powers[:order + 1])
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ class SemigroupEvaluator:
             raise ValueError("operator norm bound must be finite")
 
     def order_for(self, t: float, x) -> int:
-        scale = max(1.0, spaces.elem_norm(x))
+        scale = max(1.0, core.norm(x))
         return required_order(t, self.operator.norm_bound, self.tol / scale, self.kind)
 
     def at(self, t: float, x, powers: list | None = None):
@@ -198,7 +198,7 @@ def check_semigroup_law(ev: SemigroupEvaluator, t: float, s: float, x) -> float:
         raise MixedSignsError(f"mixed-sign pair (t, s) = ({t}, {s})")
     direct = ev.at(t + s, x)
     nested = ev.at(t, ev.at(s, x))
-    return spaces.elem_dist(direct, nested)
+    return core.distance(direct, nested)
 
 
 def generator_residual(ev: SemigroupEvaluator, h: float, x) -> float:
@@ -213,11 +213,11 @@ def generator_residual(ev: SemigroupEvaluator, h: float, x) -> float:
     if not h > 0:
         raise ValueError("h must be > 0")
     try:
-        diff = spaces.elem_hdiff(ev.at(h, x), x)
+        diff = core.hukuhara_diff(ev.at(h, x), x)
     except HDifferenceError as exc:
         raise HDifferenceError(f"difference quotient unavailable at h={h}: {exc}") from exc
-    quotient = spaces.elem_scale(1.0 / h, diff)
-    return spaces.elem_dist(quotient, ev.operator(x))
+    quotient = core.scalar_mul(1.0 / h, diff)
+    return core.distance(quotient, ev.operator(x))
 
 
 def generator_pair_closed_form(c: core.FuzzyNumber, x: core.FuzzyNumber, t: float, which: str = "A"):

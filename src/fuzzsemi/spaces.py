@@ -8,10 +8,14 @@ Sequence spaces are finite truncations; membership of the underlying
 infinite object in a summability class is not (and cannot be) checked
 from finite data.
 
-The module also provides the generic element operations (`elem_add`,
-`elem_scale`, ...) that let the semigroup engine and the Cauchy solvers
-run uniformly over fuzzy numbers, sampled functions and product elements
-(stacked as one (k, 2, levels) array): each is one `core` call.
+Functions and products (stacked as one (k, 2, levels) array) are
+`core.Leaf`s, so the `core` kernels are their algebra, metric and norm:
+`core.distance` is the supremum metric D* on functions and the box metric
+on products.  Each kind overrides the `Leaf._match` hook that those
+kernels call: functions on different node grids are aligned on the union
+grid (different domains raise DomainMismatch), products of different
+arity raise ArityMismatch.  Only the metrics that are not a supremum
+(`lp_distance`, the sequence metrics) live here.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ def _node_grid(nodes) -> np.ndarray:
     return nodes
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class FuzzyFunction(core.Leaf):
     """A fuzzy-number-valued function on [a, b], sampled at grid nodes.
 
@@ -82,8 +86,16 @@ class FuzzyFunction(core.Leaf):
     def b(self) -> float:
         return float(self.nodes[-1])
 
-    def __repr__(self):
-        return f"FuzzyFunction(on [{self.a:g}, {self.b:g}], {self.nodes.size} nodes)"
+    def _summary(self):
+        return f"on [{self.a:g}, {self.b:g}], {self.nodes.size} nodes"
+
+    def _match(self, other):
+        if self.a != other.a or self.b != other.b:
+            raise DomainMismatch(f"[{self.a}, {self.b}] vs [{other.a}, {other.b}]")
+        if self.nodes is other.nodes or np.array_equal(self.nodes, other.nodes):
+            return self, other
+        merged = np.union1d(self.nodes, other.nodes)
+        return self.resample_nodes(merged), other.resample_nodes(merged)
 
     def _ends_at(self, xs: np.ndarray) -> np.ndarray:
         # the stored endpoints at a node, else the levelwise linear
@@ -142,7 +154,7 @@ class FuzzySequence:
         return len(self.terms)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class ProductElement(core.Leaf):
     """Fixed-arity tuple of fuzzy numbers, stacked as one (k, 2, levels) array
     ``ends`` on the union of their level grids; ``components`` and ``[i]``
@@ -163,8 +175,13 @@ class ProductElement(core.Leaf):
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "ends", core._frozen([c.ends for c in components]))
 
-    def __repr__(self):
-        return f"ProductElement({len(self)} components, {self.levels.size} levels)"
+    def _summary(self):
+        return f"{len(self)} components, {self.levels.size} levels"
+
+    def _match(self, other):
+        if len(self) != len(other):
+            raise ArityMismatch(f"{len(self)} components vs {len(other)}")
+        return self, other
 
     def __len__(self):
         return len(self.ends)
@@ -185,24 +202,6 @@ def pair(u, v) -> ProductElement:
 # metrics
 
 
-def _aligned(f: FuzzyFunction, g: FuzzyFunction):
-    if f.a != g.a or f.b != g.b:
-        raise DomainMismatch(f"[{f.a}, {f.b}] vs [{g.a}, {g.b}]")
-    if np.array_equal(f.nodes, g.nodes):
-        return f, g
-    merged = np.union1d(f.nodes, g.nodes)
-    return f.resample_nodes(merged), g.resample_nodes(merged)
-
-
-def sup_distance(f: FuzzyFunction, g: FuzzyFunction) -> float:
-    """Supremum over nodes of the pointwise fuzzy distance."""
-    return core.distance(*_aligned(f, g))
-
-
-def func_norm(f: FuzzyFunction) -> float:
-    return core.norm(f)
-
-
 def lp_distance(f: FuzzyFunction, g: FuzzyFunction, p: float = 1.0) -> float:
     """Integral metric (trapezoid over the stored nodes) of finite order p >= 1.
 
@@ -211,7 +210,7 @@ def lp_distance(f: FuzzyFunction, g: FuzzyFunction, p: float = 1.0) -> float:
     """
     if not 1 <= p < math.inf:
         raise ValueError(f"p must be a finite number >= 1, got {p}")
-    f, g = core.common_grid(*_aligned(f, g))
+    f, g = core.common_grid(f, g)
     gaps = np.abs(f.ends - g.ends).max(axis=(-2, -1))  # pointwise fuzzy distances
     return float(np.trapezoid(gaps**p, f.nodes) ** (1.0 / p))
 
@@ -227,7 +226,7 @@ def cp_sup_distance(fs: Sequence[FuzzyFunction], gs: Sequence[FuzzyFunction]) ->
         raise ArityMismatch(f"{len(fs)} derivative orders vs {len(gs)}")
     if not fs:
         raise ArityMismatch("need at least the order-0 functions")
-    return float(sum(sup_distance(fi, gi) for fi, gi in zip(fs, gs)))
+    return float(sum(core.distance(fi, gi) for fi, gi in zip(fs, gs)))
 
 
 def _seq_terms(x) -> tuple:
@@ -253,56 +252,8 @@ def mu_metric(x, y) -> float:
     return max(core.distance(u, v) for u, v in zip(xs, ys))
 
 
-def box_distance(w1: ProductElement, w2: ProductElement) -> float:
-    """Box metric on a finite product: max of the component metrics."""
-    return core.distance(*_leaves(w1, w2, "cannot compare {} and {}"))
-
-
-# ---------------------------------------------------------------------------
-# generic element operations (fuzzy numbers, functions, products)
-
-
-def _leaf(x, message: str):
-    if not isinstance(x, core.Leaf):
-        raise SpaceMismatch(message.format(type(x).__name__))
-    return x
-
-
-def _leaves(x, y, message: str):
-    """Two leaves of one kind, functions aligned on one node grid, products of one arity."""
-    kind = type(x)
-    if kind is not type(y) or not issubclass(kind, core.Leaf):
-        raise SpaceMismatch(message.format(kind.__name__, type(y).__name__))
-    if kind is FuzzyFunction:
-        return _aligned(x, y)
-    if kind is ProductElement and len(x) != len(y):
-        raise ArityMismatch(f"{len(x)} components vs {len(y)}")
-    return x, y
-
-
-def elem_add(x, y):
-    return core.add(*_leaves(x, y, "cannot add {} and {}"))
-
-
-def elem_scale(lam: float, x):
-    return core.scalar_mul(lam, _leaf(x, "cannot scale {}"))
-
-
-def elem_dist(x, y) -> float:
-    return core.distance(*_leaves(x, y, "cannot compare {} and {}"))
-
-
-def elem_norm(x) -> float:
-    return core.norm(_leaf(x, "no norm for {}"))
-
-
-def elem_hdiff(x, y):
-    """Componentwise Hukuhara difference; exists iff every component's does."""
-    return core.hukuhara_diff(*_leaves(x, y, "cannot subtract {1} from {0}"))
-
-
-def elem_zero(x):
-    return core.zero_like(_leaf(x, "no zero for {}"))
+# perfbench's lifted workload builds its zero velocities through this name
+elem_zero = core.zero_like
 
 
 # ---------------------------------------------------------------------------

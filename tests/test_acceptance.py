@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from fuzzsemi import cauchy, checks, core, semigroup, spaces
+from fuzzsemi import cauchy, checks, core, semigroup
 from fuzzsemi.cauchy import (
     CauchyProblem,
     Trajectory,
@@ -74,7 +74,7 @@ def test_criterion_02_swap_system():
             core.add(core.scalar_mul(ch, U0), core.scalar_mul(sh, V0)),
             core.add(core.scalar_mul(sh, U0), core.scalar_mul(ch, V0)),
         )
-        assert spaces.box_distance(st, closed) <= 1e-8
+        assert core.distance(st, closed) <= 1e-8
     _report(2, "swap system series equals cosh/sinh mixture at 9 times in [0, 2]")
 
 
@@ -92,7 +92,7 @@ def test_criterion_03_coupled_system():
             core.add(core.add(U0, core.scalar_mul(float(t), s)), core.scalar_mul(h_t, e_term)),
             core.add(core.add(V0, core.scalar_mul(-float(t), s)), core.scalar_mul(h_t, e_term)),
         )
-        assert spaces.box_distance(st, closed) <= 1e-8
+        assert core.distance(st, closed) <= 1e-8
     h1 = 0.25 * (math.e**2 - 3.0)
     u1 = traj.states[-1][0]
     assert u1.lower[0] == pytest.approx(1.0 - 4.0 * h1, abs=1e-8)
@@ -106,7 +106,7 @@ def test_criterion_04_coupled_second_order():
     times = np.linspace(0.0, 1.0, 9)
     traj = solve_second_order(
         CauchyProblem(lift_matrix(cauchy.COUPLED_MATRIX), w0,
-                      initial_velocity=spaces.elem_zero(w0), horizon=1.0, tol=1e-9),
+                      initial_velocity=core.zero_like(w0), horizon=1.0, tol=1e-9),
         times,
     )
     s = core.add(U0, V0)
@@ -118,7 +118,7 @@ def test_criterion_04_coupled_second_order():
             core.add(core.add(U0, core.scalar_mul(t * t / 2, s)), core.scalar_mul(h_t, e_term)),
             core.add(core.add(V0, core.scalar_mul(-t * t / 2, s)), core.scalar_mul(h_t, e_term)),
         )
-        assert spaces.box_distance(st, closed) <= 1e-8
+        assert core.distance(st, closed) <= 1e-8
     _report(4, "second-order system matches closed form with h(t) = (cosh(t sqrt 2) - t^2 - 1)/4")
 
 
@@ -139,7 +139,7 @@ def test_criterion_05_crisp_collapse():
     )
     second = solve_second_order(
         CauchyProblem(lift_matrix(cauchy.COUPLED_MATRIX), w0,
-                      initial_velocity=spaces.elem_zero(w0), horizon=1.0, tol=1e-9),
+                      initial_velocity=core.zero_like(w0), horizon=1.0, tol=1e-9),
         times,
     )
     for t, st4, st5, st6 in zip(times, swap.states, coupled.states, second.states):
@@ -233,7 +233,7 @@ def test_criterion_10_wave_example():
         want = FuzzyFunction(
             xs, tuple(core.scalar_mul(math.cosh(t) * math.exp(float(x)), C) for x in xs)
         )
-        assert spaces.sup_distance(got, want) <= 1e-8
+        assert core.distance(got, want) <= 1e-8
     _report(10, "wave series collapses to cosh(t) * profile within 1e-8")
 
 

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from fuzzsemi import cauchy, core, spaces
+from fuzzsemi import cauchy, core
 from fuzzsemi.cauchy import (
     CauchyProblem,
     Trajectory,
     fuzziness_residual,
-    integrate_fuzzy,
     naive_problem5_formula,
     problem4_closed_form,
     problem5_closed_form,
@@ -39,31 +38,6 @@ C = core.make_triangular(0, 1, 2)
 
 # ---------------------------------------------------------------------------
 # quadrature
-
-
-def test_integrate_constant_is_identity():
-    u = core.make_triangular(-1, 0, 4)
-    got = integrate_fuzzy(lambda s: u, 1.0, 16)
-    assert core.distance(got, u) <= 1e-14
-
-
-def test_integrate_affine_exact_any_panel_count():
-    u = core.make_triangular(-1, 0.5, 3)
-    for panels in (1, 2, 5, 64):
-        got = integrate_fuzzy(lambda s: core.scalar_mul(s, u), 1.0, panels)
-        assert core.distance(got, core.scalar_mul(0.5, u)) <= 1e-14
-
-
-def test_integrate_crisp_square():
-    got = integrate_fuzzy(lambda s: core.crisp(s * s, 8), 1.0, 1024)
-    assert got.lower[0] == pytest.approx(1.0 / 3.0, abs=1e-6)
-
-
-def test_integrate_validates():
-    with pytest.raises(ValueError):
-        integrate_fuzzy(lambda s: U0, 1.0, 0)
-    with pytest.raises(ValueError):
-        integrate_fuzzy(lambda s: U0, 0.0, 4)
 
 
 def test_quadrature_stall(monkeypatch):
@@ -187,7 +161,7 @@ def test_unforced_solve_applies_operator_once_per_power():
     flow = SemigroupEvaluator(op, "exp", 1e-9)
     assert len(calls) == max(flow.order_for(float(t), w0) for t in grid)
     for t, st in zip(traj.times, traj.states):
-        assert spaces.elem_dist(st, problem5_closed_form(U0, V0, float(t))) <= 1e-8
+        assert core.distance(st, problem5_closed_form(U0, V0, float(t))) <= 1e-8
     # the re-solves at t +- h extend the same ladder only past its longest order
     sample, h = grid[1:-1:8], 1e-3
     residual_check(traj, lift_matrix(cauchy.COUPLED_MATRIX), h=h, times=sample)
@@ -252,7 +226,7 @@ def test_zero_forcing_zero_initial_stays_zero():
     problem = CauchyProblem(lift_matrix(cauchy.COUPLED_MATRIX), pair(core.zero(), core.zero()))
     traj = solve_first_order(problem, np.array([0.0, 0.5, 1.0]))
     for st in traj.states:
-        assert spaces.elem_norm(st) == 0.0
+        assert core.norm(st) == 0.0
 
 
 def test_problem5_frozen_endpoint_values():
@@ -275,7 +249,7 @@ def test_problem5_series_matches_closed_form():
     )
     for t, st in zip(traj.times, traj.states):
         want = problem5_closed_form(U0, V0, float(t))
-        assert spaces.box_distance(st, want) <= 1e-8
+        assert core.distance(st, want) <= 1e-8
         # and h(t) agrees with its direct summation
         assert cauchy._h_exp(float(t)) == pytest.approx(helpers.h_exp(float(t)), abs=1e-12)
 
@@ -287,7 +261,7 @@ def test_problem4_series_matches_closed_form():
         times,
     )
     for t, st in zip(traj.times, traj.states):
-        assert spaces.box_distance(st, problem4_closed_form(U0, V0, float(t))) <= 1e-8
+        assert core.distance(st, problem4_closed_form(U0, V0, float(t))) <= 1e-8
 
 
 def test_crisp_collapse_against_rk4():
@@ -317,7 +291,7 @@ def test_second_order_initial_state():
     w0 = pair(U0, V0)
     traj = solve_second_order(
         CauchyProblem(lift_matrix(cauchy.COUPLED_MATRIX), w0,
-                      initial_velocity=spaces.elem_zero(w0), horizon=1.0, tol=1e-9),
+                      initial_velocity=core.zero_like(w0), horizon=1.0, tol=1e-9),
         np.array([0.0, 1.0]),
     )
     assert traj.states[0] is w0
@@ -328,12 +302,12 @@ def test_problem6_series_matches_closed_form():
     times = np.linspace(0.0, 1.0, 9)
     traj = solve_second_order(
         CauchyProblem(lift_matrix(cauchy.COUPLED_MATRIX), w0,
-                      initial_velocity=spaces.elem_zero(w0), horizon=1.0, tol=1e-9),
+                      initial_velocity=core.zero_like(w0), horizon=1.0, tol=1e-9),
         times,
     )
     for t, st in zip(traj.times, traj.states):
         want = problem6_closed_form(U0, V0, float(t))
-        assert spaces.box_distance(st, want) <= 1e-8
+        assert core.distance(st, want) <= 1e-8
         assert cauchy._h_cosh(float(t)) == pytest.approx(helpers.h_cosh(float(t)), abs=1e-12)
 
 
@@ -342,7 +316,7 @@ def test_problem6_crisp_formula():
     w0 = pair(core.crisp(a0), core.crisp(b0))
     traj = solve_second_order(
         CauchyProblem(lift_matrix(cauchy.COUPLED_MATRIX), w0,
-                      initial_velocity=spaces.elem_zero(w0), horizon=1.0, tol=1e-9),
+                      initial_velocity=core.zero_like(w0), horizon=1.0, tol=1e-9),
         np.array([0.0, 1.0]),
     )
     t = 1.0
@@ -379,7 +353,7 @@ def test_wave_at_zero_returns_profile():
     xs = np.linspace(0.0, 1.0, 5)
     got = solve_wave(lambda x, order: core.scalar_mul(math.exp(x), C), None, 0.0, xs, bound=2 * math.e)
     want = FuzzyFunction(xs, tuple(core.scalar_mul(math.exp(float(x)), C) for x in xs))
-    assert spaces.sup_distance(got, want) == 0.0
+    assert core.distance(got, want) == 0.0
 
 
 def test_wave_exponential_profile_collapses_to_cosh():
@@ -392,7 +366,7 @@ def test_wave_exponential_profile_collapses_to_cosh():
         want = FuzzyFunction(
             xs, tuple(core.scalar_mul(math.cosh(t) * math.exp(float(x)), C) for x in xs)
         )
-        assert spaces.sup_distance(got, want) <= 1e-8
+        assert core.distance(got, want) <= 1e-8
 
 
 def test_wave_zero_profile_moves_with_velocity():
@@ -400,7 +374,7 @@ def test_wave_zero_profile_moves_with_velocity():
     u2 = FuzzyFunction(xs, tuple(core.make_triangular(0, 1, 2) for _ in xs))
     got = solve_wave(lambda x, order: core.zero(), u2, 0.75, xs, bound=1.0)
     want = FuzzyFunction(xs, tuple(core.scalar_mul(0.75, core.make_triangular(0, 1, 2)) for _ in xs))
-    assert spaces.sup_distance(got, want) <= 1e-12
+    assert core.distance(got, want) <= 1e-12
 
 
 def test_wave_requires_bound():

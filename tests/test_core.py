@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzsemi import core
-from fuzzsemi.errors import HDifferenceError, OrderViolation
+from fuzzsemi.errors import HDifferenceError, OrderViolation, SpaceMismatch
+from fuzzsemi.spaces import FuzzyFunction, ProductElement, pair
 
 import helpers
 
@@ -328,6 +329,56 @@ def test_json_rejects_garbage():
 def test_repr_is_compact():
     text = repr(tri(0, 1, 2))
     assert "support=[0, 2]" in text and "core=[1, 1]" in text
+
+
+def _half_built(build, error):
+    # the instance whose __post_init__ raised, as a traceback shows it
+    with pytest.raises(error) as info:
+        build()
+    tb = info.tb
+    while tb.tb_frame.f_code.co_name != "__post_init__":
+        tb = tb.tb_next
+    return tb.tb_frame.f_locals["self"]
+
+
+def test_repr_of_a_failed_construction():
+    levels = core.level_grid(2)
+    cases = (
+        (lambda: core.FuzzyNumber(levels, [0.0, 1.0, 2.0], [1.0, 1.0, 0.0]), ValueError, "FuzzyNumber"),
+        (lambda: FuzzyFunction(np.array([]), ()), ValueError, "FuzzyFunction"),
+        (lambda: ProductElement((tri(0, 1, 2), "nope")), SpaceMismatch, "ProductElement"),
+    )
+    for build, error, kind in cases:
+        assert repr(_half_built(build, error)) == f"{kind}(<construction failed>)"
+
+
+def _bits(u):
+    return u.levels.tobytes() + u.ends.tobytes()
+
+
+def _chain(coeffs, xs):
+    # the oracle: scalar_mul each term, add it to the running sum, left to right
+    acc = core.scalar_mul(coeffs[0], xs[0])
+    for lam, x in zip(coeffs[1:], xs[1:]):
+        acc = core.add(acc, core.scalar_mul(lam, x))
+    return acc
+
+
+def test_combine_matches_left_to_right_chain_bit_for_bit():
+    coeffs = (1.5, -0.7, 0.0, -0.0, 0.3, -2.25)
+    numbers = [tri(-1, 0.5, 3, m) for m in (4, 7, 5, 4, 6, 3)]  # mixed level grids
+    nodes = np.linspace(0.0, 1.0, 4)
+    functions = [FuzzyFunction(nodes, tuple(core.scalar_mul(1.0 + x, u) for x in nodes)) for u in numbers[:3]] * 2
+    products = [pair(u, v) for u, v in zip(numbers, numbers[::-1])]
+    for xs in (numbers, functions, products):
+        for k in range(1, len(xs) + 1):
+            got, want = core.combine(coeffs[:k], xs[:k]), _chain(coeffs[:k], xs[:k])
+            assert type(got) is type(want) and _bits(got) == _bits(want)
+    assert not np.signbit(core.combine((0.0, -0.0), numbers[:2]).ends).any()
+    with pytest.raises(ValueError):
+        core.combine((), ())
+    with pytest.raises(ValueError):
+        core.combine((1.0, 2.0), numbers[:1])
 
 
 def test_operator_sugar():

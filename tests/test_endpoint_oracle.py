@@ -14,7 +14,7 @@ fully independent oracle for the series engine on genuinely fuzzy data.
 
 import numpy as np
 
-from fuzzsemi import cauchy, core, spaces
+from fuzzsemi import cauchy, core
 from fuzzsemi.cauchy import CauchyProblem, solve_first_order, solve_second_order
 from fuzzsemi.operators import lift_matrix
 from fuzzsemi.spaces import pair
@@ -81,7 +81,7 @@ def test_coupled_second_order_endpoint_ode():
     w0 = pair(U0, V0)
     traj = solve_second_order(
         CauchyProblem(lift_matrix(cauchy.COUPLED_MATRIX), w0,
-                      initial_velocity=spaces.elem_zero(w0), horizon=1.0, tol=1e-10),
+                      initial_velocity=core.zero_like(w0), horizon=1.0, tol=1e-10),
         np.array([0.0, 1.0]),
     )
     got = stack(traj.states[-1])

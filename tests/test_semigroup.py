@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fuzzsemi import core, spaces
+from fuzzsemi import core
 from fuzzsemi.errors import MixedSignsError
 from fuzzsemi.operators import builtin, canonical_probes, identity, lift_matrix, zero_operator
 from fuzzsemi.semigroup import (
@@ -153,27 +153,34 @@ def _explicit_series(op, kind, t, x, order):
         powers.append(op(powers[-1]))
     if kind == "sinh":
         if order == 0:
-            return spaces.elem_zero(x)
-        coeff, acc = t, spaces.elem_scale(t, powers[1])
+            return core.zero_like(x)
+        coeff, acc = t, core.scalar_mul(t, powers[1])
         for p in range(2, order + 1):
             coeff *= t * t / ((2 * p - 2) * (2 * p - 1))
-            acc = spaces.elem_add(acc, spaces.elem_scale(coeff, powers[p]))
+            acc = core.add(acc, core.scalar_mul(coeff, powers[p]))
         return acc
     acc, coeff = x, 1.0
     for p in range(1, order + 1):
         coeff *= t / p if kind == "exp" else t * t / ((2 * p - 1) * (2 * p))
-        acc = spaces.elem_add(acc, spaces.elem_scale(coeff, powers[p]))
+        acc = core.add(acc, core.scalar_mul(coeff, powers[p]))
     return acc
 
 
 @pytest.mark.parametrize("kind", ["exp", "cosh", "sinh"])
 def test_series_apply_matches_explicit_recurrences(kind):
-    op = lift_matrix(((0.5, -1.0), (1.0, 0.25)))
-    x = pair(core.make_triangular(0, 1, 2), core.make_triangular(-1, 0.5, 3))
-    for t in (0.7, -0.4, 3.0, 1e-3):
-        for order in (0, 1, 2, 7, 20):
-            got = series_apply(op, kind, t, x, order)
-            assert np.array_equal(_endpoints(got), _endpoints(_explicit_series(op, kind, t, x, order)))
+    # builtins scaling c on a 7-panel grid, applied to x on a 5-panel grid,
+    # add terms on different level grids: each is scaled before resampling
+    c7, x5 = core.make_triangular(0, 1, 2, 7), core.make_triangular(-1, 0.5, 3, 5)
+    cases = (
+        (lift_matrix(((0.5, -1.0), (1.0, 0.25))), pair(core.make_triangular(0, 1, 2), core.make_triangular(-1, 0.5, 3))),
+        (builtin("RemarkA", c7), x5),
+        (builtin("A2", c7), x5),
+    )
+    for op, x in cases:
+        for t in (0.7, -0.4, 3.0, 1e-3):
+            for order in (0, 1, 2, 7, 20):
+                got, want = series_apply(op, kind, t, x, order), _explicit_series(op, kind, t, x, order)
+                assert got.levels.tobytes() + got.ends.tobytes() == want.levels.tobytes() + want.ends.tobytes()
 
 
 def test_series_apply_rejects_unknown_kind():

@@ -63,14 +63,14 @@ def test_sup_distance_constant_functions():
     f = const_fn(tri(0, 1, 2))
     g = const_fn(tri(1, 2, 3))
     # pointwise distance is 1 at every node
-    assert spaces.sup_distance(f, g) == 1.0
-    assert spaces.sup_distance(f, f) == 0.0
+    assert core.distance(f, g) == 1.0
+    assert core.distance(f, f) == 0.0
 
 
 def test_sup_distance_translation_invariance():
     f, g, h = const_fn(tri(0, 1, 2)), const_fn(tri(1, 2, 3)), const_fn(tri(-1, 0, 1))
-    assert spaces.sup_distance(spaces.elem_add(f, h), spaces.elem_add(g, h)) == pytest.approx(
-        spaces.sup_distance(f, g), abs=1e-12
+    assert core.distance(core.add(f, h), core.add(g, h)) == pytest.approx(
+        core.distance(f, g), abs=1e-12
     )
 
 
@@ -78,13 +78,13 @@ def test_sup_distance_domain_mismatch():
     f = const_fn(tri(0, 1, 2), 0.0, 1.0)
     g = const_fn(tri(0, 1, 2), 0.0, 2.0)
     with pytest.raises(DomainMismatch):
-        spaces.sup_distance(f, g)
+        core.distance(f, g)
 
 
 def test_sup_distance_resamples_nodes():
     f = const_fn(tri(0, 1, 2), nodes=5)
     g = const_fn(tri(1, 2, 3), nodes=9)
-    assert spaces.sup_distance(f, g) == pytest.approx(1.0, abs=1e-12)
+    assert core.distance(f, g) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lp_distance_constant():
@@ -120,7 +120,7 @@ def test_cp_sup_distance():
     assert spaces.cp_sup_distance([f, zero_d], [f, bump_d]) == pytest.approx(2.0, abs=1e-12)
     assert spaces.cp_sup_distance([f], [f]) == 0.0
     # with only order 0 supplied this is exactly the sup metric
-    assert spaces.cp_sup_distance([f], [g]) == spaces.sup_distance(f, g)
+    assert spaces.cp_sup_distance([f], [g]) == core.distance(f, g)
     with pytest.raises(ArityMismatch):
         spaces.cp_sup_distance([f, zero_d], [f])
     with pytest.raises(ArityMismatch):
@@ -152,10 +152,10 @@ def test_sequence_requires_terms():
 def test_box_distance():
     w1 = pair(tri(0, 1, 2), core.zero(16))
     w2 = pair(core.zero(16), core.zero(16))
-    assert spaces.box_distance(w1, w2) == pytest.approx(2.0, abs=1e-12)
-    assert spaces.box_distance(w1, w1) == 0.0
+    assert core.distance(w1, w2) == pytest.approx(2.0, abs=1e-12)
+    assert core.distance(w1, w1) == 0.0
     with pytest.raises(ArityMismatch):
-        spaces.box_distance(w1, ProductElement((core.zero(16),)))
+        core.distance(w1, ProductElement((core.zero(16),)))
 
 
 def test_box_distance_mixed_component_kinds():
@@ -170,8 +170,8 @@ def test_box_translation_invariance():
     w1 = pair(tri(0, 1, 2), tri(1, 2, 3))
     w2 = pair(tri(-1, 0, 1), core.zero(16))
     h = pair(tri(0, 0.5, 1), tri(0, 0.5, 1))
-    lhs = spaces.box_distance(spaces.elem_add(w1, h), spaces.elem_add(w2, h))
-    assert lhs == pytest.approx(spaces.box_distance(w1, w2), abs=1e-12)
+    lhs = core.distance(core.add(w1, h), core.add(w2, h))
+    assert lhs == pytest.approx(core.distance(w1, w2), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +180,13 @@ def test_box_translation_invariance():
 
 def test_elem_ops_on_products():
     w = pair(tri(0, 1, 2), tri(1, 2, 3))
-    z = spaces.elem_zero(w)
-    assert spaces.elem_dist(spaces.elem_add(w, z), w) == 0.0
-    assert spaces.elem_norm(w) == 3.0
-    doubled = spaces.elem_scale(2.0, w)
-    assert spaces.elem_dist(doubled, pair(tri(0, 2, 4), tri(2, 4, 6))) == 0.0
-    diff = spaces.elem_hdiff(spaces.elem_add(w, w), w)
-    assert spaces.elem_dist(diff, w) <= 1e-12
+    z = core.zero_like(w)
+    assert core.distance(core.add(w, z), w) == 0.0
+    assert core.norm(w) == 3.0
+    doubled = core.scalar_mul(2.0, w)
+    assert core.distance(doubled, pair(tri(0, 2, 4), tri(2, 4, 6))) == 0.0
+    diff = core.hukuhara_diff(core.add(w, w), w)
+    assert core.distance(diff, w) <= 1e-12
 
 
 def test_product_ops_on_different_level_grids_match_per_component_core():
@@ -195,16 +195,16 @@ def test_product_ops_on_different_level_grids_match_per_component_core():
     x, y = ProductElement(xs), ProductElement(ys)
     assert x.levels.size == 9 and x[0] == xs[0].resample(x.levels)  # union of the two level grids
     pairs = list(zip(xs, ys))
-    assert spaces.elem_add(x, y).components == tuple(core.add(u, v) for u, v in pairs)
+    assert core.add(x, y).components == tuple(core.add(u, v) for u, v in pairs)
     for lam in (2.5, -1.5, 0.0, -0.0):
-        scaled = spaces.elem_scale(lam, x)
+        scaled = core.scalar_mul(lam, x)
         assert scaled.components == tuple(core.scalar_mul(lam, u) for u in x.components)
         if lam == 0.0:
             assert not np.signbit(scaled.ends).any()  # +0.0, as core.scalar_mul gives
-    assert spaces.elem_dist(x, y) == spaces.box_distance(x, y) == max(core.distance(u, v) for u, v in pairs)
-    assert spaces.elem_norm(x) == max(core.norm(u) for u in xs)
-    s = spaces.elem_add(x, y)
-    assert spaces.elem_hdiff(s, y).components == tuple(
+    assert core.distance(x, y) == max(core.distance(u, v) for u, v in pairs)
+    assert core.norm(x) == max(core.norm(u) for u in xs)
+    s = core.add(x, y)
+    assert core.hukuhara_diff(s, y).components == tuple(
         core.hukuhara_diff(core.add(u, v), v) for u, v in pairs
     )
     # the difference must exist in every component: a wide second one breaks it
@@ -213,16 +213,16 @@ def test_product_ops_on_different_level_grids_match_per_component_core():
     with pytest.raises(HDifferenceError):
         core.hukuhara_diff(s[1], wide[1])
     with pytest.raises(HDifferenceError):
-        spaces.elem_hdiff(s, wide)
+        core.hukuhara_diff(s, wide)
 
 
 def test_elem_ops_on_functions():
     f = const_fn(tri(0, 1, 2))
-    g = spaces.elem_add(f, f)
-    assert spaces.sup_distance(g, const_fn(tri(0, 2, 4))) <= 1e-12
-    assert spaces.elem_norm(f) == 2.0
-    back = spaces.elem_hdiff(g, f)
-    assert spaces.sup_distance(back, f) <= 1e-12
+    g = core.add(f, f)
+    assert core.distance(g, const_fn(tri(0, 2, 4))) <= 1e-12
+    assert core.norm(f) == 2.0
+    back = core.hukuhara_diff(g, f)
+    assert core.distance(back, f) <= 1e-12
 
 
 def test_function_ops_on_different_level_grids_match_per_node_core():
@@ -230,11 +230,11 @@ def test_function_ops_on_different_level_grids_match_per_node_core():
     f = FuzzyFunction(nodes, tuple(tri(x, x + 1, x + 3, 4) for x in nodes))
     g = FuzzyFunction(nodes, tuple(tri(-x, 0.5 - x, 1 - x, 8) for x in nodes))
     pairs = list(zip(f.values, g.values))
-    added = spaces.elem_add(f, g)
+    added = core.add(f, g)
     assert added.values[0].levels.size == 9  # union of the two level grids
     assert added.values == tuple(core.add(u, v) for u, v in pairs)
-    assert spaces.sup_distance(f, g) == max(core.distance(u, v) for u, v in pairs)
-    assert spaces.elem_hdiff(f, g).values == tuple(core.hukuhara_diff(u, v) for u, v in pairs)
+    assert core.distance(f, g) == max(core.distance(u, v) for u, v in pairs)
+    assert core.hukuhara_diff(f, g).values == tuple(core.hukuhara_diff(u, v) for u, v in pairs)
     # the difference must exist at every node: one wide value at one node breaks it
     wide = FuzzyFunction(nodes, g.values[:2] + (tri(-5, 0, 5, 8),) + g.values[3:])
     for i in (0, 1, 3):
@@ -242,18 +242,42 @@ def test_function_ops_on_different_level_grids_match_per_node_core():
     with pytest.raises(HDifferenceError):
         core.hukuhara_diff(f.values[2], wide.values[2])
     with pytest.raises(HDifferenceError):
-        spaces.elem_hdiff(f, wide)
+        core.hukuhara_diff(f, wide)
 
 
 def test_elem_ops_reject_mixed_kinds():
-    with pytest.raises(SpaceMismatch):
-        spaces.elem_add(tri(0, 1, 2), pair(tri(0, 1, 2), tri(0, 1, 2)))
-    with pytest.raises(SpaceMismatch):
-        spaces.elem_dist(const_fn(tri(0, 1, 2)), tri(0, 1, 2))
-    with pytest.raises(SpaceMismatch):
-        spaces.elem_scale(2.0, "nope")
-    with pytest.raises(ArityMismatch):
-        spaces.elem_add(pair(tri(0, 1, 2), tri(0, 1, 2)), ProductElement((tri(0, 1, 2),)))
+    # the core kernels check their own operands: one kind, one arity, one domain
+    u = tri(0, 1, 2)
+    two, three = pair(u, u), ProductElement((u, u, u))
+    binary = (core.add, core.hukuhara_diff, core.distance, lambda x, y: core.combine((1.0, 1.0), (x, y)))
+    for kernel in binary:
+        with pytest.raises(SpaceMismatch):
+            kernel(u, two)
+        with pytest.raises(SpaceMismatch):
+            kernel(const_fn(u), u)
+        with pytest.raises(SpaceMismatch):
+            kernel(u, "nope")
+        with pytest.raises(ArityMismatch):
+            kernel(two, three)
+        with pytest.raises(DomainMismatch):
+            kernel(const_fn(u), const_fn(u, a=-1.0))
+    for unary in (lambda x: core.scalar_mul(2.0, x), core.norm, core.zero_like):
+        with pytest.raises(SpaceMismatch):
+            unary("nope")
+
+
+def test_function_kernels_align_node_grids():
+    # two functions on different node grids of one domain meet on the union grid
+    f = FuzzyFunction(np.linspace(0.0, 1.0, 3), tuple(tri(x, x + 1, x + 3) for x in np.linspace(0.0, 1.0, 3)))
+    g = FuzzyFunction(np.linspace(0.0, 1.0, 4), tuple(tri(-x, 0.5 - x, 1 - x) for x in np.linspace(0.0, 1.0, 4)))
+    union = np.union1d(f.nodes, g.nodes)
+    fu, gu = f.resample_nodes(union), g.resample_nodes(union)
+    pairs = list(zip(fu.values, gu.values))
+    added = core.add(f, g)
+    assert np.array_equal(added.nodes, union) and added.values == tuple(core.add(u, v) for u, v in pairs)
+    s = core.add(f, g)
+    assert core.hukuhara_diff(s, g).values == tuple(core.hukuhara_diff(w, v) for w, v in zip(s.values, gu.values))
+    assert core.distance(f, g) == max(core.distance(u, v) for u, v in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +289,7 @@ def test_function_json_roundtrip():
     obj = spaces.function_to_json(f)
     assert obj["a"] == 0.0 and obj["b"] == 1.0
     g = spaces.function_from_json(obj)
-    assert spaces.sup_distance(f, g) == 0.0
+    assert core.distance(f, g) == 0.0
     with pytest.raises(ValueError):
         spaces.function_from_json({"nodes": [0, 1]})
 

@@ -22,6 +22,16 @@ returns that same object (constant forcing always does).  A trajectory
 therefore keeps (max order + 1) elements per ladder alive, and its
 ``evaluate`` is not for concurrent use from several threads.
 
+Evaluation is batched by time: a trajectory's ``evaluate`` takes a
+sequence of times and returns one state per time, the solvers evaluate
+their whole grid in one call, and the series at all those times is one
+batched `core.combine_rows` of the ladder (the forced solve batches the
+free part T(t)(u0) of every time).  The quadrature's integrand maps an
+interval's 15 Gauss-Kronrod nodes to 15 values, and the nodes of each run
+whose forcing value is one object are one batch, so constant forcing takes
+one batch per interval.  Every value is bit-identical to the one-time
+evaluation.
+
 A finite-difference residual checker probes whether a trajectory
 satisfies the differential equation in the generalized sense: at each
 sample time it forms the four one-sided difference quotients (forward /
@@ -35,7 +45,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import partial
+from itertools import groupby, islice
 from typing import Callable
 
 import numpy as np
@@ -49,7 +60,7 @@ from .errors import (
     UnsupportedVelocity,
 )
 from .operators import LinearOperator
-from .semigroup import SemigroupEvaluator, _coefficients, required_order
+from .semigroup import SemigroupEvaluator, _coefficients, partial_sums, required_order
 from .spaces import FuzzyFunction, ProductElement, pair
 
 DEFAULT_TIME_NODES = 64
@@ -119,11 +130,11 @@ class CauchyProblem:
 class Trajectory:
     """Sampled solution: states at increasing times starting from 0.
 
-    ``evaluate`` re-solves at an arbitrary time; the residual checker uses
-    it to form difference quotients at shifted times.  The solvers'
-    evaluators hold the trajectory's power ladders, a cache that grows on
-    use, so one ``evaluate`` must not be called from several threads at
-    once.
+    ``evaluate`` maps a sequence of arbitrary times to one state per time;
+    the residual checker uses it to re-solve at shifted times.  The
+    solvers' evaluators hold the trajectory's power ladders, a cache that
+    grows on use and lives as long as the trajectory, so one ``evaluate``
+    must not be called from several threads at once.
     """
 
     times: np.ndarray
@@ -157,12 +168,14 @@ def uniform_times(horizon: float, n_nodes: int = DEFAULT_TIME_NODES) -> np.ndarr
 def _refined_integral(f: Callable, t_end: float, tol: float):
     """Adaptive Gauss-Kronrod integral of f over [0, t_end] to within tol.
 
-    An interval's 15-point Kronrod sum is accepted when its distance to
-    the 7-point Gauss sum over the same values is at most the interval's
-    tol; otherwise the interval is bisected and each half gets half the
-    tol.  Intervals are refined depth first, left half first, and accepted
-    sums are added left to right, so the result is deterministic.  All
-    weights are positive, so every step holds levelwise.
+    ``f`` maps the list of an interval's 15 nodes to their 15 values, so
+    the caller can evaluate them in one batch.  The interval's 15-point
+    Kronrod sum is accepted when its distance to the 7-point Gauss sum
+    over the same values is at most the interval's tol; otherwise the
+    interval is bisected and each half gets half the tol.  Intervals are
+    refined depth first, left half first, and accepted sums are added left
+    to right, so the result is deterministic.  All weights are positive,
+    so every step holds levelwise.
 
     A rejected interval whose tol share is below a few ulps of its Kronrod
     sum raises `QuadratureStall` at once: rounding alone moves the sum by
@@ -179,7 +192,7 @@ def _refined_integral(f: Callable, t_end: float, tol: float):
             raise QuadratureStall(f"no convergence to {tol} within {_QUAD_MAX_INTERVALS} intervals")
         a, b, share = pending.pop()
         centre, half = 0.5 * (a + b), 0.5 * (b - a)
-        vals = [f(centre + half * x) for x in _GK_NODES]
+        vals = list(f([centre + half * x for x in _GK_NODES]))
         kronrod = core.combine([half * w for w in _GK_KRONROD], vals)
         gauss = core.combine([half * w for w in _GK_GAUSS], vals[1::2])
         evaluated += 1
@@ -207,26 +220,35 @@ def solve_first_order(problem: CauchyProblem, grid: np.ndarray | None = None) ->
     # alive, so an `is` match cannot come from a recycled object id
     forcing_powers = [None]
 
-    def integrand(part, t: float, s: float):
-        g = problem.forcing(s)
-        if forcing_powers[0] is not g:
-            forcing_powers[:] = [g]
-        return part.at(t - s, g, forcing_powers)
+    def integrand(part, t: float, nodes):
+        # every forcing value is held until the batch is done, so runs of
+        # nodes whose value is one object can be told apart by id
+        values = [problem.forcing(s) for s in nodes]
+        out = []
+        for _, run in groupby(zip(values, nodes), key=lambda pair: id(pair[0])):
+            run = list(run)
+            g = run[0][0]
+            if forcing_powers[0] is not g:
+                forcing_powers[:] = [g]
+            out += part.evaluate([t - s for _, s in run], g, forcing_powers)
+        return out
 
-    def evaluate(t: float):
-        t = float(t)
-        if t == 0.0:
-            return problem.initial
+    def evaluate(times):
+        times = [float(t) for t in times]
         if problem.forcing is None:
-            return flow.at(t, problem.initial, initial_powers)
+            return flow.evaluate(times, problem.initial, initial_powers)
         # The truncation errors of T(t)(u0) and of every integrand value
         # (integrated over [0, t]) share one half of tol, the quadrature
         # takes the other half.
-        part = SemigroupEvaluator(problem.operator, "exp", 0.5 * problem.tol / (1.0 + abs(t)))
-        forced = _refined_integral(lambda s: integrand(part, t, s), t, 0.5 * problem.tol)
-        return core.add(part.at(t, problem.initial, initial_powers), forced)
+        parts = [SemigroupEvaluator(problem.operator, "exp", 0.5 * problem.tol / (1.0 + abs(t))) for t in times]
+        orders = [part.order_for(t, problem.initial) for part, t in zip(parts, times)]
+        free = partial_sums(problem.operator, "exp", times, problem.initial, orders, initial_powers)
+        return [
+            u if t == 0.0 else core.add(u, _refined_integral(partial(integrand, part, t), t, 0.5 * problem.tol))
+            for t, part, u in zip(times, parts, free)
+        ]
 
-    return Trajectory(times, tuple(evaluate(t) for t in times), evaluate)
+    return Trajectory(times, evaluate(times), evaluate)
 
 
 def solve_second_order(problem: CauchyProblem, grid: np.ndarray | None = None) -> Trajectory:
@@ -245,11 +267,10 @@ def solve_second_order(problem: CauchyProblem, grid: np.ndarray | None = None) -
     flow = SemigroupEvaluator(problem.operator, "cosh", problem.tol)
     initial_powers = [problem.initial]
 
-    def evaluate(t: float):
-        t = float(t)
-        return problem.initial if t == 0.0 else flow.at(t, problem.initial, initial_powers)
+    def evaluate(times):
+        return flow.evaluate(times, problem.initial, initial_powers)
 
-    return Trajectory(times, tuple(evaluate(t) for t in times), evaluate)
+    return Trajectory(times, evaluate(times), evaluate)
 
 
 def solve_wave(
@@ -317,7 +338,8 @@ def residual_check(
     At each sample time the residual is the minimum, over the one-sided
     quotient forms whose partial difference exists, of the distance to
     A[u(t)] + g(t); the trajectory is re-solved at t +- h through its
-    evaluator.  Returns the maximum residual over the sampled times;
+    evaluator, in one call covering t, t + h and t - h for every sample
+    time.  Returns the maximum residual over the sampled times;
     raises NoApplicableForm when no quotient exists at some time.
     """
     if not h > 0:
@@ -328,12 +350,13 @@ def residual_check(
         if traj.times.size < 3:
             raise ValueError("trajectory too short; pass explicit times")
         times = traj.times[1:-1]
+    times = [float(t) for t in np.asarray(times, dtype=float)]
+    # one batch: every t, then every t + h, then every t - h
+    states = traj.evaluate([*times, *(t + h for t in times), *(t - h for t in times)])
+    n = len(times)
     worst = 0.0
-    for t in np.asarray(times, dtype=float):
-        t = float(t)
-        here = traj.evaluate(t)
-        after = traj.evaluate(t + h)
-        before = traj.evaluate(t - h)
+    for i, t in enumerate(times):
+        here, after, before = states[i], states[n + i], states[2 * n + i]
         target = operator(here)
         if forcing is not None:
             target = core.add(target, forcing(t))

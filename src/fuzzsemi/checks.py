@@ -666,7 +666,7 @@ def suite_solver(seed: int):
 
     # the forced solve's quadrature integrates an affine integrand exactly
     uu = core.make_triangular(-1.0, 0.5, 3.0)
-    got = cauchy._refined_integral(lambda s: core.scalar_mul(s, uu), 1.0, 1e-14)
+    got = cauchy._refined_integral(lambda nodes: [core.scalar_mul(s, uu) for s in nodes], 1.0, 1e-14)
     worst_q = core.distance(got, core.scalar_mul(0.5, uu))
     recs.append(_rec("solver", "quadrature_affine_exact", 1, worst_q, 1e-14))
 
@@ -690,12 +690,12 @@ def suite_solver(seed: int):
     naive = cauchy.Trajectory(
         times,
         tuple(cauchy.naive_problem5_formula(nu0, nv0, float(t)) for t in times),
-        lambda t: cauchy.naive_problem5_formula(nu0, nv0, float(t)),
+        lambda ts: [cauchy.naive_problem5_formula(nu0, nv0, float(t)) for t in ts],
     )
     true = cauchy.Trajectory(
         times,
         tuple(cauchy.problem5_closed_form(nu0, nv0, float(t)) for t in times),
-        lambda t: cauchy.problem5_closed_form(nu0, nv0, float(t)),
+        lambda ts: [cauchy.problem5_closed_form(nu0, nv0, float(t)) for t in ts],
     )
     naive_low = min(
         cauchy.residual_check(naive, coupled, h=h, times=[1.0]) for h in (1e-2, 1e-3, 1e-4)

@@ -132,8 +132,7 @@ def _system_example(matrix, order, closed_form, args, times, tol):
 def _remark_a_example(args, times, tol):
     c = x = core.make_triangular(0.0, 1.0, 2.0, args.levels)  # the constant and the initial value
     ev = semigroup.SemigroupEvaluator(builtin("RemarkA", c), "exp", tol)
-    powers = [x]  # one power ladder for every time
-    traj = cauchy.Trajectory(times, [ev.at(float(t), x, powers) for t in times])
+    traj = cauchy.Trajectory(times, ev.evaluate(times, x))  # one power ladder for every time
     return traj, [semigroup.generator_pair_closed_form(c, x, float(t), "A") for t in times]
 
 

@@ -16,11 +16,13 @@ axes are (lower/upper, level): (2, levels) for a fuzzy number, and
 each is written once: a function's or product's operation is the number's
 at every node or component.  This module is the only element algebra: its
 kernels check their own operands (one kind, one arity, one domain) through
-the `Leaf._match` hook that `spaces` overrides, and `combine` forms every
-real linear combination sum_j c_j x_j the series, quadrature and lifted
-matrices need.  Levelwise that is midpoint-radius interval arithmetic
-(Rump, BIT 39, 1999): a negative factor swaps the endpoints, a zero gives
-+0.0, and the rule is written once, in `_scaled`.
+the `Leaf._match` hook that `spaces` overrides, and `combine_rows` forms
+every real linear combination sum_j c_j x_j the series, quadrature and
+lifted matrices need, many at once: one left-to-right accumulation over
+the terms, one coefficient row per output (`combine` is its one-row case).
+Levelwise that is midpoint-radius interval arithmetic (Rump, BIT 39,
+1999): a negative factor swaps the endpoints, a zero gives +0.0, and the
+rule is written once, in `_scaled`, for a coefficient per row.
 """
 
 from __future__ import annotations
@@ -320,44 +322,80 @@ def add(u: Leaf, v: Leaf) -> Leaf:
     return u._with(u.ends + v.ends)
 
 
-def _scaled(lam: float, ends: np.ndarray) -> np.ndarray:
-    # lam * [lower, upper] levelwise: a negative factor swaps the endpoints,
-    # a zero gives +0.0 (never -0.0); lam must be a Python float
-    if lam == 0.0:
-        return np.zeros_like(ends)
-    return lam * (ends if lam > 0.0 else ends[..., ::-1, :])
+def _scaled(lams: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    # lams[i] * [lower, upper] levelwise, one row per factor: a negative
+    # factor swaps the endpoints, a zero gives +0.0 (never -0.0)
+    factors = lams.tolist()  # plain floats: cheaper to test than numpy reductions
+    col = lams.reshape((-1,) + (1,) * ends.ndim)
+    if max(factors) < 0.0:
+        return ends[..., ::-1, :] * col
+    out = ends * col
+    if min(factors) < 0.0:
+        flip = lams < 0.0
+        out[flip] = out[flip][..., ::-1, :]
+    if 0.0 in factors:
+        out[lams == 0.0] = 0.0
+    return out
 
 
 def scalar_mul(lam: float, u: Leaf) -> Leaf:
     """Levelwise scaled interval; negative factors swap the endpoints."""
-    return _leaf(u)._with(_scaled(float(lam), u.ends))
+    return _leaf(u)._with(_scaled(np.array([float(lam)]), u.ends)[0])
 
 
-def combine(coeffs, xs) -> Leaf:
-    """The linear combination sum_j coeffs[j] * xs[j] of leaves of one kind.
+def combine_rows(rows, xs) -> list:
+    """One linear combination sum_j row[j] * xs[j] per coefficient row.
 
-    Each term is scaled as `scalar_mul` scales it, on its own grids, and the
+    A row may be shorter than ``xs``: row r combines ``xs[:len(r)]``.  Each
+    term is scaled as `scalar_mul` scales it, on its own grids, and the
     terms are added left to right as `add` adds them (resampling onto the
-    union grid only after scaling), so the result equals that chain of
-    kernels bit for bit.  Mixed-sign coefficients are never merged: in this
-    algebra (a + b) x and a x + b x differ when a b < 0.  ``coeffs`` and
-    ``xs`` must have the same, nonzero length.
+    union grid only after scaling, and only when a term's grids differ), so
+    every row equals that chain of kernels bit for bit.  A row that has
+    ended takes no further terms.  Mixed-sign coefficients are never
+    merged: in this algebra (a + b) x and a x + b x differ when a b < 0.
     """
-    grids = total = None  # the running sum's grids (a leaf) and endpoints
-    for lam, x in zip(coeffs, xs, strict=True):
-        term = _scaled(float(lam), _leaf(x).ends)
+    lengths = [len(r) for r in rows]
+    if not rows or min(lengths) < 1:
+        raise ValueError("a linear combination needs at least one term")
+    if max(lengths) > len(xs):
+        raise ValueError("a coefficient row is longer than the terms")
+    # longest rows first, so the rows still summing are always a prefix;
+    # factors[i] is the i-th longest row, padded with zeros that are never read
+    n = max(lengths)
+    rank = sorted(range(len(rows)), key=lengths.__getitem__, reverse=True)
+    factors = np.array([[*rows[r], *[0.0] * (n - lengths[r])] for r in rank], dtype=float)
+    out = [None] * len(rows)
+    grids = total = None  # the running sums' grids (a leaf) and endpoints
+    live = len(rows)
+    for j in range(n):
+        while lengths[rank[live - 1]] == j:  # rows that ended before term j
+            live -= 1
+            out[rank[live]] = grids._with(total[live])
+        x = _leaf(xs[j])
+        term = _scaled(factors[:live, j], x.ends)
         if grids is None:
             grids, total = x, term
             continue
         shared = common_grid(grids, x)  # checks the kind; returns the same pair on shared grids
         if shared[0] is grids and shared[1] is x:
+            total = total[:live]
             total += term
-        else:  # resample the sum and the scaled term onto common grids, as add does
-            grids, x = common_grid(grids._with(total), x._with(term))
-            total = grids.ends + x.ends
-    if grids is None:
-        raise ValueError("a linear combination needs at least one term")
-    return grids._with(total)
+        else:  # resample each sum and scaled term onto common grids, as add does
+            pairs = [common_grid(grids._with(s), x._with(t)) for s, t in zip(total[:live], term)]
+            grids = pairs[0][0]
+            total = np.stack([u.ends + v.ends for u, v in pairs])
+    for i in range(live):
+        out[rank[i]] = grids._with(total[i])
+    return out
+
+
+def combine(coeffs, xs) -> Leaf:
+    """The linear combination sum_j coeffs[j] * xs[j] of leaves of one kind:
+    the one-row case of `combine_rows`.  ``coeffs`` and ``xs`` must have
+    the same, nonzero length."""
+    if len(coeffs) != len(xs):
+        raise ValueError("need one coefficient per term")
+    return combine_rows([coeffs], xs)[0]
 
 
 def hukuhara_diff(u: Leaf, v: Leaf) -> Leaf:

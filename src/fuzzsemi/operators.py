@@ -235,7 +235,7 @@ def builtin(name: str, c: FuzzyNumber | None = None) -> LinearOperator:
 def lift_matrix(entries) -> LinearOperator:
     """Lift a real k x k matrix to product elements: image_i = sum_j a_ij * w_j.
 
-    Each row is one `core.combine` of the components.  Fully linear; the
+    The rows are one `core.combine_rows` of the components.  Fully linear; the
     certified bound is the max absolute row sum.
     """
     m = np.asarray(entries, dtype=float)
@@ -249,7 +249,7 @@ def lift_matrix(entries) -> LinearOperator:
 
     def fn(w):
         parts = w.components
-        return w._with(np.stack([core.combine(row, parts).ends for row in rows]))
+        return w._with(np.stack([image.ends for image in core.combine_rows(rows, parts)]))
 
     label = "matrix[" + "; ".join(" ".join(f"{v:g}" for v in row) for row in m) + "]"
     return LinearOperator(fn, bound, LINEAR, label, ("product", k))

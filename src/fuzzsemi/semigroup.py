@@ -2,8 +2,12 @@
 
 The exponential family T(t)(x) is the formal series sum_p (t^p / p!) A^p(x)
 accumulated with fuzzy addition; cosh and sinh use the even and odd
-coefficients t^2p / (2p)! and t^(2p-1) / (2p-1)! on A^p.  A partial sum
-is one `core.combine` of the powers A^p(x).
+coefficients t^2p / (2p)! and t^(2p-1) / (2p-1)! on A^p.  The powers
+A^p(x) do not depend on t, so the partial sums at many times are one
+`core.combine_rows` of the same powers, one coefficient row per time
+(`partial_sums`; Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011, reuse
+one set of powers for e^{tA}b at many t the same way).  Each row is summed
+in the same order as on its own, so batching changes no bit.
 Because scalar addition does not distribute over mixed-sign factors in
 this algebra, the sum is evaluated literally term by term -- coefficients
 are never merged.  Merging coefficients of mixed sign is what is unsound
@@ -16,8 +20,10 @@ Truncation is controlled rigorously: the Cauchy tail of the series is
 bounded by sum_{i>m} (|t| M)^i / i! (and the even/odd analogues
 sum |t|^{2i} M^i / (2i)! etc.) where M is the operator's certified norm
 bound.  `_coefficients(kind, t, m)` is the one ladder c_p(t) m^p of each
-kind: `series_apply` and the wave solver take m = 1, and `required_order`
-takes (|t|, M) to pick the smallest order whose exact tail is below target.
+kind: `partial_sums` and the wave solver take m = 1, and `required_order`
+takes (|t|, M) to pick the smallest order whose exact tail is below target;
+`SemigroupEvaluator.evaluate` asks it for each time's order separately
+and sums all the times in one batch.
 """
 
 from __future__ import annotations
@@ -59,7 +65,9 @@ def required_order(t: float, bound: float, tol: float, kind: str = "exp") -> int
 
     The tail sum_{i>m} term_i is evaluated by direct summation, stopping
     once terms fall below tol * 1e-3 with a geometric remainder bound for
-    what is left, so the reported tail is a rigorous upper bound.
+    what is left, so the reported tail is a rigorous upper bound.  A term
+    that is exactly 0 (t^2 M or t M underflowed) ends the tail: every
+    later term is a multiple of it.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -72,6 +80,8 @@ def required_order(t: float, bound: float, tol: float, kind: str = "exp") -> int
     cutoff = tol * _TAIL_TERM_CUTOFF
     for term in _coefficients(kind, abs(t), bound):
         terms.append(term)
+        if term == 0.0:  # every later term is a multiple of this one: the tail is 0
+            break
         if len(terms) >= 2 and term < terms[-2] and term < cutoff:
             break
         if not math.isfinite(term) or len(terms) >= _MAX_TERMS:
@@ -94,15 +104,18 @@ def required_order(t: float, bound: float, tol: float, kind: str = "exp") -> int
     return order
 
 
-def series_apply(op: LinearOperator, kind: str, t: float, x, order: int, powers: list | None = None):
-    """Partial sum of the operator series at the given truncation order.
+def partial_sums(op: LinearOperator, kind: str, times, x, orders, powers: list | None = None) -> list:
+    """Partial sums of the operator series, orders[i] terms at times[i].
 
-    Powers come from the ladder y_0 = x, y_{p+1} = A(y_p) and coefficients
-    from incremental factor multiplication, with a fixed left-to-right
-    fuzzy-addition order for reproducibility.
+    Powers come from the ladder y_0 = x, y_{p+1} = A(y_p), extended once to
+    the largest order, and each time's coefficients from incremental factor
+    multiplication.  All the sums are one `core.combine_rows` over that
+    ladder, with a fixed left-to-right fuzzy-addition order, so each equals
+    its own `series_apply` bit for bit.  Order 0 gives x itself (the zero
+    element for sinh).
 
     ``powers`` is an optional ladder ``[x, A(x), A^2(x), ...]`` owned by the
-    caller; it must start with x itself.  The entries this order needs
+    caller; it must start with x itself.  The entries these orders need
     are read from it and the missing ones are appended in place, so later
     calls for the same x and operator -- at other times, kinds or
     tolerances -- apply the operator only past the longest order seen.  The
@@ -111,19 +124,27 @@ def series_apply(op: LinearOperator, kind: str, t: float, x, order: int, powers:
     and the operator's outputs are not mutated (every element type here is
     immutable).
     """
-    coeffs = islice(_coefficients(kind, t), order)
+    rows = [list(islice(_coefficients(kind, t), order)) for t, order in zip(times, orders, strict=True)]
     if powers is None:
         powers = [x]
     elif not powers or powers[0] is not x:
         raise ValueError("the power ladder must start with x itself")
-    while len(powers) <= order:
+    while len(powers) <= max(orders, default=0):
         powers.append(op(powers[-1]))
-    if order == 0:
-        return core.zero_like(x) if kind == "sinh" else x
     # exp and cosh start from the identity term x; sinh has none
     if kind == "sinh":
-        return core.combine(list(coeffs), powers[1:order + 1])
-    return core.combine([1.0, *coeffs], powers[:order + 1])
+        unit, terms = core.zero_like(x), powers[1:]
+    else:
+        unit, terms, rows = x, powers, [[1.0, *row] if row else row for row in rows]
+    filled = [row for row in rows if row]
+    sums = iter(core.combine_rows(filled, terms) if filled else ())
+    return [next(sums) if row else unit for row in rows]
+
+
+def series_apply(op: LinearOperator, kind: str, t: float, x, order: int, powers: list | None = None):
+    """Partial sum of the operator series at one time and truncation order:
+    the one-time case of `partial_sums`, which describes ``powers``."""
+    return partial_sums(op, kind, (t,), x, (order,), powers)[0]
 
 
 @dataclass(frozen=True)
@@ -148,18 +169,30 @@ class SemigroupEvaluator:
             raise ValueError("operator norm bound must be finite")
 
     def order_for(self, t: float, x) -> int:
-        scale = max(1.0, core.norm(x))
-        return required_order(t, self.operator.norm_bound, self.tol / scale, self.kind)
+        return self._orders((t,), x)[0]
+
+    def _orders(self, times, x) -> list:
+        tol = self.tol / max(1.0, core.norm(x))
+        return [required_order(t, self.operator.norm_bound, tol, self.kind) for t in times]
+
+    def evaluate(self, times, x, powers: list | None = None) -> list:
+        """Truncated series at each of ``times``, in order; exact identity (or
+        zero, for sinh) at t = 0.
+
+        Each time gets its own order, the ladder is extended once to the
+        largest, and all the sums are one batched combination (see
+        `partial_sums`), each bit-identical to its own `at`.  ``powers`` is
+        an optional power ladder ``[x, A(x), ...]`` for x that the caller
+        keeps across calls.  It does not depend on t, the kind or tol, so
+        one ladder serves every evaluation of the same x under the same
+        operator.
+        """
+        times = [float(t) for t in times]
+        return partial_sums(self.operator, self.kind, times, x, self._orders(times, x), powers)
 
     def at(self, t: float, x, powers: list | None = None):
-        """Truncated series at time t; exact identity (or zero, for sinh) at t = 0.
-
-        ``powers`` is an optional power ladder ``[x, A(x), ...]`` for x that
-        the caller keeps across calls; see `series_apply`.  It does not
-        depend on t, the kind or tol, so one ladder serves every evaluation
-        of the same x under the same operator.
-        """
-        return series_apply(self.operator, self.kind, float(t), x, self.order_for(t, x), powers)
+        """Truncated series at one time t: the one-time case of `evaluate`."""
+        return self.evaluate((t,), x, powers)[0]
 
     __call__ = at
 

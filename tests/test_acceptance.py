@@ -164,11 +164,11 @@ def test_criterion_06_nonsolution_witness():
     times = np.array([0.0, 0.5, 1.0])
     naive = Trajectory(
         times, tuple(naive_problem5_formula(nu0, nv0, float(t)) for t in times),
-        lambda t: naive_problem5_formula(nu0, nv0, float(t)),
+        lambda ts: [naive_problem5_formula(nu0, nv0, float(t)) for t in ts],
     )
     true = Trajectory(
         times, tuple(problem5_closed_form(nu0, nv0, float(t)) for t in times),
-        lambda t: problem5_closed_form(nu0, nv0, float(t)),
+        lambda ts: [problem5_closed_form(nu0, nv0, float(t)) for t in ts],
     )
     for h in (1e-2, 1e-3, 1e-4):
         assert residual_check(naive, op, h=h, times=[1.0]) >= 0.5 * e_norm

@@ -129,9 +129,9 @@ def test_refined_integral_exact_for_polynomials():
     # both rules integrate degree 10 exactly, so one interval of 15 values suffices
     calls = []
 
-    def f(s):
-        calls.append(s)
-        return core.crisp(s ** 10)
+    def f(nodes):
+        calls.extend(nodes)
+        return [core.crisp(s ** 10) for s in nodes]
 
     got = cauchy._refined_integral(f, 2.0, 1e-9)
     assert len(calls) == 15
@@ -190,6 +190,34 @@ def test_fresh_forcing_objects_match_closed_form():
     assert len(calls) > 15 * 4  # no ladder is shared between forcing values
     for t, st in zip(traj.times, traj.states):
         assert _endpoint_gap(st, _scale_forced_endpoints(1.0, U0, g, float(t))) <= 1e-9
+
+
+def test_forcing_alternating_between_two_objects_matches_closed_form(monkeypatch):
+    # two equal values as distinct objects, switching several times inside
+    # every interval: each run of one object is its own batch
+    ga, gb = core.make_triangular(-0.5, 0.2, 0.8), core.make_triangular(-0.5, 0.2, 0.8)
+    batches = []
+    evaluate = SemigroupEvaluator.evaluate
+
+    def counted(self, times, x, powers=None):
+        if x is ga or x is gb:
+            batches.append(len(times))
+        return evaluate(self, times, x, powers)
+
+    monkeypatch.setattr(SemigroupEvaluator, "evaluate", counted)
+    problem = CauchyProblem(
+        scale_operator(1.0), U0, forcing=lambda s: ga if math.floor(40.0 * s) % 2 else gb, horizon=1.0, tol=1e-9
+    )
+    grid = cauchy.uniform_times(1.0, 5)
+    traj = solve_first_order(problem, grid)
+    assert sum(batches) % 15 == 0 and len(batches) > sum(batches) // 15
+    for t, st in zip(traj.times, traj.states):
+        assert _endpoint_gap(st, _scale_forced_endpoints(1.0, U0, ga, float(t))) <= 1e-9
+    # constant forcing: one batch of 15 nodes per Gauss-Kronrod interval
+    batches.clear()
+    problem = CauchyProblem(scale_operator(1.0), U0, forcing=lambda s: ga, horizon=1.0, tol=1e-9)
+    solve_first_order(problem, grid)
+    assert batches and set(batches) == {15}
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +419,7 @@ def test_wave_requires_bound():
 
 def test_residual_zero_for_constant_solution():
     times = np.array([0.0, 0.5, 1.0])
-    traj = Trajectory(times, (U0, U0, U0), lambda t: U0)
+    traj = Trajectory(times, (U0, U0, U0), lambda ts: [U0 for _ in ts])
     assert residual_check(traj, zero_operator(), h=1e-3) == 0.0
 
 
@@ -409,7 +437,7 @@ def test_residual_decreases_with_h_on_closed_form():
     traj = Trajectory(
         np.array([0.0, 0.5, 1.0]),
         tuple(generator_pair_closed_form(C, U0, t, "A") for t in (0.0, 0.5, 1.0)),
-        lambda t: generator_pair_closed_form(C, U0, float(t), "A"),
+        lambda ts: [generator_pair_closed_form(C, U0, float(t), "A") for t in ts],
     )
     op = builtin("RemarkA", C)
     r1 = residual_check(traj, op, h=1e-2)
@@ -428,11 +456,11 @@ def test_residual_distinguishes_naive_formula():
     op = lift_matrix(cauchy.COUPLED_MATRIX)
     naive = Trajectory(
         times, tuple(naive_problem5_formula(nu0, nv0, float(t)) for t in times),
-        lambda t: naive_problem5_formula(nu0, nv0, float(t)),
+        lambda ts: [naive_problem5_formula(nu0, nv0, float(t)) for t in ts],
     )
     true = Trajectory(
         times, tuple(problem5_closed_form(nu0, nv0, float(t)) for t in times),
-        lambda t: problem5_closed_form(nu0, nv0, float(t)),
+        lambda ts: [problem5_closed_form(nu0, nv0, float(t)) for t in ts],
     )
     for h in (1e-2, 1e-3, 1e-4):
         assert residual_check(naive, op, h=h, times=[1.0]) >= 0.5 * e_norm
@@ -447,7 +475,7 @@ def test_residual_negative_time_uses_reversed_forms():
 
     ev = SemigroupEvaluator(identity(), "exp", 1e-12)
     traj = Trajectory(
-        np.array([0.0, 1.0]), (U0, ev.at(1.0, U0)), lambda t: ev.at(float(t), U0)
+        np.array([0.0, 1.0]), (U0, ev.at(1.0, U0)), lambda ts: ev.evaluate(ts, U0)
     )
     with pytest.raises(HDifferenceError):
         core.hukuhara_diff(ev.at(-0.5 + 1e-3, U0), ev.at(-0.5, U0))
@@ -474,6 +502,41 @@ def test_residual_with_forcing_term():
     assert res_wrong > 0.9
 
 
+def _residual_per_time(traj, operator, forcing, h, times):
+    # the checker's definition, one time and one evaluation at a time
+    worst = 0.0
+    for t in times:
+        t = float(t)
+        (here,), (after,), (before,) = traj.evaluate([t]), traj.evaluate([t + h]), traj.evaluate([t - h])
+        target = operator(here)
+        if forcing is not None:
+            target = core.add(target, forcing(t))
+        worst = max(worst, min(core.distance(q, target) for q in cauchy._quotient_forms(before, here, after, h)))
+    return worst
+
+
+def test_residual_check_equals_per_time_loop():
+    # sample times below h put negative re-solve times in the same batch as
+    # positive ones; the batched checker must return the very same float
+    h = 1e-3
+    times = [0.0, 4e-4, 0.2, 0.55, 1.0]
+    op = lift_matrix(cauchy.COUPLED_MATRIX)
+    crisp_pair = pair(core.crisp(0.5), core.crisp(-1.0))
+    one = core.crisp(1.0)
+    cases = (
+        (op, CauchyProblem(op, pair(U0, V0), horizon=1.0, tol=1e-9), None),
+        (op, CauchyProblem(op, crisp_pair, horizon=1.0, tol=1e-9), None),
+        (builtin("RemarkA", C), CauchyProblem(builtin("RemarkA", C), U0, horizon=1.0, tol=1e-9), None),
+        (scale_operator(1.0), CauchyProblem(scale_operator(1.0), one, forcing=lambda s: one, tol=1e-8), lambda t: one),
+    )
+    for operator, problem, forcing in cases:
+        sample = times if forcing is None else times[2:]  # the forced re-solve needs t - h > 0
+        traj = solve_first_order(problem, np.array([0.0]))
+        fresh = solve_first_order(problem, np.array([0.0]))
+        got = residual_check(traj, operator, forcing=forcing, h=h, times=sample)
+        assert got == _residual_per_time(fresh, operator, forcing, h, sample)
+
+
 def test_residual_requires_evaluator():
     traj = Trajectory(np.array([0.0, 0.5, 1.0]), (U0, U0, U0))
     with pytest.raises(ValueError):
@@ -489,7 +552,7 @@ def test_residual_no_applicable_form():
         return core.FuzzyNumber(r, (1.0 + t) * r, 4.0 - (1.0 - t / 2.0) * r)
 
     times = np.array([0.0, 0.6, 1.2])
-    traj = Trajectory(times, tuple(twisted(t) for t in times), twisted)
+    traj = Trajectory(times, tuple(twisted(t) for t in times), lambda ts: [twisted(t) for t in ts])
     with pytest.raises(NoApplicableForm):
         residual_check(traj, zero_operator(), h=0.3, times=[0.6])
 

@@ -131,6 +131,22 @@ def test_solve_matrix_second_order(tmp_path):
     assert csv_path.exists()
 
 
+def test_solve_tiny_horizon_second_order(tmp_path):
+    # t^2 * M underflows to 0 on the whole grid: every state is u0 itself
+    cfg = write_config(tmp_path, {
+        "order": 2,
+        "operator": {"kind": "scale", "factor": 0.5},
+        "u0": {"tri": [0, 1, 2]},
+        "T": 1e-170,
+    })
+    out = tmp_path / "traj.json"
+    assert run("solve", cfg, "--out", str(out)) == 0
+    payload = json.loads(out.read_text())
+    u0 = core.make_triangular(0, 1, 2)
+    for state in payload["states"]:
+        assert state["lower"] == u0.lower.tolist() and state["upper"] == u0.upper.tolist()
+
+
 def test_solve_second_order_rejects_forcing(tmp_path, capsys):
     config = {
         "order": 2,

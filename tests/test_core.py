@@ -381,6 +381,31 @@ def test_combine_matches_left_to_right_chain_bit_for_bit():
         core.combine((1.0, 2.0), numbers[:1])
 
 
+def test_combine_rows_match_each_row_bit_for_bit():
+    # rows of different lengths in one batch, with +, -, 0 and -0.0 factors:
+    # each row equals its own combine and the left-to-right chain, including
+    # where a term on a new level grid resamples only the rows still summing
+    rows = [(1.5, -0.7, 0.0, -0.0, 0.3, -2.25), (-0.5,), (0.0, 2.0, -1.0), (-0.0, -0.0), (0.25, 0.5, 0.75, 1.0, -1.0)]
+    numbers = [tri(-1, 0.5, 3, m) for m in (4, 7, 5, 4, 6, 3)]
+    nodes = np.linspace(0.0, 1.0, 4)
+    functions = [FuzzyFunction(nodes, tuple(core.scalar_mul(1.0 + x, u) for x in nodes)) for u in numbers[:3]] * 2
+    products = [pair(u, v) for u, v in zip(numbers, numbers[::-1])]
+    signed = core.FuzzyNumber(core.level_grid(4), np.full(5, -0.0), np.linspace(1.0, -0.0, 5))
+    for xs in (numbers, functions, products, [signed] * 6):
+        got = core.combine_rows(rows, xs)
+        assert len(got) == len(rows)
+        for row, u in zip(rows, got):
+            want = _chain(row, xs[: len(row)])
+            assert type(u) is type(want) and _bits(u) == _bits(want)
+            assert np.array_equal(np.signbit(u.ends), np.signbit(want.ends))
+            assert _bits(u) == _bits(core.combine(row, xs[: len(row)]))
+    for u in core.combine_rows([(0.0,), (-0.0, 0.0)], numbers):  # a zero factor gives +0.0
+        assert not np.signbit(u.ends).any()
+    for bad in ([], [()], [(1.0,), ()], [(1.0,) * 7]):
+        with pytest.raises(ValueError):
+            core.combine_rows(bad, numbers)
+
+
 def test_operator_sugar():
     u, v = tri(0, 1, 2), tri(1, 2, 3)
     assert u + v == core.add(u, v)

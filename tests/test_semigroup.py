@@ -13,6 +13,7 @@ from fuzzsemi.semigroup import (
     exp_apply,
     generator_pair_closed_form,
     generator_residual,
+    partial_sums,
     required_order,
     series_apply,
     sinh_apply,
@@ -47,6 +48,18 @@ def test_required_order_frozen_values():
     assert required_order(0.0, 5.0, 1e-12, "exp") == 0
     assert required_order(1.0, 1.0, 1e-10, "exp") == 13
     assert required_order(1.0, 0.0, 1e-12, "cosh") == 0
+
+
+@pytest.mark.parametrize("kind", ["exp", "cosh", "sinh"])
+def test_required_order_is_zero_when_every_term_underflows(kind):
+    # t^2 M (and for 5e-324 also t M) underflows to 0: all terms are exactly 0,
+    # so the tail is 0 and no term is needed, instead of an overflow error
+    for t in (1e-170, 1e-300, 5e-324, -5e-324):
+        assert required_order(t, 0.5, 1e-9, kind) == 0
+        assert required_order(t, 0.5, 1e-9, kind) == helpers.tail_order(t, 0.5, 1e-9, kind)
+    ev = SemigroupEvaluator(builtin("RemarkA", C), kind, 1e-9)
+    got = ev.at(1e-170, X)
+    assert got is X if kind != "sinh" else got == core.zero_like(X)
 
 
 def test_required_order_validates():
@@ -181,6 +194,51 @@ def test_series_apply_matches_explicit_recurrences(kind):
             for order in (0, 1, 2, 7, 20):
                 got, want = series_apply(op, kind, t, x, order), _explicit_series(op, kind, t, x, order)
                 assert got.levels.tobytes() + got.ends.tobytes() == want.levels.tobytes() + want.ends.tobytes()
+
+
+def _neg_zero_endpoints():
+    # an element whose lower endpoints are -0.0 at every level: a sum that
+    # starts from it keeps -0.0 only while nothing but -0.0 is added
+    r = core.level_grid(8)
+    return core.FuzzyNumber(r, np.full(r.size, -0.0), 1.0 - r)
+
+
+@pytest.mark.parametrize("kind", ["exp", "cosh", "sinh"])
+def test_batched_evaluation_matches_explicit_series_bit_for_bit(kind):
+    # one batch holds times of both signs and exactly 0, so its rows have
+    # different orders (0 among them) and end at different terms
+    c7, x5 = core.make_triangular(0, 1, 2, 7), core.make_triangular(-1, 0.5, 3, 5)
+    cases = (
+        (lift_matrix(((0.5, -1.0), (1.0, 0.25))), pair(core.make_triangular(0, 1, 2), core.make_triangular(-1, 0.5, 3))),
+        (builtin("RemarkA", c7), x5),
+        (builtin("A2", c7), x5),
+        (identity(), _neg_zero_endpoints()),
+        (zero_operator(), _neg_zero_endpoints()),
+    )
+    times = (0.7, -0.4, 0.0, 3.0, -0.0, 1e-3, -2.5, 0.7)
+    for op, x in cases:
+        ev = SemigroupEvaluator(op, kind, 1e-9)
+        orders = [ev.order_for(t, x) for t in times]
+        assert len(set(orders)) >= 4 or op.norm_bound == 0.0
+        powers = [x]
+        got = ev.evaluate(times, x, powers)
+        assert len(got) == len(times) and len(powers) == max(orders) + 1
+        for t, order, u in zip(times, orders, got):
+            want = _explicit_series(op, kind, t, x, order)
+            assert type(u) is type(want)
+            assert u.levels.tobytes() + u.ends.tobytes() == want.levels.tobytes() + want.ends.tobytes()
+            assert np.array_equal(np.signbit(u.ends), np.signbit(want.ends))
+        # explicit orders, rows of every length up to 20 in one batch
+        sums = partial_sums(op, kind, times * 3, x, range(len(times) * 3), powers)
+        for t, order, u in zip(times * 3, range(len(times) * 3), sums):
+            want = _explicit_series(op, kind, t, x, order)
+            assert u.levels.tobytes() + u.ends.tobytes() == want.levels.tobytes() + want.ends.tobytes()
+
+
+def test_batched_evaluation_of_no_times_is_empty():
+    ev = SemigroupEvaluator(identity(), "exp", 1e-9)
+    powers = [X]
+    assert ev.evaluate([], X, powers) == [] and powers == [X]
 
 
 def test_series_apply_rejects_unknown_kind():

@@ -39,6 +39,8 @@ backward, direct / reversed orientation), keeps those whose partial
 difference exists, and compares the best of them against A[u(t)] + g(t).
 Negative-time evaluation is exposed but experimental: supports widen and
 partial differences may fail there; failures are reported, not hidden.
+A forced trajectory rejects negative times with `NegativeForcedTime`, so a
+residual check on it needs every sample time to be at least h.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from . import core
 from .errors import (
     HDifferenceError,
     MissingDerivativeBound,
+    NegativeForcedTime,
     NoApplicableForm,
     QuadratureStall,
     UnsupportedVelocity,
@@ -237,6 +240,9 @@ def solve_first_order(problem: CauchyProblem, grid: np.ndarray | None = None) ->
         times = [float(t) for t in times]
         if problem.forcing is None:
             return flow.evaluate(times, problem.initial, initial_powers)
+        bad = [t for t in times if not t >= 0.0]
+        if bad:
+            raise NegativeForcedTime(f"forced problems are solved for t >= 0 only, not at t = {bad[0]!r}")
         # The truncation errors of T(t)(u0) and of every integrand value
         # (integrated over [0, t]) share one half of tol, the quadrature
         # takes the other half.

@@ -10,7 +10,9 @@ Three subcommands:
 Exit codes: 0 success, 1 usage / schema / I-O error, 2 tolerance or
 verification failure.  Outputs carry a ``"schema": "fuzzsemi/1"`` field
 and contain no timestamps, so identical invocations produce byte-identical
-files.
+files.  Every JSON output is exactly
+``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline, written
+by one writer (`_JsonWriter`) that formats each distinct float list once.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import logging
 import math
 import os
 import sys
+from array import array
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -60,22 +64,20 @@ def state_to_json(state):
     return core.fuzzy_to_json(state)
 
 
-def _band(u: core.FuzzyNumber, r: float):
-    return (
-        float(np.interp(r, u.levels, u.lower)),
-        float(np.interp(r, u.levels, u.upper)),
-    )
-
-
 def _write_band_csv(path, times, states, bands):
+    band_texts = [repr(float(r)) for r in bands]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "component", "x", "r", "lower", "upper"])
         for t, state in zip(times, states):
+            t_text = repr(float(t))
             for comp, x, value in _iter_fuzzy(state):
-                for r in bands:
-                    lo, up = _band(value, r)
-                    writer.writerow([repr(float(t)), comp, x, repr(float(r)), repr(lo), repr(up)])
+                # all bands of an endpoint row in one interpolation each
+                lows = np.interp(bands, value.levels, value.lower).tolist()
+                ups = np.interp(bands, value.levels, value.upper).tolist()
+                writer.writerows(
+                    [t_text, comp, x, r, repr(lo), repr(up)] for r, lo, up in zip(band_texts, lows, ups)
+                )
 
 
 def _iter_fuzzy(state):
@@ -86,14 +88,84 @@ def _iter_fuzzy(state):
     return [("", "", state)]
 
 
+_SCALARS = (str, int, float, type(None))  # bool is an int
+
+
+class _JsonWriter:
+    """The text of ``json.dumps(payload, sort_keys=True, indent=2)`` (string
+    keys) as a list of chunks: ``_JsonWriter(payload).chunks``.
+
+    Dicts and lists holding containers are walked here; every list of
+    scalars is one call of the stdlib's C encoder, whose item separator
+    carries the newline and indent, so only the brackets' own line breaks
+    are added by hand.  The text of each all-float list is kept for the
+    writer's life under its exact bits and depth (never ``==``, which would
+    merge 0.0 with -0.0), so a list repeated across the payload, such as
+    the membership grid of every fuzzy number, is formatted once.  A class
+    rather than a recursive closure: a closure's reference cycle would keep
+    the memo and the chunks alive until the garbage collector ran.
+    """
+
+    def __init__(self, payload):
+        self.chunks = []
+        self._emit = self.chunks.append
+        self._memo = {}
+        self._encoders = {}
+        self._write(payload, 0)
+
+    def _scalars(self, obj, depth):
+        enc = self._encoders.get(depth)
+        if enc is None:
+            enc = self._encoders[depth] = json.JSONEncoder(
+                check_circular=False, separators=(",\n" + "  " * depth, ": ")
+            )
+        return enc.encode(obj)
+
+    def _write(self, obj, depth):
+        emit = self._emit
+        inner = "\n" + "  " * (depth + 1)
+        close = "\n" + "  " * depth
+        if isinstance(obj, (dict, list, tuple)) and not obj:
+            emit("{}" if isinstance(obj, dict) else "[]")
+        elif isinstance(obj, dict):
+            sep = "{" + inner
+            for key, value in sorted(obj.items()):
+                emit(sep + encode_basestring_ascii(key) + ": ")
+                self._write(value, depth + 1)
+                sep = "," + inner
+            emit(close + "}")
+        elif isinstance(obj, (list, tuple)):
+            kinds = set(map(type, obj))
+            if kinds == {float}:
+                key = (depth, array("d", obj).tobytes())
+                text = self._memo.get(key)
+                if text is None:
+                    text = self._memo[key] = "[" + inner + self._scalars(obj, depth + 1)[1:-1] + close + "]"
+                emit(text)
+            elif all(issubclass(kind, _SCALARS) for kind in kinds):
+                emit("[" + inner + self._scalars(obj, depth + 1)[1:-1] + close + "]")
+            else:
+                sep = "[" + inner
+                for value in obj:
+                    emit(sep)
+                    self._write(value, depth + 1)
+                    sep = "," + inner
+                emit(close + "]")
+        else:
+            emit(self._scalars(obj, depth))
+
+
 def _emit(payload: dict, out_path: str | None):
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    # chunk by chunk: no second copy of a multi-megabyte text is made
+    chunks = _JsonWriter(payload).chunks
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+            fh.writelines(chunks)
+            fh.write("\n")
         log.info("wrote %s", out_path)
     else:
-        print(text)
+        sys.stdout.writelines(chunks)
+        sys.stdout.write("\n")
 
 
 # ---------------------------------------------------------------------------

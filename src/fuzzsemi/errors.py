@@ -50,6 +50,11 @@ class SeriesOverflow(FuzzsemiError, OverflowError):
     norm bound is too large for the truncated series."""
 
 
+class NegativeForcedTime(FuzzsemiError, ValueError):
+    """A forced trajectory was asked for a time before 0: its Duhamel
+    integral is taken over [0, t] and is solved for t >= 0 only."""
+
+
 class QuadratureStall(FuzzsemiError):
     """Adaptive quadrature failed to converge within its interval budget."""
 

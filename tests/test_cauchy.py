@@ -18,8 +18,10 @@ from fuzzsemi.cauchy import (
     solve_wave,
 )
 from fuzzsemi.errors import (
+    FuzzsemiError,
     HDifferenceError,
     MissingDerivativeBound,
+    NegativeForcedTime,
     NoApplicableForm,
     QuadratureStall,
     UnsupportedVelocity,
@@ -535,6 +537,21 @@ def test_residual_check_equals_per_time_loop():
         fresh = solve_first_order(problem, np.array([0.0]))
         got = residual_check(traj, operator, forcing=forcing, h=h, times=sample)
         assert got == _residual_per_time(fresh, operator, forcing, h, sample)
+
+
+def test_forced_trajectory_rejects_negative_times():
+    # the Duhamel integral runs over [0, t]; before 0 the evaluator raises a
+    # typed error that `except ValueError` callers still catch
+    one = core.crisp(1.0)
+    problem = CauchyProblem(scale_operator(1.0), U0, forcing=lambda s: one, horizon=0.5, tol=1e-6)
+    traj = solve_first_order(problem, np.array([0.0, 0.5]))
+    with pytest.raises(NegativeForcedTime) as err:
+        traj.evaluate([0.25, -0.5])
+    assert isinstance(err.value, FuzzsemiError) and isinstance(err.value, ValueError)
+    # a sample time below h re-solves at t - h < 0
+    with pytest.raises(NegativeForcedTime):
+        residual_check(traj, scale_operator(1.0), forcing=lambda t: one, h=1e-3, times=[4e-4])
+    assert traj.evaluate([-0.0])[0] is U0
 
 
 def test_residual_requires_evaluator():

@@ -3,6 +3,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from fuzzsemi import cauchy, checks, cli, core
@@ -476,3 +477,80 @@ def test_state_json_shapes():
     assert "product" in cli.state_to_json(pair(u, u))
     f = FuzzyFunction(np.array([0.0, 1.0]), (u, u))
     assert {"a", "b", "nodes", "values"} <= set(cli.state_to_json(f))
+
+
+# ---------------------------------------------------------------------------
+# JSON writer: the stdlib's indent encoder is its oracle
+
+
+def _stdlib_text(payload):
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def _writer_text(payload):
+    return "".join(cli._JsonWriter(payload).chunks)
+
+
+_SCALAR_CONFIG = {"operator": {"kind": "scale", "factor": -0.5}, "u0": {"tri": [0, 1, 2]}, "T": 1.0}
+_MATRIX_CONFIG = {
+    "operator": {"kind": "matrix", "entries": [[1, 1], [-1, -1]]},
+    "u0": {"tri": [0, 1, 2]}, "v0": {"tri": [1, 2, 3]}, "T": 1.0,
+}
+
+
+@pytest.mark.parametrize("argv", [
+    *(("solve", name, order) for name in ("scalar", "matrix") for order in (1, 2)),
+    *(("example", name) for name in cli.EXAMPLE_NAMES),
+    ("verify", "all", "--seed", "0"),
+], ids=lambda argv: "-".join(map(str, argv)))
+def test_json_writer_matches_stdlib_on_cli_payloads(tmp_path, monkeypatch, capsys, argv):
+    # solves print to stdout, the rest write to --out
+    out = None
+    if argv[0] == "solve":
+        _, name, order = argv
+        config = dict(_SCALAR_CONFIG if name == "scalar" else _MATRIX_CONFIG, order=order)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = ("solve", str(path))
+    else:
+        out = tmp_path / "out.json"
+        argv = (*argv, "--out", str(out))
+    payloads = []
+    real = cli._emit
+
+    def record(payload, out_path):
+        payloads.append(payload)
+        real(payload, out_path)
+
+    monkeypatch.setattr(cli, "_emit", record)
+    assert run(*argv) in (0, 2)
+    (payload,) = payloads
+    text = _stdlib_text(payload)
+    assert _writer_text(payload) == text
+    assert (capsys.readouterr().out if out is None else out.read_text()) == text + "\n"
+
+
+def test_json_writer_matches_stdlib_on_edge_payload():
+    grid = [0.0, 0.5, 1.0]
+    payload = {
+        "specials": [math.nan, math.inf, -math.inf, 1e-320, -1.5e300],
+        "signed_zeros": [[0.0, 1.5], [-0.0, 1.5], [0.0, 1.5]],
+        "int_vs_float": [[1, 2], [1.0, 2.0], [1, 2]],
+        "bool_vs_int": [[True, 1], [1, 1], [False, None, 0]],
+        "numpy": [np.float64(0.1), np.float64(-0.0), np.float64(math.nan)],
+        "numpy_list": [[np.float64(0.5), np.float64(1.0)], [0.5, 1.0]],
+        "numpy_scalar": np.float64(-2.5),
+        "grid": grid,
+        "deeper": {"grid": list(grid), "grids": [list(grid), list(grid)]},
+        "empty": [{}, [], {"a": {}, "b": [[]], "c": [{}, []]}],
+        "tuples": (1.0, (2.0, "x"), (), ((0.0,), (-0.0,))),
+        "strings": ['quote " here', "back\\slash", "na\u00efve \u2211 \U0001f600", "tab\tnewline\n", ""],
+        "mixed": [1, "two", 3.0, None, [4.0], {"k": -0.0}],
+        "": "empty key",
+        "\u00e9t\u00e9": {"z": 1, "a": {}, "m": []},
+    }
+    assert _writer_text(payload) == _stdlib_text(payload)
+    for scalar in (1.0, -0.0, math.nan, 7, True, None, "s", np.float64(3.25)):
+        assert _writer_text(scalar) == _stdlib_text(scalar)
+    for empty in ({}, [], ()):
+        assert _writer_text(empty) == _stdlib_text(empty)

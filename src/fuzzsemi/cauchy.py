@@ -2,17 +2,25 @@
 
 First-order problems u'(t) = A[u(t)] + g(t), u(0) = u0 are solved by
 variation of parameters: u(t) = T(t)(u0) + integral_0^t T(t-s)(g(s)) ds,
-with T the exponential series of the operator and the integral taken by
+with T the exponential family of the operator and the integral taken by
 adaptive Gauss-Kronrod quadrature in the fuzzy algebra: the 15-point
 Kronrod rule is accepted on an interval once it agrees with the embedded
 7-point Gauss rule to the interval's share of tol, and the interval is
 bisected otherwise.  All weights of both rules are positive, so levelwise
 each rule is the classical one applied to every endpoint function; each
-rule's sum is one `core.combine` of the integrand values.  The series
-truncation (of T(t)(u0) and of every integrand value) and the quadrature
-each get half of tol.  Second-order problems with vanishing initial
-velocity use the cosh series, and the wave formula is one combination of
-the even derivatives of the initial profile and t * u2.
+rule's sum is one `core.combine` of the integrand values.  Second-order
+problems with vanishing initial velocity use the cosh family, and the
+wave formula is one combination of the even derivatives of the initial
+profile and t * u2.
+
+How T is evaluated is decided in one place, `_propagator`.  An operator
+that carries its real matrix (`lift_matrix`, and `scale_operator` as a
+1 x 1 matrix) takes its exact flow, `semigroup.MatrixFlow`: midpoints and
+radii mapped by two matrix functions, exact to rounding at any horizon
+and either sign of t, for T(t)(u0), every integrand value and the cosh
+family alike.  Every other operator (the builtins, compositions, maps
+without a matrix) takes the literal series; its truncation (of T(t)(u0)
+and of every integrand value) and the quadrature each get half of tol.
 
 The powers A^p(x) of a series do not depend on t, so a solver computes
 them once: its trajectory keeps one power ladder for the initial state,
@@ -20,17 +28,18 @@ shared by every time node and every later re-solve, and a forced solve
 keeps one more for the last forcing value, reused while the forcing
 returns that same object (constant forcing always does).  A trajectory
 therefore keeps (max order + 1) elements per ladder alive, and its
-``evaluate`` is not for concurrent use from several threads.
+``evaluate`` is not for concurrent use from several threads.  The exact
+flow keeps no ladder; it forms the powers of its matrix once per solve.
 
 Evaluation is batched by time: a trajectory's ``evaluate`` takes a
 sequence of times and returns one state per time, the solvers evaluate
 their whole grid in one call, and the series at all those times is one
 batched `core.combine_rows` of the ladder (the forced solve batches the
-free part T(t)(u0) of every time).  The quadrature's integrand maps an
-interval's 15 Gauss-Kronrod nodes to 15 values, and the nodes of each run
-whose forcing value is one object are one batch, so constant forcing takes
-one batch per interval.  Every value is bit-identical to the one-time
-evaluation.
+free part T(t)(u0) of every time); the exact flow batches the same way.
+The quadrature's integrand maps an interval's 15 Gauss-Kronrod nodes to
+15 values, and the nodes of each run whose forcing value is one object
+are one batch, so constant forcing takes one batch per interval.  Every
+value is bit-identical to the one-time evaluation.
 
 A finite-difference residual checker probes whether a trajectory
 satisfies the differential equation in the generalized sense: at each
@@ -63,7 +72,7 @@ from .errors import (
     UnsupportedVelocity,
 )
 from .operators import LinearOperator
-from .semigroup import SemigroupEvaluator, _coefficients, partial_sums, required_order
+from .semigroup import MatrixFlow, SemigroupEvaluator, _coefficients, partial_sums, required_order
 from .spaces import FuzzyFunction, ProductElement, pair
 
 DEFAULT_TIME_NODES = 64
@@ -212,18 +221,47 @@ def _refined_integral(f: Callable, t_end: float, tol: float):
 # solvers
 
 
+def _propagator(operator: LinearOperator, kind: str) -> Callable:
+    """The one place that picks how a solver evaluates its operator: a map
+    (times, x, tol, powers) -> the states T(t)(x) at each of ``times``, in
+    one batch.
+
+    An operator that carries its matrix takes its exact `MatrixFlow`, built
+    once here (``tol`` and ``powers`` are then unused).  Any other takes the
+    literal series over the caller's power ladder ``powers``, truncated to
+    ``tol``, or to tol(t) at time t when ``tol`` is a function.
+    """
+    if operator.matrix is not None:
+        flow = MatrixFlow(operator, kind)
+        return lambda times, x, tol, powers: flow.evaluate(times, x)
+
+    def series(times, x, tol, powers):
+        if callable(tol):
+            orders = [SemigroupEvaluator(operator, kind, tol(t)).order_for(t, x) for t in times]
+            return partial_sums(operator, kind, times, x, orders, powers)
+        return SemigroupEvaluator(operator, kind, tol).evaluate(times, x, powers)
+
+    return series
+
+
 def solve_first_order(problem: CauchyProblem, grid: np.ndarray | None = None) -> Trajectory:
     """Variation-of-parameters solution sampled on a time grid."""
     if problem.initial_velocity is not None:
         raise ValueError("first-order problems carry no initial velocity")
     times = uniform_times(problem.horizon) if grid is None else np.asarray(grid, dtype=float)
-    flow = SemigroupEvaluator(problem.operator, "exp", problem.tol)
+    propagate = _propagator(problem.operator, "exp")
     initial_powers = [problem.initial]
     # the ladder of the last forcing value; holding it keeps that value
     # alive, so an `is` match cannot come from a recycled object id
     forcing_powers = [None]
 
-    def integrand(part, t: float, nodes):
+    def part_tol(t: float) -> float:
+        # The truncation errors of T(t)(u0) and of every integrand value
+        # (integrated over [0, t]) share one half of tol, the quadrature
+        # takes the other half.
+        return 0.5 * problem.tol / (1.0 + abs(t))
+
+    def integrand(tol: float, t: float, nodes):
         # every forcing value is held until the batch is done, so runs of
         # nodes whose value is one object can be told apart by id
         values = [problem.forcing(s) for s in nodes]
@@ -233,25 +271,20 @@ def solve_first_order(problem: CauchyProblem, grid: np.ndarray | None = None) ->
             g = run[0][0]
             if forcing_powers[0] is not g:
                 forcing_powers[:] = [g]
-            out += part.evaluate([t - s for _, s in run], g, forcing_powers)
+            out += propagate([t - s for _, s in run], g, tol, forcing_powers)
         return out
 
     def evaluate(times):
         times = [float(t) for t in times]
         if problem.forcing is None:
-            return flow.evaluate(times, problem.initial, initial_powers)
+            return propagate(times, problem.initial, problem.tol, initial_powers)
         bad = [t for t in times if not t >= 0.0]
         if bad:
             raise NegativeForcedTime(f"forced problems are solved for t >= 0 only, not at t = {bad[0]!r}")
-        # The truncation errors of T(t)(u0) and of every integrand value
-        # (integrated over [0, t]) share one half of tol, the quadrature
-        # takes the other half.
-        parts = [SemigroupEvaluator(problem.operator, "exp", 0.5 * problem.tol / (1.0 + abs(t))) for t in times]
-        orders = [part.order_for(t, problem.initial) for part, t in zip(parts, times)]
-        free = partial_sums(problem.operator, "exp", times, problem.initial, orders, initial_powers)
+        free = propagate(times, problem.initial, part_tol, initial_powers)
         return [
-            u if t == 0.0 else core.add(u, _refined_integral(partial(integrand, part, t), t, 0.5 * problem.tol))
-            for t, part, u in zip(times, parts, free)
+            u if t == 0.0 else core.add(u, _refined_integral(partial(integrand, part_tol(t), t), t, 0.5 * problem.tol))
+            for t, u in zip(times, free)
         ]
 
     return Trajectory(times, evaluate(times), evaluate)
@@ -270,11 +303,11 @@ def solve_second_order(problem: CauchyProblem, grid: np.ndarray | None = None) -
             "formula with nonzero velocity use solve_wave"
         )
     times = uniform_times(problem.horizon) if grid is None else np.asarray(grid, dtype=float)
-    flow = SemigroupEvaluator(problem.operator, "cosh", problem.tol)
+    propagate = _propagator(problem.operator, "cosh")
     initial_powers = [problem.initial]
 
     def evaluate(times):
-        return flow.evaluate(times, problem.initial, initial_powers)
+        return propagate([float(t) for t in times], problem.initial, problem.tol, initial_powers)
 
     return Trajectory(times, evaluate(times), evaluate)
 
@@ -316,7 +349,9 @@ def solve_wave(
 
 
 def _quotient_forms(before, here, after, h: float):
-    """The four one-sided generalized difference quotients that exist."""
+    """The four one-sided generalized difference quotients that exist, at one
+    time: the definition that `residual_check` evaluates for every sample
+    time in one array pass."""
     forms = []
     candidates = (
         (1.0 / h, after, here),    # forward
@@ -345,8 +380,13 @@ def residual_check(
     quotient forms whose partial difference exists, of the distance to
     A[u(t)] + g(t); the trajectory is re-solved at t +- h through its
     evaluator, in one call covering t, t + h and t - h for every sample
-    time.  Returns the maximum residual over the sampled times;
-    raises NoApplicableForm when no quotient exists at some time.
+    time.  A[u(t)] and g(t) are formed once per time, in order; then the
+    states and targets are stacked on common grids and the four quotients
+    of every time (`_quotient_forms`) are formed, checked, clamped, scaled
+    and measured in one array pass, each bit-identical to its own
+    `core.hukuhara_diff`, `core.scalar_mul` and `core.distance`.  Returns
+    the maximum residual over the sampled times; raises NoApplicableForm,
+    naming the first such time, when no quotient exists at some time.
     """
     if not h > 0:
         raise ValueError("h must be > 0")
@@ -360,17 +400,30 @@ def residual_check(
     # one batch: every t, then every t + h, then every t - h
     states = traj.evaluate([*times, *(t + h for t in times), *(t - h for t in times)])
     n = len(times)
-    worst = 0.0
-    for i, t in enumerate(times):
-        here, after, before = states[i], states[n + i], states[2 * n + i]
+    if not n:
+        return 0.0
+    targets = []
+    for t, here in zip(times, states):
         target = operator(here)
         if forcing is not None:
             target = core.add(target, forcing(t))
-        forms = _quotient_forms(before, here, after, h)
-        if not forms:
-            raise NoApplicableForm(f"no difference quotient exists at t = {t}")
-        worst = max(worst, min(core.distance(q, target) for q in forms))
-    return worst
+        targets.append(target)
+    _, ends = core.stack_common(states + targets)
+    here, after, before, target = ends.reshape(4, n, *ends.shape[1:])
+    # forward, backward, then both with reversed orientation, as in _quotient_forms
+    diffs = np.empty((4, *here.shape))
+    for out, (left, right) in zip(diffs, ((after, here), (here, before), (here, after), (before, here))):
+        np.subtract(left, right, out=out)
+    diffs, exists = core.clamp_nested(diffs)
+    exists = exists.reshape(4, n, -1).all(axis=-1)
+    diffs[:2] *= 1.0 / h
+    diffs[2:] = diffs[2:, ..., ::-1, :] * (-1.0 / h)
+    diffs -= target
+    gaps = np.abs(diffs, out=diffs).reshape(4, n, -1).max(axis=-1)
+    missing = ~exists.any(axis=0)
+    if missing.any():
+        raise NoApplicableForm(f"no difference quotient exists at t = {times[int(np.argmax(missing))]}")
+    return max(0.0, float(np.where(exists, gaps, np.inf).min(axis=0).max()))
 
 
 # ---------------------------------------------------------------------------

@@ -96,9 +96,10 @@ class _JsonWriter:
     keys) as a list of chunks: ``_JsonWriter(payload).chunks``.
 
     Dicts and lists holding containers are walked here; every list of
-    scalars is one call of the stdlib's C encoder, whose item separator
-    carries the newline and indent, so only the brackets' own line breaks
-    are added by hand.  The text of each all-float list is kept for the
+    scalars, and every dict of string keys and scalar values, is one call
+    of the stdlib's C encoder (keys sorted), whose item separator carries
+    the newline and indent, so only the brackets' own line breaks are
+    added by hand.  The text of each all-float list is kept for the
     writer's life under its exact bits and depth (never ``==``, which would
     merge 0.0 with -0.0), so a list repeated across the payload, such as
     the membership grid of every fuzzy number, is formatted once.  A class
@@ -117,7 +118,7 @@ class _JsonWriter:
         enc = self._encoders.get(depth)
         if enc is None:
             enc = self._encoders[depth] = json.JSONEncoder(
-                check_circular=False, separators=(",\n" + "  " * depth, ": ")
+                check_circular=False, sort_keys=True, separators=(",\n" + "  " * depth, ": ")
             )
         return enc.encode(obj)
 
@@ -127,6 +128,10 @@ class _JsonWriter:
         close = "\n" + "  " * depth
         if isinstance(obj, (dict, list, tuple)) and not obj:
             emit("{}" if isinstance(obj, dict) else "[]")
+        elif isinstance(obj, dict) and all(
+            type(key) is str and isinstance(value, _SCALARS) for key, value in obj.items()
+        ):
+            emit("{" + inner + self._scalars(obj, depth + 1)[1:-1] + close + "}")
         elif isinstance(obj, dict):
             sep = "{" + inner
             for key, value in sorted(obj.items()):

@@ -182,8 +182,9 @@ def nesting_defect(ends: np.ndarray) -> np.ndarray:
     """Per leaf of ``ends``, the worst drop of a lower endpoint, rise of an
     upper endpoint or excess of lower over upper; 0 for nested level sets."""
     lo, up = ends[..., 0, :], ends[..., 1, :]
-    gaps = np.concatenate((lo[..., :-1] - lo[..., 1:], up[..., 1:] - up[..., :-1], lo - up), axis=-1)
-    return np.maximum(gaps, 0.0).max(axis=-1)
+    drop = (lo[..., :-1] - lo[..., 1:]).max(axis=-1)
+    rise = (up[..., 1:] - up[..., :-1]).max(axis=-1)
+    return np.maximum(np.maximum(drop, rise), np.maximum((lo - up).max(axis=-1), 0.0))
 
 
 def _try_build(x: Leaf, ends, tol=MONOTONICITY_TOLERANCE, **attrs):
@@ -193,19 +194,34 @@ def _try_build(x: Leaf, ends, tol=MONOTONICITY_TOLERANCE, **attrs):
     sub-tolerance wiggles are treated as rounding noise and repaired by
     monotone clamping, larger ones mean the candidate is not a fuzzy number.
     """
-    if (nesting_defect(ends) > tol).any():
-        return None
-    lo = np.maximum.accumulate(ends[..., 0, :], axis=-1)
-    up = np.minimum.accumulate(ends[..., 1, :], axis=-1)
+    ends, ok = clamp_nested(ends, tol)
+    return x._with(ends, **attrs) if ok.all() else None
+
+
+def clamp_nested(ends: np.ndarray, tol=MONOTONICITY_TOLERANCE):
+    """Clamp a fresh endpoint array of any batch shape, in place, to nested
+    level sets; returns (ends, per-leaf ok).
+
+    ``ok`` holds, per leaf (the shape of `nesting_defect`), whether its
+    defect is at most ``tol`` (a number, or an array broadcasting against
+    the leaves).  Every leaf is clamped by monotone accumulation, the ones
+    beyond ``tol`` too; the caller discards those.  Each leaf's result
+    depends on its own endpoints only, so a batch gives every leaf the bits
+    it gets on its own.
+    """
+    ok = ~(nesting_defect(ends) > tol)
+    lo, up = ends[..., 0, :], ends[..., 1, :]
+    np.maximum.accumulate(lo, axis=-1, out=lo)
+    np.minimum.accumulate(up, axis=-1, out=up)
     # with lo nondecreasing and up nonincreasing the only possible order
     # violation is at the top level; a midpoint clamp there keeps both
     # monotonicities intact (min/max against a constant)
     crossed = lo[..., -1:] > up[..., -1:]
     if crossed.any():
         mid = 0.5 * (lo[..., -1:] + up[..., -1:])
-        lo = np.where(crossed, np.minimum(lo, mid), lo)
-        up = np.where(crossed, np.maximum(up, mid), up)
-    return x._with(np.stack((lo, up), axis=-2), **attrs)
+        lo[...] = np.where(crossed, np.minimum(lo, mid), lo)
+        up[...] = np.where(crossed, np.maximum(up, mid), up)
+    return ends, ok
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +329,16 @@ def common_grid(u: Leaf, v: Leaf):
         return u, v
     merged = np.union1d(u.levels, v.levels)
     return u.resample(merged), v.resample(merged)
+
+
+def stack_common(leaves):
+    """Leaves of one kind on common grids (the union over all of them, as
+    `common_grid` forms it pairwise): a leaf on those grids and the
+    endpoints of every leaf stacked along a new first axis."""
+    grid = leaves[0]
+    for u in leaves[1:]:
+        grid = common_grid(grid, u)[0]
+    return grid, np.stack([common_grid(grid, u)[1].ends for u in leaves])
 
 
 def add(u: Leaf, v: Leaf) -> Leaf:

@@ -6,6 +6,12 @@ supremum over the unit ball) is not finitely computable for a generic
 operator, and nothing downstream needs it: the series engine only
 consumes an upper bound, and `phi_distance` is an explicit probe-set
 lower bound on the operator metric, clearly labeled as such.
+
+`lift_matrix` and `scale_operator` also keep the real matrix they apply
+(1 x 1 for a scale) as the operator's ``matrix``.  The solvers evaluate
+such an operator by its exact flow (`semigroup.MatrixFlow`); the builtins,
+compositions and operators built from a bare map carry none and take the
+literal series.
 """
 
 from __future__ import annotations
@@ -40,6 +46,9 @@ class LinearOperator:
         name: label used in reports.
         domain: "fuzzy" for fuzzy-number inputs, ("product", k) for
             k-component product elements, or "any".
+        matrix: the real k x k matrix (read-only) that ``fn`` applies, each
+            component's image being sum_j a_ij w_j, or None; a 1 x 1 matrix
+            scales every leaf of any element.
     """
 
     fn: Callable = field(repr=False)
@@ -47,12 +56,18 @@ class LinearOperator:
     homogeneity: str = LINEAR
     name: str = "operator"
     domain: object = "any"
+    matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.isfinite(self.norm_bound) or self.norm_bound < 0:
             raise ValueError("norm_bound must be finite and >= 0")
         if self.homogeneity not in (LINEAR, POSITIVE_HOMOGENEOUS):
             raise ValueError(f"unknown homogeneity flag {self.homogeneity!r}")
+        if self.matrix is not None:
+            matrix = core._frozen(self.matrix)
+            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not np.isfinite(matrix).all():
+                raise ValueError("matrix must be a finite square matrix")
+            object.__setattr__(self, "matrix", matrix)
 
     def _check_domain(self, x):
         if self.domain == "fuzzy" and not isinstance(x, FuzzyNumber):
@@ -77,10 +92,11 @@ def zero_operator(name: str = "O") -> LinearOperator:
 
 
 def scale_operator(factor: float) -> LinearOperator:
-    """x -> factor * x; homogeneous under every real factor."""
+    """x -> factor * x; homogeneous under every real factor.  Its matrix is
+    the 1 x 1 matrix [[factor]]."""
     factor = float(factor)
     return LinearOperator(
-        lambda x: core.scalar_mul(factor, x), abs(factor), LINEAR, f"scale({factor:g})"
+        lambda x: core.scalar_mul(factor, x), abs(factor), LINEAR, f"scale({factor:g})", matrix=[[factor]]
     )
 
 
@@ -236,7 +252,8 @@ def lift_matrix(entries) -> LinearOperator:
     """Lift a real k x k matrix to product elements: image_i = sum_j a_ij * w_j.
 
     The rows are one `core.combine_rows` of the components.  Fully linear; the
-    certified bound is the max absolute row sum.
+    certified bound is the max absolute row sum.  The operator keeps the
+    matrix, so the solvers take its exact flow.
     """
     m = np.asarray(entries, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -252,4 +269,4 @@ def lift_matrix(entries) -> LinearOperator:
         return w._with(np.stack([image.ends for image in core.combine_rows(rows, parts)]))
 
     label = "matrix[" + "; ".join(" ".join(f"{v:g}" for v in row) for row in m) + "]"
-    return LinearOperator(fn, bound, LINEAR, label, ("product", k))
+    return LinearOperator(fn, bound, LINEAR, label, ("product", k), m)

@@ -24,6 +24,20 @@ kind: `partial_sums` and the wave solver take m = 1, and `required_order`
 takes (|t|, M) to pick the smallest order whose exact tail is below target;
 `SemigroupEvaluator.evaluate` asks it for each time's order separately
 and sums all the times in one batch.
+
+`MatrixFlow` is the exact limit of that series for an operator that
+carries a real matrix A (`operators.lift_matrix`, and `scale_operator` as
+a 1 x 1 matrix).  Levelwise the algebra is midpoint-radius interval
+arithmetic (Rump, BIT 39, 1999): a factor c maps (mid, rad) to
+(c mid, |c| rad), and A maps them to (A mid, |A| rad).  So the literal
+series at any t, of either sign, sums to mid(t) = e^{tA} mid0 and
+rad(t) = e^{|t| |A|} rad0 for exp, and to the cosh series of (tA, |t| |A|)
+for cosh, which is the top-left block of the exponential of
+[[0, t I], [t A, 0]].  The matrix exponentials are Taylor polynomials with
+scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005), in
+numpy, their degree taken from `required_order` so that the tail is below
+the unit roundoff.  The solvers take this flow for such operators; the
+series serves every other operator and stays its test oracle.
 """
 
 from __future__ import annotations
@@ -32,6 +46,8 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate, count, islice, repeat
 from operator import mul, truediv
+
+import numpy as np
 
 from . import core, operators
 from .errors import HDifferenceError, MixedSignsError, SeriesOverflow
@@ -46,11 +62,13 @@ _MAX_TERMS = 100_000
 def _coefficients(kind: str, t: float, m: float = 1.0):
     """Iterator over c_p(t) * m^p for p = 1, 2, ...: each term is the last one
     times z / p (exp), z2 / ((2p-1)(2p)) (cosh) or z2 / ((2p-2)(2p-1)) (sinh).
-    z = t * m and z2 = t * t * m are formed once, so m = 1.0 gives the
-    coefficients of t bit for bit.  An unknown kind raises here, not later."""
+    z = t * m and z2 = t * z are formed once, so m = 1.0 gives the
+    coefficients of t bit for bit, and a large m rescues a t whose square
+    alone would underflow.  An unknown kind raises here, not later."""
     if kind not in KINDS:
         raise ValueError(f"unknown series kind {kind!r}")
-    z, z2 = t * m, t * t * m
+    z = t * m
+    z2 = t * z
     if kind == "exp":
         first, num, dens = z, z, count(2)
     elif kind == "cosh":
@@ -195,6 +213,163 @@ class SemigroupEvaluator:
         return self.evaluate((t,), x, powers)[0]
 
     __call__ = at
+
+
+# ---------------------------------------------------------------------------
+# exact flow of operators that carry a real matrix
+
+FLOW_KINDS = ("exp", "cosh")
+_UNIT_ROUNDOFF = 2.0**-53
+# Taylor degree whose tail at |tau| * ||base|| <= 1 is below the unit roundoff
+_TAYLOR_DEGREE = required_order(1.0, 1.0, _UNIT_ROUNDOFF)
+_TAYLOR_DIVISORS = np.arange(1.0, _TAYLOR_DEGREE + 1)
+
+
+def _binary_exponent(v):
+    """The smallest integer e with |v| <= 2^e (0 for v = 0), elementwise."""
+    mant, expo = np.frexp(np.abs(v))
+    return expo - (mant == 0.5)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked a @ b for small matrices without BLAS (whose first call would
+    add its buffers to the process): every product a_ij b_jk, then one sum
+    over j along a contiguous last axis per entry, so an item's bits do not
+    depend on the batch."""
+    return (a[..., :, None, :] * np.swapaxes(b, -1, -2)[..., None, :, :]).sum(axis=-1)
+
+
+def _expm(powers: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """exp(taus[b, i] * base_b) for every base b and item i: shape (B, n, K, K).
+
+    ``powers[b, p]`` is base_b^(p+1) for p < `_TAYLOR_DEGREE`, every base of
+    infinity norm at most 1.  Each tau is halved s times, s the item's own,
+    until |tau| <= 1; its Taylor polynomial is the row of the exp ladder of
+    `_coefficients` at tau, c_p = c_{p-1} * (tau / p), times the powers
+    (one 1 x degree by degree x K^2 product per item), plus the identity;
+    then it is squared s times.  Every step acts on each item alone, so an
+    item gets the same bits in any batch.  Overflow gives inf or nan
+    entries, silently under the caller's `np.errstate`.
+    """
+    nb, k = powers.shape[0], powers.shape[-1]
+    squarings = np.maximum(_binary_exponent(taus), 0)
+    coeffs = np.multiply.accumulate(np.ldexp(taus, -squarings)[..., None] / _TAYLOR_DIVISORS, axis=-1)
+    out = _matmul(coeffs[..., None, :], powers.reshape(nb, 1, _TAYLOR_DEGREE, k * k)).reshape(*taus.shape, k, k)
+    out += np.eye(k)
+    flat, squarings = out.reshape(-1, k, k), squarings.reshape(-1)
+    for j in range(int(squarings.max(initial=0))):
+        rows = np.flatnonzero(squarings > j)
+        flat[rows] = _matmul(flat[rows], flat[rows])
+    return out
+
+
+@dataclass(frozen=True)
+class MatrixFlow:
+    """The exact limit of the exp or cosh series of an operator with a matrix.
+
+    For the operator's real k x k matrix A (`LinearOperator.matrix`; 1 x 1
+    scales every leaf of any element) the series at time t maps the
+    midpoints and radii of x, levelwise, by two k x k matrices: e^{tA} and
+    e^{|t| |A|} for exp, the cosh series of (tA, |t| |A|) for cosh (see
+    `matrices`).  Computed in floating point to a few ulps of the growth
+    e^{|t| |A|} times ||x||; no truncation tolerance is involved.  The
+    powers of both Taylor bases are formed once, at construction.
+    """
+
+    operator: LinearOperator
+    kind: str = "exp"
+
+    def __post_init__(self):
+        if self.kind not in FLOW_KINDS:
+            raise ValueError(f"kind must be one of {FLOW_KINDS}")
+        a = self.operator.matrix
+        if a is None:
+            raise ValueError(f"{self.operator.name} carries no matrix")
+        k = a.shape[0]
+        if self.kind == "cosh":
+            # [[0, g I], [A / g, 0]] squares to diag(A, A) for every g > 0; g, a
+            # power of two near sqrt(||A||), balances the blocks exactly
+            g = 2.0 ** (int(_binary_exponent(self.operator.norm_bound)) // 2)
+            block = np.zeros((2 * k, 2 * k))
+            block[:k, k:], block[k:, :k] = g * np.eye(k), a / g
+            a = block
+        bases = np.stack((a, np.abs(a)))
+        # a power of two brings both bases to norm at most 1 and moves into the times
+        scale = int(_binary_exponent(bases[1].sum(axis=1).max()))
+        # powers[:, p] = base^(p+1); times base^m the first m give the next m
+        powers = np.ldexp(bases, -scale)[:, None]
+        while powers.shape[1] < _TAYLOR_DEGREE:
+            powers = np.concatenate((powers, _matmul(powers, powers[:, -1:])), axis=1)
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_powers", powers[:, :_TAYLOR_DEGREE])
+
+    def matrices(self, times) -> np.ndarray:
+        """The (2, n, k, k) stack of the matrices that map the midpoints ([0])
+        and the radii ([1]) at each of the n times; non-finite entries mean
+        the flow overflowed (numpy warns unless the caller silences it).
+
+        cosh is the top-left block of exp(|t| [[0, g I], [A / g, 0]]), and
+        its radius matrix that of the same with |A|.  Both kinds take one
+        `_expm` call.
+        """
+        times = np.asarray(times, dtype=float)
+        if not np.isfinite(times).all():
+            raise ValueError("times must be finite")
+        k = self.operator.matrix.shape[0]
+        signed = times if self.kind == "exp" else np.abs(times)
+        out = _expm(self._powers, np.ldexp(np.stack((signed, np.abs(times))), self._scale))
+        return out[:, :, :k, :k]
+
+    def evaluate(self, times, x) -> list:
+        """The flow at each of ``times`` applied to x, in order.
+
+        x itself where both matrices are exactly the identity (t = 0, or a
+        t too small to move any bit); otherwise midpoints and radii are
+        mapped and the endpoints pass one batched `core.clamp_nested` at a
+        tolerance relative to ||R(t)|| ||x||, R the radius matrix.  The
+        domain is checked first.  Raises SeriesOverflow, without a numpy
+        warning and whatever x is, when a matrix or a result leaves the
+        float range.
+        """
+        self.operator._check_domain(core._leaf(x))
+        times = [float(t) for t in times]
+        if not times:
+            return []
+        ends = np.empty((len(times), *x.ends.shape))
+        with np.errstate(over="ignore", invalid="ignore"):
+            flows = self.matrices(times)
+            k = flows.shape[-1]
+            same = (flows == np.eye(k)).all(axis=(0, 2, 3))
+            half = 0.5 * x.ends
+            lo, up = half[..., 0, :], half[..., 1, :]
+            parts = np.stack((lo + up, up - lo)).reshape(2, 1, k, -1)
+            # flows @ parts, one column of flows at a time: the parts are long rows
+            image = flows[..., :1] * parts[:, :, :1]
+            for j in range(1, k):
+                image += flows[..., j : j + 1] * parts[:, :, j : j + 1]
+            mid, rad = image.reshape(2, len(times), *lo.shape)
+            np.subtract(mid, rad, out=ends[..., 0, :])
+            np.add(mid, rad, out=ends[..., 1, :])
+        # a non-finite matrix entry makes its image non-finite too (0 * inf is nan)
+        finite = np.isfinite(ends).reshape(len(times), -1).all(axis=1)
+        if not finite.all():
+            raise SeriesOverflow(
+                f"the {self.kind} flow of {self.operator.name} overflows at t = {times[np.argmin(finite)]!r}; "
+                "shorten the horizon or reduce the operator's norm or data"
+            )
+        growth = np.maximum(1.0, flows[1].sum(axis=2).max(axis=1) * core.norm(x))
+        tol = core.MONOTONICITY_TOLERANCE * growth.reshape(-1, *(1,) * (lo.ndim - 1))
+        ends, ok = core.clamp_nested(ends, tol)
+        if not ok.all():
+            raise SeriesOverflow(
+                f"rounding in the {self.kind} flow of {self.operator.name} breaks the nesting of level sets; "
+                "shorten the horizon"
+            )
+        return [x if keep else x._with(e) for keep, e in zip(same.tolist(), ends)]
+
+    def at(self, t: float, x):
+        """The flow at one time t: the one-time case of `evaluate`."""
+        return self.evaluate((t,), x)[0]
 
 
 def exp_apply(op: LinearOperator, t: float, x, tol: float = 1e-9):

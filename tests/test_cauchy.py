@@ -27,7 +27,7 @@ from fuzzsemi.errors import (
     UnsupportedVelocity,
 )
 from fuzzsemi.operators import LinearOperator, builtin, identity, lift_matrix, scale_operator, zero_operator
-from fuzzsemi.semigroup import SemigroupEvaluator, generator_pair_closed_form
+from fuzzsemi.semigroup import MatrixFlow, SemigroupEvaluator, generator_pair_closed_form
 from fuzzsemi.spaces import FuzzyFunction, pair
 
 import helpers
@@ -196,30 +196,35 @@ def test_fresh_forcing_objects_match_closed_form():
 
 def test_forcing_alternating_between_two_objects_matches_closed_form(monkeypatch):
     # two equal values as distinct objects, switching several times inside
-    # every interval: each run of one object is its own batch
+    # every interval: each run of one object is its own batch, for the
+    # series (an operator without a matrix, as `_counting` builds) and for
+    # the exact flow of scale(1)
     ga, gb = core.make_triangular(-0.5, 0.2, 0.8), core.make_triangular(-0.5, 0.2, 0.8)
-    batches = []
-    evaluate = SemigroupEvaluator.evaluate
+    series_op = _counting(scale_operator(1.0))[0]
+    assert series_op.matrix is None and scale_operator(1.0).matrix is not None
+    for operator, evaluator in ((series_op, SemigroupEvaluator), (scale_operator(1.0), MatrixFlow)):
+        batches = []
+        evaluate = evaluator.evaluate
 
-    def counted(self, times, x, powers=None):
-        if x is ga or x is gb:
-            batches.append(len(times))
-        return evaluate(self, times, x, powers)
+        def counted(self, times, x, *rest, evaluate=evaluate, batches=batches):
+            if x is ga or x is gb:
+                batches.append(len(times))
+            return evaluate(self, times, x, *rest)
 
-    monkeypatch.setattr(SemigroupEvaluator, "evaluate", counted)
-    problem = CauchyProblem(
-        scale_operator(1.0), U0, forcing=lambda s: ga if math.floor(40.0 * s) % 2 else gb, horizon=1.0, tol=1e-9
-    )
-    grid = cauchy.uniform_times(1.0, 5)
-    traj = solve_first_order(problem, grid)
-    assert sum(batches) % 15 == 0 and len(batches) > sum(batches) // 15
-    for t, st in zip(traj.times, traj.states):
-        assert _endpoint_gap(st, _scale_forced_endpoints(1.0, U0, ga, float(t))) <= 1e-9
-    # constant forcing: one batch of 15 nodes per Gauss-Kronrod interval
-    batches.clear()
-    problem = CauchyProblem(scale_operator(1.0), U0, forcing=lambda s: ga, horizon=1.0, tol=1e-9)
-    solve_first_order(problem, grid)
-    assert batches and set(batches) == {15}
+        monkeypatch.setattr(evaluator, "evaluate", counted)
+        problem = CauchyProblem(
+            operator, U0, forcing=lambda s: ga if math.floor(40.0 * s) % 2 else gb, horizon=1.0, tol=1e-9
+        )
+        grid = cauchy.uniform_times(1.0, 5)
+        traj = solve_first_order(problem, grid)
+        assert sum(batches) % 15 == 0 and len(batches) > sum(batches) // 15
+        for t, st in zip(traj.times, traj.states):
+            assert _endpoint_gap(st, _scale_forced_endpoints(1.0, U0, ga, float(t))) <= 1e-9
+        # constant forcing: one batch of 15 nodes per Gauss-Kronrod interval
+        batches.clear()
+        problem = CauchyProblem(operator, U0, forcing=lambda s: ga, horizon=1.0, tol=1e-9)
+        solve_first_order(problem, grid)
+        assert batches and set(batches) == {15}
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,12 @@ def test_required_order_is_zero_when_every_term_underflows(kind):
     assert got is X if kind != "sinh" else got == core.zero_like(X)
 
 
+def test_required_order_cosh_keeps_a_large_bound_from_underflow():
+    # t^2 alone underflows to 0, but t * (t * M) = 1e-40 is a real first term
+    # (5e-41) above tol; the second, 4e-82, is below it
+    assert required_order(1e-170, 1e300, 1e-50, "cosh") == 1
+
+
 def test_required_order_validates():
     with pytest.raises(ValueError):
         required_order(1.0, 1.0, 0.0)

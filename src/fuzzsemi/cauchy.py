@@ -13,33 +13,24 @@ problems with vanishing initial velocity use the cosh family, and the
 wave formula is one combination of the even derivatives of the initial
 profile and t * u2.
 
-How T is evaluated is decided in one place, `_propagator`.  An operator
-that carries its real matrix (`lift_matrix`, and `scale_operator` as a
-1 x 1 matrix) takes its exact flow, `semigroup.MatrixFlow`: midpoints and
-radii mapped by two matrix functions, exact to rounding at any horizon
-and either sign of t, for T(t)(u0), every integrand value and the cosh
-family alike.  Every other operator (the builtins, compositions, maps
-without a matrix) takes the literal series; its truncation (of T(t)(u0)
-and of every integrand value) and the quadrature each get half of tol.
+Each solve takes every T(t) from one `semigroup.propagator`: the exact
+`MatrixFlow` of an operator that carries its real matrix (`lift_matrix`,
+and `scale_operator` as a 1 x 1 matrix), exact to rounding at any horizon
+and either sign of t, or the literal series for every other operator.
+An unforced solve truncates the series to tol at every time; a forced
+one gives the truncation (of T(t)(u0) and of every integrand value) half
+of tol and the quadrature the other half.  The propagator keeps the
+power ladder of the last x it was given: that of u0 serves every time
+node and re-solve of an unforced trajectory, that of a forcing value
+every node while the forcing returns that same object (constant forcing
+always does).  So a trajectory holds (max order + 1) elements alive, and
+its ``evaluate`` is not for concurrent use from several threads.
 
-The powers A^p(x) of a series do not depend on t, so a solver computes
-them once: its trajectory keeps one power ladder for the initial state,
-shared by every time node and every later re-solve, and a forced solve
-keeps one more for the last forcing value, reused while the forcing
-returns that same object (constant forcing always does).  A trajectory
-therefore keeps (max order + 1) elements per ladder alive, and its
-``evaluate`` is not for concurrent use from several threads.  The exact
-flow keeps no ladder; it forms the powers of its matrix once per solve.
-
-Evaluation is batched by time: a trajectory's ``evaluate`` takes a
-sequence of times and returns one state per time, the solvers evaluate
-their whole grid in one call, and the series at all those times is one
-batched `core.combine_rows` of the ladder (the forced solve batches the
-free part T(t)(u0) of every time); the exact flow batches the same way.
-The quadrature's integrand maps an interval's 15 Gauss-Kronrod nodes to
-15 values, and the nodes of each run whose forcing value is one object
-are one batch, so constant forcing takes one batch per interval.  Every
-value is bit-identical to the one-time evaluation.
+Evaluation is batched by time: ``evaluate`` maps a sequence of times to
+one state per time, the solvers evaluate their whole grid (the forced
+solve its free part) in one call, and the integrand maps an interval's
+15 Gauss-Kronrod nodes to 15 values in one batch per run of one forcing
+object.  Every value is bit-identical to the one-time evaluation.
 
 A finite-difference residual checker probes whether a trajectory
 satisfies the differential equation in the generalized sense: at each
@@ -57,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import groupby, islice
+from itertools import groupby, islice, repeat
 from typing import Callable
 
 import numpy as np
@@ -72,7 +63,7 @@ from .errors import (
     UnsupportedVelocity,
 )
 from .operators import LinearOperator
-from .semigroup import MatrixFlow, SemigroupEvaluator, _coefficients, partial_sums, required_order
+from .semigroup import _coefficients, propagator, required_order
 from .spaces import FuzzyFunction, ProductElement, pair
 
 DEFAULT_TIME_NODES = 64
@@ -132,10 +123,10 @@ class CauchyProblem:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ValueError("horizon must be > 0")
-        if not self.tol > 0:
-            raise ValueError("tol must be > 0")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError("horizon must be finite and > 0")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -144,7 +135,7 @@ class Trajectory:
 
     ``evaluate`` maps a sequence of arbitrary times to one state per time;
     the residual checker uses it to re-solve at shifted times.  The
-    solvers' evaluators hold the trajectory's power ladders, a cache that
+    solvers' evaluators hold a propagator's power ladder, a cache that
     grows on use and lives as long as the trajectory, so one ``evaluate``
     must not be called from several threads at once.
     """
@@ -156,8 +147,8 @@ class Trajectory:
     def __post_init__(self):
         times = np.array(self.times, dtype=float)
         times.flags.writeable = False
-        if times.ndim != 1 or times.size < 1 or (np.diff(times) <= 0).any():
-            raise ValueError("times must be strictly increasing")
+        if times.ndim != 1 or times.size < 1 or not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
+            raise ValueError("times must be finite and strictly increasing")
         if times[0] != 0.0:
             raise ValueError("trajectories start at time 0")
         states = tuple(self.states)
@@ -221,39 +212,12 @@ def _refined_integral(f: Callable, t_end: float, tol: float):
 # solvers
 
 
-def _propagator(operator: LinearOperator, kind: str) -> Callable:
-    """The one place that picks how a solver evaluates its operator: a map
-    (times, x, tol, powers) -> the states T(t)(x) at each of ``times``, in
-    one batch.
-
-    An operator that carries its matrix takes its exact `MatrixFlow`, built
-    once here (``tol`` and ``powers`` are then unused).  Any other takes the
-    literal series over the caller's power ladder ``powers``, truncated to
-    ``tol``, or to tol(t) at time t when ``tol`` is a function.
-    """
-    if operator.matrix is not None:
-        flow = MatrixFlow(operator, kind)
-        return lambda times, x, tol, powers: flow.evaluate(times, x)
-
-    def series(times, x, tol, powers):
-        if callable(tol):
-            orders = [SemigroupEvaluator(operator, kind, tol(t)).order_for(t, x) for t in times]
-            return partial_sums(operator, kind, times, x, orders, powers)
-        return SemigroupEvaluator(operator, kind, tol).evaluate(times, x, powers)
-
-    return series
-
-
 def solve_first_order(problem: CauchyProblem, grid: np.ndarray | None = None) -> Trajectory:
     """Variation-of-parameters solution sampled on a time grid."""
     if problem.initial_velocity is not None:
         raise ValueError("first-order problems carry no initial velocity")
     times = uniform_times(problem.horizon) if grid is None else np.asarray(grid, dtype=float)
-    propagate = _propagator(problem.operator, "exp")
-    initial_powers = [problem.initial]
-    # the ladder of the last forcing value; holding it keeps that value
-    # alive, so an `is` match cannot come from a recycled object id
-    forcing_powers = [None]
+    propagate = propagator(problem.operator, "exp")
 
     def part_tol(t: float) -> float:
         # The truncation errors of T(t)(u0) and of every integrand value
@@ -268,20 +232,17 @@ def solve_first_order(problem: CauchyProblem, grid: np.ndarray | None = None) ->
         out = []
         for _, run in groupby(zip(values, nodes), key=lambda pair: id(pair[0])):
             run = list(run)
-            g = run[0][0]
-            if forcing_powers[0] is not g:
-                forcing_powers[:] = [g]
-            out += propagate([t - s for _, s in run], g, tol, forcing_powers)
+            out += propagate([t - s for _, s in run], run[0][0], repeat(tol))
         return out
 
     def evaluate(times):
         times = [float(t) for t in times]
         if problem.forcing is None:
-            return propagate(times, problem.initial, problem.tol, initial_powers)
+            return propagate(times, problem.initial, repeat(problem.tol))
         bad = [t for t in times if not t >= 0.0]
         if bad:
             raise NegativeForcedTime(f"forced problems are solved for t >= 0 only, not at t = {bad[0]!r}")
-        free = propagate(times, problem.initial, part_tol, initial_powers)
+        free = propagate(times, problem.initial, map(part_tol, times))
         return [
             u if t == 0.0 else core.add(u, _refined_integral(partial(integrand, part_tol(t), t), t, 0.5 * problem.tol))
             for t, u in zip(times, free)
@@ -303,11 +264,10 @@ def solve_second_order(problem: CauchyProblem, grid: np.ndarray | None = None) -
             "formula with nonzero velocity use solve_wave"
         )
     times = uniform_times(problem.horizon) if grid is None else np.asarray(grid, dtype=float)
-    propagate = _propagator(problem.operator, "cosh")
-    initial_powers = [problem.initial]
+    propagate = propagator(problem.operator, "cosh")
 
     def evaluate(times):
-        return propagate([float(t) for t in times], problem.initial, problem.tol, initial_powers)
+        return propagate(times, problem.initial, repeat(problem.tol))
 
     return Trajectory(times, evaluate(times), evaluate)
 

@@ -208,9 +208,9 @@ def _system_example(matrix, order, closed_form, args, times, tol):
 
 def _remark_a_example(args, times, tol):
     c = x = core.make_triangular(0.0, 1.0, 2.0, args.levels)  # the constant and the initial value
-    ev = semigroup.SemigroupEvaluator(builtin("RemarkA", c), "exp", tol)
-    traj = cauchy.Trajectory(times, ev.evaluate(times, x))  # one power ladder for every time
-    return traj, [semigroup.generator_pair_closed_form(c, x, float(t), "A") for t in times]
+    problem = cauchy.CauchyProblem(builtin("RemarkA", c), x, horizon=max(args.t_max, 1.0), tol=tol)
+    closed = [semigroup.generator_pair_closed_form(c, x, float(t), "A") for t in times]
+    return cauchy.solve_first_order(problem, times), closed
 
 
 def _wave_example(args, times, tol):

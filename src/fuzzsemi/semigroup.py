@@ -22,8 +22,8 @@ sum |t|^{2i} M^i / (2i)! etc.) where M is the operator's certified norm
 bound.  `_coefficients(kind, t, m)` is the one ladder c_p(t) m^p of each
 kind: `partial_sums` and the wave solver take m = 1, and `required_order`
 takes (|t|, M) to pick the smallest order whose exact tail is below target;
-`SemigroupEvaluator.evaluate` asks it for each time's order separately
-and sums all the times in one batch.
+each time's order is that of tol / max(1, ||x||), and all the times are
+summed in one batch.
 
 `MatrixFlow` is the exact limit of that series for an operator that
 carries a real matrix A (`operators.lift_matrix`, and `scale_operator` as
@@ -36,8 +36,10 @@ for cosh, which is the top-left block of the exponential of
 [[0, t I], [t A, 0]].  The matrix exponentials are Taylor polynomials with
 scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005), in
 numpy, their degree taken from `required_order` so that the tail is below
-the unit roundoff.  The solvers take this flow for such operators; the
-series serves every other operator and stays its test oracle.
+the unit roundoff.  `propagator` is the one place that picks this flow
+(exp and cosh of an operator with a matrix) or the literal series; the
+solvers and `exp_apply`/`cosh_apply`/`sinh_apply` go through it, and
+`SemigroupEvaluator` stays the literal series and the flow's test oracle.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate, count, islice, repeat
 from operator import mul, truediv
+from typing import Callable
 
 import numpy as np
 
@@ -87,7 +90,7 @@ def required_order(t: float, bound: float, tol: float, kind: str = "exp") -> int
     that is exactly 0 (t^2 M or t M underflowed) ends the tail: every
     later term is a multiple of it.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be > 0")
     if bound < 0 or not math.isfinite(bound) or not math.isfinite(t):
         raise ValueError("t and bound must be finite, bound >= 0")
@@ -133,14 +136,14 @@ def partial_sums(op: LinearOperator, kind: str, times, x, orders, powers: list |
     element for sinh).
 
     ``powers`` is an optional ladder ``[x, A(x), A^2(x), ...]`` owned by the
-    caller; it must start with x itself.  The entries these orders need
-    are read from it and the missing ones are appended in place, so later
-    calls for the same x and operator -- at other times, kinds or
-    tolerances -- apply the operator only past the longest order seen.  The
-    ladder does not change the result: the same terms are added in the same
-    order.  It holds one element per power, and it is only sound while x
-    and the operator's outputs are not mutated (every element type here is
-    immutable).
+    caller (`propagator` keeps one); it must start with x itself.  The
+    entries these orders need are read from it and the missing ones are
+    appended in place, so later calls for the same x and operator -- at
+    other times, kinds or tolerances -- apply the operator only past the
+    longest order seen.  The ladder does not change the result: the same
+    terms are added in the same order.  It holds one element per power,
+    and it is only sound while x and the operator's outputs are not mutated
+    (every element type here is immutable).
     """
     rows = [list(islice(_coefficients(kind, t), order)) for t, order in zip(times, orders, strict=True)]
     if powers is None:
@@ -159,10 +162,16 @@ def partial_sums(op: LinearOperator, kind: str, times, x, orders, powers: list |
     return [next(sums) if row else unit for row in rows]
 
 
-def series_apply(op: LinearOperator, kind: str, t: float, x, order: int, powers: list | None = None):
+def series_apply(op: LinearOperator, kind: str, t: float, x, order: int):
     """Partial sum of the operator series at one time and truncation order:
-    the one-time case of `partial_sums`, which describes ``powers``."""
-    return partial_sums(op, kind, (t,), x, (order,), powers)[0]
+    the one-time case of `partial_sums`."""
+    return partial_sums(op, kind, (t,), x, (order,))[0]
+
+
+def _orders(op: LinearOperator, kind: str, times, x, tols) -> list:
+    """Each time's truncation order: its tail below that time's tol / max(1, ||x||)."""
+    scale = max(1.0, core.norm(x))
+    return [required_order(t, op.norm_bound, tol / scale, kind) for t, tol in zip(times, tols)]
 
 
 @dataclass(frozen=True)
@@ -187,30 +196,22 @@ class SemigroupEvaluator:
             raise ValueError("operator norm bound must be finite")
 
     def order_for(self, t: float, x) -> int:
-        return self._orders((t,), x)[0]
+        return _orders(self.operator, self.kind, (t,), x, (self.tol,))[0]
 
-    def _orders(self, times, x) -> list:
-        tol = self.tol / max(1.0, core.norm(x))
-        return [required_order(t, self.operator.norm_bound, tol, self.kind) for t in times]
-
-    def evaluate(self, times, x, powers: list | None = None) -> list:
+    def evaluate(self, times, x) -> list:
         """Truncated series at each of ``times``, in order; exact identity (or
         zero, for sinh) at t = 0.
 
-        Each time gets its own order, the ladder is extended once to the
-        largest, and all the sums are one batched combination (see
-        `partial_sums`), each bit-identical to its own `at`.  ``powers`` is
-        an optional power ladder ``[x, A(x), ...]`` for x that the caller
-        keeps across calls.  It does not depend on t, the kind or tol, so
-        one ladder serves every evaluation of the same x under the same
-        operator.
+        Each time gets its own order and all the sums are one batched
+        combination (see `partial_sums`), each bit-identical to its own `at`.
         """
         times = [float(t) for t in times]
-        return partial_sums(self.operator, self.kind, times, x, self._orders(times, x), powers)
+        orders = _orders(self.operator, self.kind, times, x, repeat(self.tol))
+        return partial_sums(self.operator, self.kind, times, x, orders)
 
-    def at(self, t: float, x, powers: list | None = None):
+    def at(self, t: float, x):
         """Truncated series at one time t: the one-time case of `evaluate`."""
-        return self.evaluate((t,), x, powers)[0]
+        return self.evaluate((t,), x)[0]
 
     __call__ = at
 
@@ -372,16 +373,52 @@ class MatrixFlow:
         return self.evaluate((t,), x)[0]
 
 
+# ---------------------------------------------------------------------------
+# the one choice of how T(t) is evaluated
+
+
+def propagator(operator: LinearOperator, kind: str = "exp") -> Callable:
+    """The map (times, x, tols) -> T(t)(x) at each of ``times`` in one batch,
+    with one truncation tol per time: the exact `MatrixFlow` for exp and
+    cosh of an operator with a matrix (``tols`` unused), else the literal
+    series, truncated as `SemigroupEvaluator` truncates it, over the power
+    ladder of the last x, which the propagator holds so that an ``is`` match
+    never comes from a recycled id.  The ladder grows on use: a propagator
+    is not for concurrent use from several threads.  A series that leaves
+    the float range raises SeriesOverflow, without a numpy warning.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}")
+    if operator.matrix is not None and kind in FLOW_KINDS:
+        flow = MatrixFlow(operator, kind)
+        return lambda times, x, tols: flow.evaluate(times, x)
+    ladder = [None]
+
+    def series(times, x, tols):
+        times = [float(t) for t in times]
+        if ladder[0] is not x:
+            ladder[:] = [x]
+        orders = _orders(operator, kind, times, x, tols)
+        with np.errstate(over="ignore", invalid="ignore"):
+            states = partial_sums(operator, kind, times, x, orders, ladder)
+        for t, u in zip(times, states):
+            if not np.isfinite(u.ends).all():
+                raise SeriesOverflow(f"{kind} series of {operator.name} overflows at t = {t!r}; shorten the horizon")
+        return states
+
+    return series
+
+
 def exp_apply(op: LinearOperator, t: float, x, tol: float = 1e-9):
-    return SemigroupEvaluator(op, "exp", tol).at(t, x)
+    return propagator(op, "exp")((t,), x, (tol,))[0]
 
 
 def cosh_apply(op: LinearOperator, t: float, x, tol: float = 1e-9):
-    return SemigroupEvaluator(op, "cosh", tol).at(t, x)
+    return propagator(op, "cosh")((t,), x, (tol,))[0]
 
 
 def sinh_apply(op: LinearOperator, t: float, x, tol: float = 1e-9):
-    return SemigroupEvaluator(op, "sinh", tol).at(t, x)
+    return propagator(op, "sinh")((t,), x, (tol,))[0]
 
 
 def check_semigroup_law(ev: SemigroupEvaluator, t: float, s: float, x) -> float:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fuzzsemi import cauchy, core
+from fuzzsemi import cauchy, core, semigroup
 from fuzzsemi.cauchy import (
     CauchyProblem,
     Trajectory,
@@ -197,21 +197,24 @@ def test_fresh_forcing_objects_match_closed_form():
 def test_forcing_alternating_between_two_objects_matches_closed_form(monkeypatch):
     # two equal values as distinct objects, switching several times inside
     # every interval: each run of one object is its own batch, for the
-    # series (an operator without a matrix, as `_counting` builds) and for
-    # the exact flow of scale(1)
+    # series (an operator without a matrix, as `_counting` builds; its
+    # `partial_sums` takes (op, kind, times, x, ...)) and for the exact
+    # flow of scale(1) (`MatrixFlow.evaluate` takes (self, times, x))
     ga, gb = core.make_triangular(-0.5, 0.2, 0.8), core.make_triangular(-0.5, 0.2, 0.8)
     series_op = _counting(scale_operator(1.0))[0]
     assert series_op.matrix is None and scale_operator(1.0).matrix is not None
-    for operator, evaluator in ((series_op, SemigroupEvaluator), (scale_operator(1.0), MatrixFlow)):
+    cases = ((series_op, semigroup, "partial_sums", 2), (scale_operator(1.0), MatrixFlow, "evaluate", 1))
+    for operator, owner, name, at in cases:
         batches = []
-        evaluate = evaluator.evaluate
+        original = getattr(owner, name)
 
-        def counted(self, times, x, *rest, evaluate=evaluate, batches=batches):
+        def counted(*args, original=original, batches=batches, at=at):
+            times, x = args[at : at + 2]
             if x is ga or x is gb:
                 batches.append(len(times))
-            return evaluate(self, times, x, *rest)
+            return original(*args)
 
-        monkeypatch.setattr(evaluator, "evaluate", counted)
+        monkeypatch.setattr(owner, name, counted)
         problem = CauchyProblem(
             operator, U0, forcing=lambda s: ga if math.floor(40.0 * s) % 2 else gb, horizon=1.0, tol=1e-9
         )
@@ -601,6 +604,10 @@ def test_trajectory_validation():
         Trajectory(np.array([0.0, 0.0]), (U0, U0))
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 1.0]), (U0,))
+    # NaN differences never compare <= 0
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory(np.array([0.0, bad]), (U0, U0))
 
 
 def test_problem_validation():
@@ -608,3 +615,16 @@ def test_problem_validation():
         CauchyProblem(identity(), U0, horizon=0.0)
     with pytest.raises(ValueError):
         CauchyProblem(identity(), U0, tol=0.0)
+
+
+@pytest.mark.parametrize("horizon", [math.inf, math.nan])
+def test_problem_rejects_non_finite_horizon(horizon):
+    with pytest.raises(ValueError, match="horizon must be finite"):
+        CauchyProblem(scale_operator(1.0), U0, horizon=horizon)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+def test_problem_rejects_non_finite_tol(tol):
+    # an infinite tol truncated A1's series of crisp 1 to order 0: 1.0 at t = 1, not e^2
+    with pytest.raises(ValueError, match="tol must be finite"):
+        CauchyProblem(builtin("A1"), core.crisp(1.0), tol=tol)

@@ -296,6 +296,20 @@ def test_solve_overflowing_scale_factor_exits_cleanly(tmp_path, capsys):
     assert "split the time interval" not in err
 
 
+@pytest.mark.parametrize("operator", [{"kind": "builtin", "name": "A1"},
+                                      {"kind": "builtin", "name": "A2", "c": {"tri": [0, 1, 2]}}])
+def test_solve_series_overflow_exits_cleanly(tmp_path, capsys, operator):
+    # the series of a builtin leaves the float range: no NaN or Infinity in
+    # the JSON, no numpy warning (an error under this suite's settings)
+    cfg = write_config(tmp_path, {"operator": operator, "u0": {"tri": [1e308, 1.5e308, 1.7e308]}})
+    out = tmp_path / "out.json"
+    assert run("solve", cfg, "--levels", "4", "--nodes", "3", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "shorten the horizon" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_solve_quadrature_stall_exits_cleanly(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cauchy, "_QUAD_MAX_INTERVALS", 0)
     cfg = write_config(tmp_path, {

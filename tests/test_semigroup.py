@@ -1,12 +1,22 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fuzzsemi import core
-from fuzzsemi.errors import MixedSignsError
-from fuzzsemi.operators import builtin, canonical_probes, identity, lift_matrix, zero_operator
+from fuzzsemi.errors import MixedSignsError, SeriesOverflow
+from fuzzsemi.operators import (
+    LinearOperator,
+    builtin,
+    canonical_probes,
+    identity,
+    lift_matrix,
+    scale_operator,
+    zero_operator,
+)
 from fuzzsemi.semigroup import (
+    MatrixFlow,
     SemigroupEvaluator,
     check_semigroup_law,
     cosh_apply,
@@ -14,6 +24,7 @@ from fuzzsemi.semigroup import (
     generator_pair_closed_form,
     generator_residual,
     partial_sums,
+    propagator,
     required_order,
     series_apply,
     sinh_apply,
@@ -160,7 +171,7 @@ def test_shared_power_ladder_is_bit_identical(kind):
     powers = [x]
     for order in (8, 5, 2, 0, 1, 3, 6, 9, 12):  # read back, then extend
         for t in (0.7, -0.4):
-            got = series_apply(op, kind, t, x, order, powers)
+            got = partial_sums(op, kind, (t,), x, (order,), powers)[0]
             assert np.array_equal(_endpoints(got), _endpoints(series_apply(op, kind, t, x, order)))
     assert len(powers) == 12 + 1
 
@@ -227,13 +238,15 @@ def test_batched_evaluation_matches_explicit_series_bit_for_bit(kind):
         orders = [ev.order_for(t, x) for t in times]
         assert len(set(orders)) >= 4 or op.norm_bound == 0.0
         powers = [x]
-        got = ev.evaluate(times, x, powers)
-        assert len(got) == len(times) and len(powers) == max(orders) + 1
-        for t, order, u in zip(times, orders, got):
+        got = ev.evaluate(times, x)
+        laddered = partial_sums(op, kind, times, x, orders, powers)
+        assert len(got) == len(laddered) == len(times) and len(powers) == max(orders) + 1
+        for t, order, *both in zip(times, orders, got, laddered):
             want = _explicit_series(op, kind, t, x, order)
-            assert type(u) is type(want)
-            assert u.levels.tobytes() + u.ends.tobytes() == want.levels.tobytes() + want.ends.tobytes()
-            assert np.array_equal(np.signbit(u.ends), np.signbit(want.ends))
+            for u in both:
+                assert type(u) is type(want)
+                assert u.levels.tobytes() + u.ends.tobytes() == want.levels.tobytes() + want.ends.tobytes()
+                assert np.array_equal(np.signbit(u.ends), np.signbit(want.ends))
         # explicit orders, rows of every length up to 20 in one batch
         sums = partial_sums(op, kind, times * 3, x, range(len(times) * 3), powers)
         for t, order, u in zip(times * 3, range(len(times) * 3), sums):
@@ -244,7 +257,7 @@ def test_batched_evaluation_matches_explicit_series_bit_for_bit(kind):
 def test_batched_evaluation_of_no_times_is_empty():
     ev = SemigroupEvaluator(identity(), "exp", 1e-9)
     powers = [X]
-    assert ev.evaluate([], X, powers) == [] and powers == [X]
+    assert ev.evaluate([], X) == [] and partial_sums(identity(), "exp", [], X, [], powers) == [] and powers == [X]
 
 
 def test_series_apply_rejects_unknown_kind():
@@ -257,7 +270,100 @@ def test_power_ladder_must_start_with_x():
     y = core.make_triangular(0, 1, 2)
     for powers in ([], [y]):
         with pytest.raises(ValueError):
-            series_apply(identity(), "exp", 1.0, X, 3, powers)
+            partial_sums(identity(), "exp", (1.0,), X, (3,), powers)
+
+
+# ---------------------------------------------------------------------------
+# propagator and the public wrappers
+
+
+@pytest.mark.parametrize("factor, t", [(-5.0, 8.0), (-5.0, 4.0), (-3.0, 12.0)])
+def test_exp_apply_meets_long_horizon_decay(factor, t):
+    # the truncated series controls only its tail: it gave 2.24, 9.7e-9 and -0.098 here
+    got = exp_apply(scale_operator(factor), t, core.crisp(1.0))
+    assert core.is_crisp(got)
+    assert got.lower[0] == pytest.approx(math.exp(factor * t), rel=1e-12)
+
+
+def test_exp_apply_meets_long_horizon_rotation():
+    got = exp_apply(lift_matrix(((0.0, 1.0), (-1.0, 0.0))), 40.0, pair(core.crisp(1.0), core.crisp(0.0)))
+    for u, want in zip(got.components, (math.cos(40.0), -math.sin(40.0))):
+        assert np.abs(u.ends - want).max() <= 1e-12
+
+
+def _counting_remark_a():
+    """RemarkA as a bare map (no matrix) with a counter of its applications."""
+    op, calls = builtin("RemarkA", C), []
+
+    def fn(x):
+        calls.append(None)
+        return op(x)
+
+    return LinearOperator(fn, op.norm_bound, op.homogeneity, op.name, op.domain), calls
+
+
+def test_propagator_keeps_the_ladder_of_the_last_x():
+    op, calls = _counting_remark_a()
+    ev = SemigroupEvaluator(builtin("RemarkA", C), "exp", 1e-9)  # the oracle, not counted
+    propagate = propagator(op, "exp")
+
+    def check(times, x):
+        got = propagate(times, x, [1e-9] * len(times))
+        for u, want in zip(got, ev.evaluate(times, x)):
+            assert u.ends.tobytes() == want.ends.tobytes()
+
+    first = max(ev.order_for(t, X) for t in (0.5, 1.0))
+    check([0.5, 1.0], X)
+    assert len(calls) == first
+    check([0.25, 1.0, -0.5], X)  # the same x: the powers are read back
+    assert len(calls) == first
+    check([2.0], X)  # extended past the longest order only
+    assert len(calls) == ev.order_for(2.0, X)
+    calls.clear()
+    y = core.make_triangular(0, 1, 2)  # equal to X but another object: a new ladder
+    check([0.5], y)
+    assert len(calls) == ev.order_for(0.5, y)
+
+
+def test_propagator_truncates_each_time_to_its_own_tol():
+    op, x = builtin("A2", C), core.make_triangular(-1, 0.5, 3)
+    times, tols = [0.3, 1.0, 1.0, -0.7], [1e-3, 1e-12, 1e-4, 1e-9]
+    got = propagator(op, "cosh")(times, x, iter(tols))
+    for t, tol, u in zip(times, tols, got):
+        assert u.ends.tobytes() == SemigroupEvaluator(op, "cosh", tol).at(t, x).ends.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["exp", "cosh", "sinh"])
+def test_propagator_takes_the_flow_for_exp_and_cosh_of_a_matrix(kind):
+    op = lift_matrix(((0.5, -1.0), (1.0, 0.25)))
+    x = pair(core.make_triangular(0, 1, 2), core.make_triangular(-1, 0.5, 3))
+    times = [0.7, -0.4, 0.0, 2.0]
+    got = propagator(op, kind)(times, x, [1e-9] * 4)
+    oracle = SemigroupEvaluator(op, kind) if kind == "sinh" else MatrixFlow(op, kind)
+    want = oracle.evaluate(times, x)
+    assert [u.ends.tobytes() for u in got] == [u.ends.tobytes() for u in want]
+    # the public wrappers are its one-time calls
+    wrapper = {"exp": exp_apply, "cosh": cosh_apply, "sinh": sinh_apply}[kind]
+    assert wrapper(op, 2.0, x).ends.tobytes() == want[-1].ends.tobytes()
+
+
+def test_propagator_rejects_an_unknown_kind():
+    for op in (identity(), scale_operator(2.0), builtin("A1")):
+        with pytest.raises(ValueError, match="kind"):
+            propagator(op, "tanh")
+
+
+@pytest.mark.parametrize("kind", ["exp", "cosh", "sinh"])
+def test_series_overflow_raises_without_warning(kind):
+    # the operator's own sums (A1) or the series' sums x + ... (A2; sinh has
+    # no x term and stays finite there) leave the float range
+    big = core.make_triangular(1e308, 1.5e308, 1.7e308)
+    for op in (builtin("A1"), builtin("A2", C))[: 1 if kind == "sinh" else 2]:
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(SeriesOverflow, match="shorten the horizon"):
+                propagator(op, kind)([0.5, 1.0], big, [1e-9] * 2)
+        assert not seen, [str(w.message) for w in seen]
 
 
 # ---------------------------------------------------------------------------

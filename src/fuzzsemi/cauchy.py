@@ -13,18 +13,14 @@ problems with vanishing initial velocity use the cosh family, and the
 wave formula is one combination of the even derivatives of the initial
 profile and t * u2.
 
-Each solve takes every T(t) from one `semigroup.propagator`: the exact
-`MatrixFlow` of an operator that carries its real matrix (`lift_matrix`,
-and `scale_operator` as a 1 x 1 matrix), exact to rounding at any horizon
-and either sign of t, or the literal series for every other operator.
-An unforced solve truncates the series to tol at every time; a forced
-one gives the truncation (of T(t)(u0) and of every integrand value) half
-of tol and the quadrature the other half.  The propagator keeps the
-power ladder of the last x it was given: that of u0 serves every time
-node and re-solve of an unforced trajectory, that of a forcing value
-every node while the forcing returns that same object (constant forcing
-always does).  So a trajectory holds (max order + 1) elements alive, and
-its ``evaluate`` is not for concurrent use from several threads.
+Each solve takes every T(t) from one `semigroup.propagator`: the exact flow
+of an operator with a real matrix (`MatrixFlow`: `lift_matrix`, and
+`scale_operator` as 1 x 1) or a rank-one map (`RankOneFlow`: every builtin),
+exact to rounding at any horizon and either sign of t, or the literal series
+for every other operator.  An unforced solve truncates the series to tol at
+every time; a forced one gives the truncation (of T(t)(u0) and of every
+integrand value) half of tol and the quadrature the other half.  An error
+inside the Duhamel integral at t names t, not the integrand's t - s.
 
 Evaluation is batched by time: ``evaluate`` maps a sequence of times to
 one state per time, the solvers evaluate their whole grid (the forced
@@ -60,6 +56,7 @@ from .errors import (
     NegativeForcedTime,
     NoApplicableForm,
     QuadratureStall,
+    SeriesOverflow,
     UnsupportedVelocity,
 )
 from .operators import LinearOperator
@@ -134,10 +131,7 @@ class Trajectory:
     """Sampled solution: states at increasing times starting from 0.
 
     ``evaluate`` maps a sequence of arbitrary times to one state per time;
-    the residual checker uses it to re-solve at shifted times.  The
-    solvers' evaluators hold a propagator's power ladder, a cache that
-    grows on use and lives as long as the trajectory, so one ``evaluate``
-    must not be called from several threads at once.
+    the residual checker uses it to re-solve at shifted times.
     """
 
     times: np.ndarray
@@ -199,6 +193,8 @@ def _refined_integral(f: Callable, t_end: float, tol: float):
         kronrod = core.combine([half * w for w in _GK_KRONROD], vals)
         gauss = core.combine([half * w for w in _GK_GAUSS], vals[1::2])
         evaluated += 1
+        if not np.isfinite(kronrod.ends).all():
+            raise SeriesOverflow(f"the integral over [{a:g}, {b:g}] leaves the float range")
         if core.distance(kronrod, gauss) <= share:
             total = kronrod if total is None else core.add(total, kronrod)
         elif share < _QUAD_ROUNDING_FLOOR * core.norm(kronrod):
@@ -235,6 +231,17 @@ def solve_first_order(problem: CauchyProblem, grid: np.ndarray | None = None) ->
             out += propagate([t - s for _, s in run], run[0][0], repeat(tol))
         return out
 
+    def forced(t: float, u):
+        # u plus the Duhamel integral over [0, t]; an error names t, not t - s
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                u = core.add(u, _refined_integral(partial(integrand, part_tol(t), t), t, 0.5 * problem.tol))
+        except (SeriesOverflow, QuadratureStall) as exc:
+            raise type(exc)(f"{exc} (in the Duhamel integral of the solution at t = {t!r})") from exc
+        if not np.isfinite(u.ends).all():
+            raise SeriesOverflow(f"the forced solution overflows at t = {t!r}; shorten the horizon")
+        return u
+
     def evaluate(times):
         times = [float(t) for t in times]
         if problem.forcing is None:
@@ -243,10 +250,7 @@ def solve_first_order(problem: CauchyProblem, grid: np.ndarray | None = None) ->
         if bad:
             raise NegativeForcedTime(f"forced problems are solved for t >= 0 only, not at t = {bad[0]!r}")
         free = propagate(times, problem.initial, map(part_tol, times))
-        return [
-            u if t == 0.0 else core.add(u, _refined_integral(partial(integrand, part_tol(t), t), t, 0.5 * problem.tol))
-            for t, u in zip(times, free)
-        ]
+        return [u if t == 0.0 else forced(t, u) for t, u in zip(times, free)]
 
     return Trajectory(times, evaluate(times), evaluate)
 

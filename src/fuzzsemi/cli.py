@@ -209,8 +209,8 @@ def _system_example(matrix, order, closed_form, args, times, tol):
 def _remark_a_example(args, times, tol):
     c = x = core.make_triangular(0.0, 1.0, 2.0, args.levels)  # the constant and the initial value
     problem = cauchy.CauchyProblem(builtin("RemarkA", c), x, horizon=max(args.t_max, 1.0), tol=tol)
-    closed = [semigroup.generator_pair_closed_form(c, x, float(t), "A") for t in times]
-    return cauchy.solve_first_order(problem, times), closed
+    traj = cauchy.solve_first_order(problem, times)
+    return traj, [semigroup.generator_pair_closed_form(c, x, float(t), "A") for t in times]
 
 
 def _wave_example(args, times, tol):

@@ -8,10 +8,11 @@ consumes an upper bound, and `phi_distance` is an explicit probe-set
 lower bound on the operator metric, clearly labeled as such.
 
 `lift_matrix` and `scale_operator` also keep the real matrix they apply
-(1 x 1 for a scale) as the operator's ``matrix``.  The solvers evaluate
-such an operator by its exact flow (`semigroup.MatrixFlow`); the builtins,
-compositions and operators built from a bare map carry none and take the
-literal series.
+(1 x 1 for a scale) as the operator's ``matrix``, and every builtin, a map
+x -> phi(x) c, keeps the pair (phi, c) as its ``rank_one``.  The solvers
+evaluate such an operator by its exact flow (`semigroup.MatrixFlow`,
+`semigroup.RankOneFlow`); compositions and operators built from a bare
+map carry neither and take the literal series.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ class LinearOperator:
         matrix: the real k x k matrix (read-only) that ``fn`` applies, each
             component's image being sum_j a_ij w_j, or None; a 1 x 1 matrix
             scales every leaf of any element.
+        rank_one: the pair (phi, c) of a map x -> phi(x) c, phi a real
+            functional and c a fuzzy number, or None.
     """
 
     fn: Callable = field(repr=False)
@@ -57,6 +60,7 @@ class LinearOperator:
     name: str = "operator"
     domain: object = "any"
     matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
+    rank_one: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.isfinite(self.norm_bound) or self.norm_bound < 0:
@@ -210,6 +214,7 @@ _CATALOGUE = {
     "RemarkB": (upper_spread_coeff, True, 2.0, POSITIVE_HOMOGENEOUS),
 }
 BUILTIN_NAMES = tuple(_CATALOGUE)
+_CRISP_ONE = core.crisp(1.0, 1)  # on the levels (0, 1), which every level grid refines
 
 
 def builtin(name: str, c: FuzzyNumber | None = None) -> LinearOperator:
@@ -228,7 +233,8 @@ def builtin(name: str, c: FuzzyNumber | None = None) -> LinearOperator:
     under a negative factor (e.g. A2 applied to -x integrates the lower
     endpoints of x), so homogeneity fails for negative scalars.
 
-    RemarkA and RemarkB require mu_coeff(c) > 0.
+    RemarkA and RemarkB require mu_coeff(c) > 0.  Every builtin is x -> phi(x) c
+    (c crisp 1 for A1, A4, A5) and keeps (phi, c) as its ``rank_one``.
     """
     if name not in _CATALOGUE:
         raise ValueError(f"unknown builtin {name!r}; valid names: {', '.join(BUILTIN_NAMES)}")
@@ -236,7 +242,7 @@ def builtin(name: str, c: FuzzyNumber | None = None) -> LinearOperator:
     if not scales_c:
         def fn(x):
             return core.crisp(functional(x), levels=x.levels)
-        return LinearOperator(fn, bound, homogeneity, name, "fuzzy")
+        return LinearOperator(fn, bound, homogeneity, name, "fuzzy", rank_one=(functional, _CRISP_ONE))
 
     if c is None:
         raise ValueError(f"{name} needs the fuzzy constant c")
@@ -245,7 +251,7 @@ def builtin(name: str, c: FuzzyNumber | None = None) -> LinearOperator:
 
     def fn(x):
         return core.scalar_mul(functional(x), c)
-    return LinearOperator(fn, bound * core.norm(c), homogeneity, name, "fuzzy")
+    return LinearOperator(fn, bound * core.norm(c), homogeneity, name, "fuzzy", rank_one=(functional, c))
 
 
 def lift_matrix(entries) -> LinearOperator:

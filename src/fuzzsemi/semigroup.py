@@ -36,16 +36,17 @@ for cosh, which is the top-left block of the exponential of
 [[0, t I], [t A, 0]].  The matrix exponentials are Taylor polynomials with
 scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005), in
 numpy, their degree taken from `required_order` so that the tail is below
-the unit roundoff.  `propagator` is the one place that picks this flow
-(exp and cosh of an operator with a matrix) or the literal series; the
-solvers and `exp_apply`/`cosh_apply`/`sinh_apply` go through it, and
-`SemigroupEvaluator` stays the literal series and the flow's test oracle.
+the unit roundoff.  `RankOneFlow` runs the same kernel on a 4 x 4 matrix
+for every builtin.  `propagator` picks a flow or the literal series for
+the solvers and `exp_apply`/`cosh_apply`/`sinh_apply`; `SemigroupEvaluator`
+stays the literal series and the flows' test oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, count, islice, repeat
 from operator import mul, truediv
 from typing import Callable
@@ -125,7 +126,7 @@ def required_order(t: float, bound: float, tol: float, kind: str = "exp") -> int
     return order
 
 
-def partial_sums(op: LinearOperator, kind: str, times, x, orders, powers: list | None = None) -> list:
+def partial_sums(op: LinearOperator, kind: str, times, x, orders) -> list:
     """Partial sums of the operator series, orders[i] terms at times[i].
 
     Powers come from the ladder y_0 = x, y_{p+1} = A(y_p), extended once to
@@ -134,22 +135,9 @@ def partial_sums(op: LinearOperator, kind: str, times, x, orders, powers: list |
     ladder, with a fixed left-to-right fuzzy-addition order, so each equals
     its own `series_apply` bit for bit.  Order 0 gives x itself (the zero
     element for sinh).
-
-    ``powers`` is an optional ladder ``[x, A(x), A^2(x), ...]`` owned by the
-    caller (`propagator` keeps one); it must start with x itself.  The
-    entries these orders need are read from it and the missing ones are
-    appended in place, so later calls for the same x and operator -- at
-    other times, kinds or tolerances -- apply the operator only past the
-    longest order seen.  The ladder does not change the result: the same
-    terms are added in the same order.  It holds one element per power,
-    and it is only sound while x and the operator's outputs are not mutated
-    (every element type here is immutable).
     """
     rows = [list(islice(_coefficients(kind, t), order)) for t, order in zip(times, orders, strict=True)]
-    if powers is None:
-        powers = [x]
-    elif not powers or powers[0] is not x:
-        raise ValueError("the power ladder must start with x itself")
+    powers = [x]
     while len(powers) <= max(orders, default=0):
         powers.append(op(powers[-1]))
     # exp and cosh start from the identity term x; sinh has none
@@ -168,10 +156,18 @@ def series_apply(op: LinearOperator, kind: str, t: float, x, order: int):
     return partial_sums(op, kind, (t,), x, (order,))[0]
 
 
-def _orders(op: LinearOperator, kind: str, times, x, tols) -> list:
-    """Each time's truncation order: its tail below that time's tol / max(1, ||x||)."""
+def _series(op: LinearOperator, kind: str, times, x, tols) -> list:
+    """The literal series at each of ``times``, truncated below that time's tol / max(1, ||x||),
+    in one `partial_sums` batch; SeriesOverflow, without a numpy warning, past the float range."""
+    times = [float(t) for t in times]
     scale = max(1.0, core.norm(x))
-    return [required_order(t, op.norm_bound, tol / scale, kind) for t, tol in zip(times, tols)]
+    orders = [required_order(t, op.norm_bound, tol / scale, kind) for t, tol in zip(times, tols)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = partial_sums(op, kind, times, x, orders)
+    for t, u in zip(times, states):
+        if not np.isfinite(u.ends).all():
+            raise SeriesOverflow(f"{kind} series of {op.name} overflows at t = {t!r}; shorten the horizon")
+    return states
 
 
 @dataclass(frozen=True)
@@ -196,18 +192,16 @@ class SemigroupEvaluator:
             raise ValueError("operator norm bound must be finite")
 
     def order_for(self, t: float, x) -> int:
-        return _orders(self.operator, self.kind, (t,), x, (self.tol,))[0]
+        return required_order(t, self.operator.norm_bound, self.tol / max(1.0, core.norm(x)), self.kind)
 
     def evaluate(self, times, x) -> list:
         """Truncated series at each of ``times``, in order; exact identity (or
-        zero, for sinh) at t = 0.
+        zero, for sinh) at t = 0; SeriesOverflow past the float range.
 
         Each time gets its own order and all the sums are one batched
         combination (see `partial_sums`), each bit-identical to its own `at`.
         """
-        times = [float(t) for t in times]
-        orders = _orders(self.operator, self.kind, times, x, repeat(self.tol))
-        return partial_sums(self.operator, self.kind, times, x, orders)
+        return _series(self.operator, self.kind, times, x, repeat(self.tol))
 
     def at(self, t: float, x):
         """Truncated series at one time t: the one-time case of `evaluate`."""
@@ -283,17 +277,13 @@ class MatrixFlow:
     def __post_init__(self):
         if self.kind not in FLOW_KINDS:
             raise ValueError(f"kind must be one of {FLOW_KINDS}")
-        a = self.operator.matrix
-        if a is None:
-            raise ValueError(f"{self.operator.name} carries no matrix")
+        a = self._real_matrix()
         k = a.shape[0]
         if self.kind == "cosh":
             # [[0, g I], [A / g, 0]] squares to diag(A, A) for every g > 0; g, a
             # power of two near sqrt(||A||), balances the blocks exactly
-            g = 2.0 ** (int(_binary_exponent(self.operator.norm_bound)) // 2)
-            block = np.zeros((2 * k, 2 * k))
-            block[:k, k:], block[k:, :k] = g * np.eye(k), a / g
-            a = block
+            g = 2.0 ** (int(_binary_exponent(np.abs(a).sum(axis=1).max())) // 2)
+            a = np.block([[np.zeros((k, k)), g * np.eye(k)], [a / g, np.zeros((k, k))]])
         bases = np.stack((a, np.abs(a)))
         # a power of two brings both bases to norm at most 1 and moves into the times
         scale = int(_binary_exponent(bases[1].sum(axis=1).max()))
@@ -301,8 +291,12 @@ class MatrixFlow:
         powers = np.ldexp(bases, -scale)[:, None]
         while powers.shape[1] < _TAYLOR_DEGREE:
             powers = np.concatenate((powers, _matmul(powers, powers[:, -1:])), axis=1)
-        object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_powers", powers[:, :_TAYLOR_DEGREE])
+        self.__dict__.update(_k=k, _scale=scale, _powers=powers[:, :_TAYLOR_DEGREE])
+
+    def _real_matrix(self) -> np.ndarray:
+        if self.operator.matrix is None:
+            raise ValueError(f"{self.operator.name} carries no matrix")
+        return self.operator.matrix
 
     def matrices(self, times) -> np.ndarray:
         """The (2, n, k, k) stack of the matrices that map the midpoints ([0])
@@ -316,41 +310,40 @@ class MatrixFlow:
         times = np.asarray(times, dtype=float)
         if not np.isfinite(times).all():
             raise ValueError("times must be finite")
-        k = self.operator.matrix.shape[0]
         signed = times if self.kind == "exp" else np.abs(times)
         out = _expm(self._powers, np.ldexp(np.stack((signed, np.abs(times))), self._scale))
-        return out[:, :, :k, :k]
+        return out[:, :, : self._k, : self._k]
+
+    def _image(self, flows, x):
+        """(grid, mid, rad, size, same): the leaf whose grids the image takes, its midpoints
+        and radii, its norm bound, and whether the map is exactly the identity, per time."""
+        k = flows.shape[-1]
+        half = 0.5 * x.ends
+        lo, up = half[..., 0, :], half[..., 1, :]
+        parts = np.stack((lo + up, up - lo)).reshape(2, 1, k, -1)
+        # flows @ parts, one column of flows at a time: the parts are long rows
+        image = flows[..., :1] * parts[:, :, :1]
+        for j in range(1, k):
+            image += flows[..., j : j + 1] * parts[:, :, j : j + 1]
+        mid, rad = image.reshape(2, flows.shape[1], *lo.shape)
+        same = (flows == np.eye(k)).all(axis=(0, 2, 3))
+        return x, mid, rad, flows[1].sum(axis=2).max(axis=1) * core.norm(x), same
 
     def evaluate(self, times, x) -> list:
         """The flow at each of ``times`` applied to x, in order.
 
-        x itself where both matrices are exactly the identity (t = 0, or a
-        t too small to move any bit); otherwise midpoints and radii are
-        mapped and the endpoints pass one batched `core.clamp_nested` at a
-        tolerance relative to ||R(t)|| ||x||, R the radius matrix.  The
-        domain is checked first.  Raises SeriesOverflow, without a numpy
-        warning and whatever x is, when a matrix or a result leaves the
-        float range.
+        x itself where the map is exactly the identity (t = 0, or a t too small to
+        move any bit); otherwise the endpoints mid -/+ rad of `_image` pass one
+        batched `core.clamp_nested` at a tolerance relative to its norm bound.  The
+        domain is checked first.  SeriesOverflow, without a numpy warning, past the float range.
         """
         self.operator._check_domain(core._leaf(x))
         times = [float(t) for t in times]
         if not times:
             return []
-        ends = np.empty((len(times), *x.ends.shape))
         with np.errstate(over="ignore", invalid="ignore"):
-            flows = self.matrices(times)
-            k = flows.shape[-1]
-            same = (flows == np.eye(k)).all(axis=(0, 2, 3))
-            half = 0.5 * x.ends
-            lo, up = half[..., 0, :], half[..., 1, :]
-            parts = np.stack((lo + up, up - lo)).reshape(2, 1, k, -1)
-            # flows @ parts, one column of flows at a time: the parts are long rows
-            image = flows[..., :1] * parts[:, :, :1]
-            for j in range(1, k):
-                image += flows[..., j : j + 1] * parts[:, :, j : j + 1]
-            mid, rad = image.reshape(2, len(times), *lo.shape)
-            np.subtract(mid, rad, out=ends[..., 0, :])
-            np.add(mid, rad, out=ends[..., 1, :])
+            grid, mid, rad, size, same = self._image(self.matrices(times), x)
+            ends = np.stack((mid - rad, mid + rad), axis=-2)
         # a non-finite matrix entry makes its image non-finite too (0 * inf is nan)
         finite = np.isfinite(ends).reshape(len(times), -1).all(axis=1)
         if not finite.all():
@@ -358,19 +351,50 @@ class MatrixFlow:
                 f"the {self.kind} flow of {self.operator.name} overflows at t = {times[np.argmin(finite)]!r}; "
                 "shorten the horizon or reduce the operator's norm or data"
             )
-        growth = np.maximum(1.0, flows[1].sum(axis=2).max(axis=1) * core.norm(x))
-        tol = core.MONOTONICITY_TOLERANCE * growth.reshape(-1, *(1,) * (lo.ndim - 1))
+        tol = core.MONOTONICITY_TOLERANCE * np.maximum(1.0, size).reshape(-1, *(1,) * (ends.ndim - 3))
         ends, ok = core.clamp_nested(ends, tol)
         if not ok.all():
             raise SeriesOverflow(
                 f"rounding in the {self.kind} flow of {self.operator.name} breaks the nesting of level sets; "
                 "shorten the horizon"
             )
-        return [x if keep else x._with(e) for keep, e in zip(same.tolist(), ends)]
+        return [x if keep else grid._with(e) for keep, e in zip(same.tolist(), ends)]
 
     def at(self, t: float, x):
         """The flow at one time t: the one-time case of `evaluate`."""
         return self.evaluate((t,), x)[0]
+
+
+class RankOneFlow(MatrixFlow):
+    """The exact exp or cosh flow of x -> phi(x) c (``rank_one``: every builtin).
+
+    A^p x = s_p c, where s_1 = phi(x) and, by positive homogeneity, the parts
+    v_p = (s_p^+, s_p^-) obey v_{p+1} = M v_p, M = [[mu_+^+, mu_-^+], [mu_+^-, mu_-^-]]
+    and mu_+- = phi(+-c).  So the series is mid(x) + m mid(c), rad(x) + r rad(c),
+    with m = [1, -1] F(t) v_1, r = [1, 1] F(|t|) v_1 and F(t) = sum_p c_p(t) M^(p-1),
+    the top-right block of the series of K = [[M, I], [0, 0]] (Van Loan, IEEE TAC
+    23, 1978): `MatrixFlow`'s two matrices for K >= 0 hold F(t) and F(|t|).
+    """
+
+    def _real_matrix(self) -> np.ndarray:
+        if self.operator.rank_one is None:
+            raise ValueError(f"{self.operator.name} is not rank one")
+        phi, c = self.operator.rank_one
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu = np.array([phi(c), phi(core.scalar_mul(-1.0, c))])
+        if not np.isfinite(mu).all():
+            raise SeriesOverflow(f"phi(+-c) of {self.operator.name} overflows; reduce c")
+        return np.block([[np.maximum([mu, -mu], 0.0), np.eye(2)], [np.zeros((2, 4))]])
+
+    def _image(self, flows, x):
+        phi, c = self.operator.rank_one
+        s = phi(x)
+        parts = (flows[:, :, :2, 2:] * np.maximum([s, -s], 0.0)).sum(axis=-1)  # F v_1
+        m, r = parts[0, :, 0] - parts[0, :, 1], parts[1].sum(axis=-1)
+        grid, c = core.common_grid(x, c)
+        (lx, ux), (lc, uc) = 0.5 * grid.ends, 0.5 * c.ends
+        mid, rad = lx + ux + m[:, None] * (lc + uc), ux - lx + r[:, None] * (uc - lc)
+        return grid, mid, rad, core.norm(x) + r * core.norm(c), (m == 0) & (r == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -378,35 +402,18 @@ class MatrixFlow:
 
 
 def propagator(operator: LinearOperator, kind: str = "exp") -> Callable:
-    """The map (times, x, tols) -> T(t)(x) at each of ``times`` in one batch,
-    with one truncation tol per time: the exact `MatrixFlow` for exp and
-    cosh of an operator with a matrix (``tols`` unused), else the literal
-    series, truncated as `SemigroupEvaluator` truncates it, over the power
-    ladder of the last x, which the propagator holds so that an ``is`` match
-    never comes from a recycled id.  The ladder grows on use: a propagator
-    is not for concurrent use from several threads.  A series that leaves
-    the float range raises SeriesOverflow, without a numpy warning.
+    """The map (times, x, tols) -> T(t)(x) at each of ``times`` in one batch, one
+    truncation tol per time: exp and cosh of an operator with a matrix or a
+    rank-one map take `MatrixFlow` or `RankOneFlow` (``tols`` unused), every
+    other case the literal series as `SemigroupEvaluator` truncates it.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
-    if operator.matrix is not None and kind in FLOW_KINDS:
-        flow = MatrixFlow(operator, kind)
-        return lambda times, x, tols: flow.evaluate(times, x)
-    ladder = [None]
-
-    def series(times, x, tols):
-        times = [float(t) for t in times]
-        if ladder[0] is not x:
-            ladder[:] = [x]
-        orders = _orders(operator, kind, times, x, tols)
-        with np.errstate(over="ignore", invalid="ignore"):
-            states = partial_sums(operator, kind, times, x, orders, ladder)
-        for t, u in zip(times, states):
-            if not np.isfinite(u.ends).all():
-                raise SeriesOverflow(f"{kind} series of {operator.name} overflows at t = {t!r}; shorten the horizon")
-        return states
-
-    return series
+    flow = MatrixFlow if operator.matrix is not None else RankOneFlow if operator.rank_one is not None else None
+    if flow is None or kind not in FLOW_KINDS:
+        return partial(_series, operator, kind)
+    evaluate = flow(operator, kind).evaluate
+    return lambda times, x, tols: evaluate(times, x)
 
 
 def exp_apply(op: LinearOperator, t: float, x, tol: float = 1e-9):
@@ -472,7 +479,7 @@ def generator_pair_closed_form(c: core.FuzzyNumber, x: core.FuzzyNumber, t: floa
     the flow is x + coeff(x)/mu * (exp(t mu) - 1) * c with
     mu = mu_coeff(c); for the upper-endpoint generator ("B") the
     coefficient and the growth rate use the upper endpoints at level 0.
-    Requires t >= 0 and a positive growth rate.
+    Requires t >= 0 and a positive growth rate; SeriesOverflow when e^{t mu} overflows.
     """
     if t < 0:
         raise ValueError("closed form stated for t >= 0")
@@ -484,5 +491,8 @@ def generator_pair_closed_form(c: core.FuzzyNumber, x: core.FuzzyNumber, t: floa
         raise ValueError("which must be 'A' or 'B'")
     if rate <= 0:
         raise ValueError("growth rate must be positive for the closed form")
-    factor = coeff * math.expm1(t * rate) / rate
+    try:
+        factor = coeff * math.expm1(t * rate) / rate
+    except OverflowError:
+        raise SeriesOverflow(f"the closed form of Remark{which} overflows at t = {t!r}") from None
     return core.add(x, core.scalar_mul(factor, c))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,9 +25,10 @@ from fuzzsemi.errors import (
     NegativeForcedTime,
     NoApplicableForm,
     QuadratureStall,
+    SeriesOverflow,
     UnsupportedVelocity,
 )
-from fuzzsemi.operators import LinearOperator, builtin, identity, lift_matrix, scale_operator, zero_operator
+from fuzzsemi.operators import LinearOperator, builtin, compose, identity, lift_matrix, scale_operator, zero_operator
 from fuzzsemi.semigroup import MatrixFlow, SemigroupEvaluator, generator_pair_closed_form
 from fuzzsemi.spaces import FuzzyFunction, pair
 
@@ -68,6 +70,26 @@ def test_quadrature_stalls_at_once_below_rounding_floor():
     with pytest.raises(QuadratureStall, match="rounding floor"):
         solve_first_order(problem, np.array([0.0, 0.5]))
     assert len(calls) <= 30  # at most two intervals of 15 nodes
+
+
+@pytest.mark.parametrize(
+    "operator, g, t",
+    [
+        # the series of a composition overflows inside the integral, at t - s = 0.4978...
+        (compose(identity(), builtin("A1")), core.make_triangular(1e307, 1.5e307, 1.7e307, 4), 0.5),
+        # the rank-one flow stays finite there, and the quadrature stalls at the rounding floor
+        (builtin("A1"), core.make_triangular(1e307, 1.5e307, 1.7e307, 4), 0.5),
+        # u' = -u / 2 + g tends to 2 g: the Duhamel sum itself leaves the float range
+        (scale_operator(-0.5), core.crisp(1.5e308, 4), 2.0),
+    ],
+)
+def test_forced_solve_errors_name_the_solve_time(operator, g, t):
+    problem = CauchyProblem(operator, core.make_triangular(0, 1, 2, 4), forcing=lambda s: g, horizon=t, tol=1e-9)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises((SeriesOverflow, QuadratureStall), match=rf"solution at t = {t}\)"):
+            solve_first_order(problem, np.array([0.0, t]))
+    assert not seen, [str(w.message) for w in seen]
 
 
 def _scale_forced_endpoints(a, u0, g, t):
@@ -141,11 +163,11 @@ def test_refined_integral_exact_for_polynomials():
 
 
 # ---------------------------------------------------------------------------
-# power ladders
+# operator applications of the literal series
 
 
 def _counting(op):
-    """op with a counter of its applications."""
+    """op as a bare map (no matrix, not rank one) with a counter of its applications."""
     calls = []
 
     def fn(x):
@@ -164,21 +186,18 @@ def test_unforced_solve_applies_operator_once_per_power():
     assert len(calls) == max(flow.order_for(float(t), w0) for t in grid)
     for t, st in zip(traj.times, traj.states):
         assert core.distance(st, problem5_closed_form(U0, V0, float(t))) <= 1e-8
-    # the re-solves at t +- h extend the same ladder only past its longest order
+    # the re-solves at t +- h are one more batch, with powers of their own
+    calls.clear()
     sample, h = grid[1:-1:8], 1e-3
     residual_check(traj, lift_matrix(cauchy.COUPLED_MATRIX), h=h, times=sample)
-    assert len(calls) == max(flow.order_for(float(t), w0) for t in (*grid, *(sample + h), *(sample - h)))
+    assert len(calls) == max(flow.order_for(float(t), w0) for t in (*sample, *(sample + h), *(sample - h)))
 
 
-def test_constant_forcing_shares_one_ladder():
-    op, calls = _counting(scale_operator(1.0))
+def test_constant_forcing_matches_closed_form():
+    op = _counting(scale_operator(1.0))[0]
     tol, horizon = 1e-9, 1.0
     problem = CauchyProblem(op, U0, forcing=lambda s: V0, horizon=horizon, tol=tol)
-    grid = cauchy.uniform_times(horizon, 64)
-    traj = solve_first_order(problem, grid)
-    # part evaluators use tol / (2 (1 + t)); the order grows with t, so t = horizon bounds it
-    part = SemigroupEvaluator(op, "exp", 0.5 * tol / (1.0 + horizon))
-    assert len(calls) <= part.order_for(horizon, U0) + part.order_for(horizon, V0)
+    traj = solve_first_order(problem, cauchy.uniform_times(horizon, 64))
     for t, st in zip(traj.times, traj.states):
         assert _endpoint_gap(st, _scale_forced_endpoints(1.0, U0, V0, float(t))) <= tol
 
@@ -189,7 +208,7 @@ def test_fresh_forcing_objects_match_closed_form():
     fresh = lambda s: core.make_triangular(-0.5, 0.2, 0.8)  # a new object on every call
     problem = CauchyProblem(op, U0, forcing=fresh, horizon=1.0, tol=1e-9)
     traj = solve_first_order(problem, cauchy.uniform_times(1.0, 5))
-    assert len(calls) > 15 * 4  # no ladder is shared between forcing values
+    assert len(calls) > 15 * 4  # no powers are shared between forcing values
     for t, st in zip(traj.times, traj.states):
         assert _endpoint_gap(st, _scale_forced_endpoints(1.0, U0, g, float(t))) <= 1e-9
 

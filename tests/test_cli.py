@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -310,6 +311,23 @@ def test_solve_series_overflow_exits_cleanly(tmp_path, capsys, operator):
     assert not out.exists()
 
 
+def test_solve_forced_error_names_the_solve_time(tmp_path, capsys):
+    # the error arises inside the Duhamel integral of the solution at t = 0.5,
+    # where the integrand is evaluated at t - s < 0.5
+    cfg = write_config(tmp_path, {
+        "operator": {"kind": "builtin", "name": "A1"},
+        "u0": {"tri": [0, 1, 2]},
+        "g": {"kind": "const", "value": {"tri": [1e307, 1.5e307, 1.7e307]}},
+    })
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert run("solve", cfg, "--levels", "4", "--nodes", "3") == 1
+    assert not seen, [str(w.message) for w in seen]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "solution at t = 0.5)" in err
+    assert "Traceback" not in err
+
+
 def test_solve_quadrature_stall_exits_cleanly(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cauchy, "_QUAD_MAX_INTERVALS", 0)
     cfg = write_config(tmp_path, {
@@ -471,7 +489,7 @@ def test_example_bad_numeric_flags(capsys):
         ("problem4", "--tol", "nan"),
         ("problem4", "--t-max", "inf"),
         ("problem4", "--t-points", "100000000000000000000"),
-        ("remarkA", "--t-max", "800"),  # the series overflows
+        ("remarkA", "--t-max", "1500"),  # the flow overflows (and so would the closed form)
         ("problem5", "--t-max", "1e3", "--t-points", "2"),
         ("wave", "--t-max", "1e6", "--t-points", "2"),
         ("wave", "--nodes", "1"),

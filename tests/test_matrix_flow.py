@@ -1,4 +1,4 @@
-"""The exact flow of matrix and scale operators against independent references.
+"""The exact flows of matrix, scale and builtin operators against independent references.
 
 `SemigroupEvaluator` (the literal series) is the oracle at tol 1e-12, the
 levelwise endpoint ODE integrated with RK4 is a second one for t >= 0, and
@@ -15,8 +15,8 @@ import pytest
 from fuzzsemi import cauchy, core
 from fuzzsemi.cauchy import CauchyProblem, residual_check, solve_first_order, solve_second_order
 from fuzzsemi.errors import NoApplicableForm, SeriesOverflow, SpaceMismatch
-from fuzzsemi.operators import LinearOperator, builtin, lift_matrix, random_fuzzy, scale_operator
-from fuzzsemi.semigroup import MatrixFlow, SemigroupEvaluator
+from fuzzsemi.operators import BUILTIN_NAMES, LinearOperator, builtin, lift_matrix, mu_coeff, random_fuzzy, scale_operator
+from fuzzsemi.semigroup import MatrixFlow, RankOneFlow, SemigroupEvaluator
 from fuzzsemi.spaces import FuzzyFunction, ProductElement, pair
 
 import helpers
@@ -212,3 +212,84 @@ def test_residual_check_names_the_first_failing_time():
     assert residual_check(traj, zero, h=0.1, times=[0.3]) == 0.0
     with pytest.raises(NoApplicableForm, match=r"t = 0\.6$"):
         residual_check(traj, zero, h=0.1, times=[0.3, 0.6, 0.9])
+
+
+# ---------------------------------------------------------------------------
+# the rank-one flow of the builtins
+
+
+def _rank_one_cases():
+    """Every builtin, the ones scaling c under constants of both signs and a
+    crisp one (A2 and A3 then have M = 0), each with the (mu_+, mu_-) it sees."""
+    constants = (U0, core.make_triangular(-2, -1, 0.5, 7), core.make_triangular(-3, -2, -1), core.crisp(1.5))
+    for name in BUILTIN_NAMES:
+        for c in constants[: 1 if name in ("A1", "A4", "A5") else None]:  # these ignore c
+            if not (name.startswith("Remark") and mu_coeff(c) <= 0.0):
+                op = builtin(name, c)
+                phi, c = op.rank_one
+                yield op, (phi(c), phi(core.scalar_mul(-1.0, c)))
+
+
+@pytest.mark.parametrize("kind", ["exp", "cosh"])
+def test_rank_one_flow_agrees_with_series(kind):
+    tol = 1e-12
+    times = [-2.0, -0.7, -1e-3, 0.0, 0.4, 1.5, 3.0]
+    xs = (core.make_triangular(-1, 0.5, 3, 5), core.make_triangular(1, 2, 4, 5))
+    xs += (*(core.scalar_mul(-1.0, x) for x in xs), core.crisp(2.0))  # phi(crisp) = 0 under a spread
+    phi_signs, mu_minus_signs = set(), set()
+    for op, (_, mu_minus) in _rank_one_cases():
+        mu_minus_signs.add(np.sign(mu_minus))
+        flow, series = RankOneFlow(op, kind), SemigroupEvaluator(op, kind, tol)
+        for x in xs:
+            phi_signs.add(np.sign(op.rank_one[0](x)))
+            for t, g, w in zip(times, flow.evaluate(times, x), series.evaluate(times, x)):
+                # the series' truncation guarantee plus a rounding allowance for
+                # terms as large as e^{|t| M} ||x||
+                bound = tol * max(1.0, core.norm(x)) + 64 * EPS * math.exp(abs(t) * op.norm_bound) * core.norm(x)
+                assert core.distance(g, w) <= bound, (op.name, t)
+    assert phi_signs == mu_minus_signs == {-1.0, 0.0, 1.0}
+
+
+@pytest.mark.parametrize("kind", ["exp", "cosh"])
+def test_rank_one_each_time_equals_its_own_evaluation(kind):
+    times = [0.0, 1e-300, -2.5, 0.3, 7.0, -0.001, 19.0, 1.0]
+    x = core.make_triangular(-1, 0.5, 3, 5)
+    for op, _ in _rank_one_cases():
+        flow = RankOneFlow(op, kind)
+        batch = flow.evaluate(times, x)
+        for t, state in zip(times, batch):
+            assert np.array_equal(flow.at(t, x).ends, state.ends), (op.name, t)
+        assert batch[0] is x  # t = 0 gives x itself
+
+
+def test_rank_one_flow_checks_the_domain_first():
+    flow = RankOneFlow(builtin("A1"))
+    with pytest.raises(SpaceMismatch):
+        flow.at(1.0, pair(U0, V0))
+    with pytest.raises(SpaceMismatch):
+        flow.at(1.0, 3.0)
+    with pytest.raises(ValueError):
+        flow.at(math.inf, U0)
+    with pytest.raises(ValueError, match="not rank one"):
+        RankOneFlow(scale_operator(1.0))
+    with pytest.raises(ValueError):
+        RankOneFlow(builtin("A1"), "sinh")
+    assert scale_operator(1.0).rank_one is None and lift_matrix(ROTATION).rank_one is None
+
+
+@pytest.mark.parametrize("kind", ["exp", "cosh"])
+def test_rank_one_overflow_raises_without_warning(kind):
+    big = core.make_triangular(1e308, 1.5e308, 1.7e308)
+    cases = (
+        (builtin("A1"), big, 0.5, "shorten the horizon"),  # phi(x) itself overflows
+        (builtin("A4"), core.crisp(1.5e308), 1.0, "shorten the horizon"),  # the image overflows
+        (builtin("A1"), core.crisp(1.0), 800.0, "shorten the horizon"),  # e^{1600}, cosh(800 sqrt 2)
+        (builtin("RemarkA", U0), U0, 1500.0, "shorten the horizon"),
+        (builtin("A2", core.make_triangular(-8.9e307, -8.9e307, 8.9e307)), U0, 1.0, "reduce c"),  # phi(c)
+    )
+    for op, x, t, message in cases:
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(SeriesOverflow, match=message):
+                RankOneFlow(op, kind).evaluate([0.5, t], x)
+        assert not seen, [str(w.message) for w in seen]

@@ -10,6 +10,7 @@ from fuzzsemi.operators import (
     LinearOperator,
     builtin,
     canonical_probes,
+    compose,
     identity,
     lift_matrix,
     scale_operator,
@@ -17,6 +18,7 @@ from fuzzsemi.operators import (
 )
 from fuzzsemi.semigroup import (
     MatrixFlow,
+    RankOneFlow,
     SemigroupEvaluator,
     check_semigroup_law,
     cosh_apply,
@@ -147,6 +149,8 @@ def test_generator_pair_closed_form_validates():
         generator_pair_closed_form(C, X, 1.0, "C")
     with pytest.raises(ValueError):
         generator_pair_closed_form(core.crisp(1.0), X, 1.0, "A")
+    with pytest.raises(SeriesOverflow, match="t = 1500"):  # e^750 (math.expm1 raised OverflowError)
+        generator_pair_closed_form(C, X, 1500.0, "A")
 
 
 def test_truncation_cauchy_tail(rng):
@@ -164,16 +168,44 @@ def _endpoints(element):
     return np.concatenate([np.concatenate([u.lower, u.upper]) for u in parts])
 
 
+@pytest.mark.parametrize("name, rate", [("A1", 2.0), ("A4", 1.0)])
+def test_exp_apply_of_a_crisp_builtin_meets_its_decay(name, rate):
+    # on crisp values A1 doubles and A4 keeps: the series gave 6.36e-9 for
+    # e^-20 (A1) and missed e^-10 by 1.3e-5 relative (A4)
+    x = core.crisp(1.0)
+    got = exp_apply(builtin(name), -10.0, x)
+    assert core.is_crisp(got) and abs(got.lower[0] - math.exp(-10.0 * rate)) <= 1e-12 * core.norm(x)
+
+
+def test_exp_apply_of_remark_a_meets_its_closed_form_at_long_horizon():
+    for c, x in ((C, X), (core.make_triangular(-3, -2, -1, 7), core.make_triangular(-1, 0.5, 3, 5))):
+        want = generator_pair_closed_form(c, x, 20.0, "A")
+        assert core.distance(exp_apply(builtin("RemarkA", c), 20.0, x), want) <= 1e-12 * core.norm(want)
+
+
+def _counting(op):
+    """op as a bare map (no matrix, not rank one) with a counter of its applications."""
+    calls = []
+
+    def fn(x):
+        calls.append(None)
+        return op(x)
+
+    return LinearOperator(fn, op.norm_bound, op.homogeneity, op.name, op.domain), calls
+
+
 @pytest.mark.parametrize("kind", ["exp", "cosh", "sinh"])
 def test_shared_power_ladder_is_bit_identical(kind):
-    op = lift_matrix(((0.5, -1.0), (1.0, 0.25)))
+    # one call's times share one ladder of powers, built once to the largest order
+    op, calls = _counting(lift_matrix(((0.5, -1.0), (1.0, 0.25))))
     x = pair(core.make_triangular(0, 1, 2), core.make_triangular(-1, 0.5, 3))
-    powers = [x]
-    for order in (8, 5, 2, 0, 1, 3, 6, 9, 12):  # read back, then extend
-        for t in (0.7, -0.4):
-            got = partial_sums(op, kind, (t,), x, (order,), powers)[0]
-            assert np.array_equal(_endpoints(got), _endpoints(series_apply(op, kind, t, x, order)))
-    assert len(powers) == 12 + 1
+    orders = (8, 5, 2, 0, 1, 3, 6, 9, 12)
+    times = [t for _ in orders for t in (0.7, -0.4)]
+    got = partial_sums(op, kind, times, x, [order for order in orders for _ in (0.7, -0.4)])
+    assert len(calls) == 12
+    for i, order in enumerate(orders):
+        for t, u in zip((0.7, -0.4), got[2 * i : 2 * i + 2]):
+            assert np.array_equal(_endpoints(u), _endpoints(series_apply(op, kind, t, x, order)))
 
 
 def _explicit_series(op, kind, t, x, order):
@@ -237,18 +269,17 @@ def test_batched_evaluation_matches_explicit_series_bit_for_bit(kind):
         ev = SemigroupEvaluator(op, kind, 1e-9)
         orders = [ev.order_for(t, x) for t in times]
         assert len(set(orders)) >= 4 or op.norm_bound == 0.0
-        powers = [x]
         got = ev.evaluate(times, x)
-        laddered = partial_sums(op, kind, times, x, orders, powers)
-        assert len(got) == len(laddered) == len(times) and len(powers) == max(orders) + 1
-        for t, order, *both in zip(times, orders, got, laddered):
+        summed = partial_sums(op, kind, times, x, orders)
+        assert len(got) == len(summed) == len(times)
+        for t, order, *both in zip(times, orders, got, summed):
             want = _explicit_series(op, kind, t, x, order)
             for u in both:
                 assert type(u) is type(want)
                 assert u.levels.tobytes() + u.ends.tobytes() == want.levels.tobytes() + want.ends.tobytes()
                 assert np.array_equal(np.signbit(u.ends), np.signbit(want.ends))
         # explicit orders, rows of every length up to 20 in one batch
-        sums = partial_sums(op, kind, times * 3, x, range(len(times) * 3), powers)
+        sums = partial_sums(op, kind, times * 3, x, range(len(times) * 3))
         for t, order, u in zip(times * 3, range(len(times) * 3), sums):
             want = _explicit_series(op, kind, t, x, order)
             assert u.levels.tobytes() + u.ends.tobytes() == want.levels.tobytes() + want.ends.tobytes()
@@ -256,21 +287,13 @@ def test_batched_evaluation_matches_explicit_series_bit_for_bit(kind):
 
 def test_batched_evaluation_of_no_times_is_empty():
     ev = SemigroupEvaluator(identity(), "exp", 1e-9)
-    powers = [X]
-    assert ev.evaluate([], X) == [] and partial_sums(identity(), "exp", [], X, [], powers) == [] and powers == [X]
+    assert ev.evaluate([], X) == [] and partial_sums(identity(), "exp", [], X, []) == []
 
 
 def test_series_apply_rejects_unknown_kind():
     for order in (0, 3):
         with pytest.raises(ValueError, match="tanh"):
             series_apply(identity(), "tanh", 1.0, X, order)
-
-
-def test_power_ladder_must_start_with_x():
-    y = core.make_triangular(0, 1, 2)
-    for powers in ([], [y]):
-        with pytest.raises(ValueError):
-            partial_sums(identity(), "exp", (1.0,), X, (3,), powers)
 
 
 # ---------------------------------------------------------------------------
@@ -291,42 +314,21 @@ def test_exp_apply_meets_long_horizon_rotation():
         assert np.abs(u.ends - want).max() <= 1e-12
 
 
-def _counting_remark_a():
-    """RemarkA as a bare map (no matrix) with a counter of its applications."""
-    op, calls = builtin("RemarkA", C), []
-
-    def fn(x):
-        calls.append(None)
-        return op(x)
-
-    return LinearOperator(fn, op.norm_bound, op.homogeneity, op.name, op.domain), calls
-
-
-def test_propagator_keeps_the_ladder_of_the_last_x():
-    op, calls = _counting_remark_a()
+def test_propagator_holds_no_state():
+    # every call builds its own powers, to its own largest order, whatever x was before
+    op, calls = _counting(builtin("RemarkA", C))
     ev = SemigroupEvaluator(builtin("RemarkA", C), "exp", 1e-9)  # the oracle, not counted
     propagate = propagator(op, "exp")
-
-    def check(times, x):
-        got = propagate(times, x, [1e-9] * len(times))
-        for u, want in zip(got, ev.evaluate(times, x)):
+    for times in ([0.5, 1.0], [0.25, 1.0, -0.5], [0.5, 1.0], [2.0]):
+        calls.clear()
+        got = propagate(times, X, [1e-9] * len(times))
+        assert len(calls) == max(ev.order_for(t, X) for t in times)
+        for u, want in zip(got, ev.evaluate(times, X)):
             assert u.ends.tobytes() == want.ends.tobytes()
-
-    first = max(ev.order_for(t, X) for t in (0.5, 1.0))
-    check([0.5, 1.0], X)
-    assert len(calls) == first
-    check([0.25, 1.0, -0.5], X)  # the same x: the powers are read back
-    assert len(calls) == first
-    check([2.0], X)  # extended past the longest order only
-    assert len(calls) == ev.order_for(2.0, X)
-    calls.clear()
-    y = core.make_triangular(0, 1, 2)  # equal to X but another object: a new ladder
-    check([0.5], y)
-    assert len(calls) == ev.order_for(0.5, y)
 
 
 def test_propagator_truncates_each_time_to_its_own_tol():
-    op, x = builtin("A2", C), core.make_triangular(-1, 0.5, 3)
+    op, x = compose(identity(), builtin("A2", C)), core.make_triangular(-1, 0.5, 3)
     times, tols = [0.3, 1.0, 1.0, -0.7], [1e-3, 1e-12, 1e-4, 1e-9]
     got = propagator(op, "cosh")(times, x, iter(tols))
     for t, tol, u in zip(times, tols, got):
@@ -347,6 +349,15 @@ def test_propagator_takes_the_flow_for_exp_and_cosh_of_a_matrix(kind):
     assert wrapper(op, 2.0, x).ends.tobytes() == want[-1].ends.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["exp", "cosh", "sinh"])
+def test_propagator_takes_the_rank_one_flow_for_exp_and_cosh_of_a_builtin(kind):
+    op, x = builtin("A2", C), core.make_triangular(-1, 0.5, 3)
+    times = [0.7, -0.4, 0.0, 2.0]
+    got = propagator(op, kind)(times, x, [1e-9] * 4)
+    oracle = SemigroupEvaluator(op, kind) if kind == "sinh" else RankOneFlow(op, kind)
+    assert [u.ends.tobytes() for u in got] == [u.ends.tobytes() for u in oracle.evaluate(times, x)]
+
+
 def test_propagator_rejects_an_unknown_kind():
     for op in (identity(), scale_operator(2.0), builtin("A1")):
         with pytest.raises(ValueError, match="kind"):
@@ -359,11 +370,13 @@ def test_series_overflow_raises_without_warning(kind):
     # no x term and stays finite there) leave the float range
     big = core.make_triangular(1e308, 1.5e308, 1.7e308)
     for op in (builtin("A1"), builtin("A2", C))[: 1 if kind == "sinh" else 2]:
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            with pytest.raises(SeriesOverflow, match="shorten the horizon"):
-                propagator(op, kind)([0.5, 1.0], big, [1e-9] * 2)
-        assert not seen, [str(w.message) for w in seen]
+        op = compose(identity(), op)  # the literal series, for every kind
+        for evaluate in (propagator(op, kind), lambda times, x, tols: SemigroupEvaluator(op, kind).evaluate(times, x)):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                with pytest.raises(SeriesOverflow, match="shorten the horizon"):
+                    evaluate([0.5, 1.0], big, [1e-9] * 2)
+            assert not seen, [str(w.message) for w in seen]
 
 
 # ---------------------------------------------------------------------------

@@ -2,29 +2,38 @@
 
 First-order problems u'(t) = A[u(t)] + g(t), u(0) = u0 are solved by
 variation of parameters: u(t) = T(t)(u0) + integral_0^t T(t-s)(g(s)) ds,
-with T the exponential family of the operator and the integral taken by
-adaptive Gauss-Kronrod quadrature in the fuzzy algebra: the 15-point
-Kronrod rule is accepted on an interval once it agrees with the embedded
-7-point Gauss rule to the interval's share of tol, and the interval is
-bisected otherwise.  All weights of both rules are positive, so levelwise
-each rule is the classical one applied to every endpoint function; each
-rule's sum is one `core.combine` of the integrand values.  Second-order
-problems with vanishing initial velocity use the cosh family, and the
-wave formula is one combination of the even derivatives of the initial
-profile and t * u2.
+with T the exponential family of the operator.  Second-order problems
+with vanishing initial velocity use the cosh family, and the wave formula
+is one combination of the even derivatives of the initial profile and
+t * u2.
 
 Each solve takes every T(t) from one `semigroup.propagator`: the exact flow
 of an operator with a real matrix (`MatrixFlow`: `lift_matrix`, and
 `scale_operator` as 1 x 1) or a rank-one map (`RankOneFlow`: every builtin),
 exact to rounding at any horizon and either sign of t, or the literal series
 for every other operator.  An unforced solve truncates the series to tol at
-every time; a forced one gives the truncation (of T(t)(u0) and of every
-integrand value) half of tol and the quadrature the other half.  An error
-inside the Duhamel integral at t names t, not the integrand's t - s.
+every time.
+
+A forced solve takes the exact forced flow (`semigroup.duhamel_flow`: the
+same kernel on [[A, I], [0, 0]], whose exponential carries the Duhamel
+integral) whenever the operator has a flow and the forcing is constant:
+it returns one and the same object at all 15 Gauss-Kronrod nodes of
+[0, t], for every requested t.  Then the whole grid is one flow call and
+tol plays no part.  Every other forced solve (compositions, bare maps,
+forcings that vary in time or switch between objects) takes the integral
+by adaptive Gauss-Kronrod quadrature in the fuzzy algebra: the 15-point
+Kronrod rule is accepted on an interval once it agrees with the embedded
+7-point Gauss rule to the interval's share of tol, and the interval is
+bisected otherwise.  All weights of both rules are positive, so levelwise
+each rule is the classical one applied to every endpoint function; each
+rule's sum is one `core.combine` of the integrand values.  There the
+truncation (of T(t)(u0) and of every integrand value) gets half of tol and
+the quadrature the other half.  An error of a forced solve at t names t,
+not the integrand's t - s.
 
 Evaluation is batched by time: ``evaluate`` maps a sequence of times to
-one state per time, the solvers evaluate their whole grid (the forced
-solve its free part) in one call, and the integrand maps an interval's
+one state per time, the solvers evaluate their whole grid (the quadrature
+path its free part) in one call, and the integrand maps an interval's
 15 Gauss-Kronrod nodes to 15 values in one batch per run of one forcing
 object.  Every value is bit-identical to the one-time evaluation.
 
@@ -43,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import groupby, islice, repeat
 from typing import Callable
 
@@ -60,7 +69,7 @@ from .errors import (
     UnsupportedVelocity,
 )
 from .operators import LinearOperator
-from .semigroup import _coefficients, propagator, required_order
+from .semigroup import _coefficients, duhamel_flow, propagator, required_order
 from .spaces import FuzzyFunction, ProductElement, pair
 
 DEFAULT_TIME_NODES = 64
@@ -108,7 +117,10 @@ class CauchyProblem:
     """Problem description: operator, forcing, initial data, horizon, tolerance.
 
     ``forcing`` is a continuous map t -> element or None for the
-    homogeneous problem.  ``initial_velocity`` marks the problem as second
+    homogeneous problem.  A forcing that returns one and the same object at
+    every Gauss-Kronrod node of [0, t] counts as constant, and is solved by
+    the exact forced flow when the operator has one; any other forcing goes
+    through the quadrature.  ``initial_velocity`` marks the problem as second
     order; the solver requires it to vanish.
     """
 
@@ -204,6 +216,22 @@ def _refined_integral(f: Callable, t_end: float, tol: float):
     return total
 
 
+def _constant_value(forcing: Callable, times):
+    """The one object ``forcing`` returns at all 15 Gauss-Kronrod nodes of [0, t],
+    for every t > 0 in ``times``, or None once it returns another."""
+    value = None
+    for t in times:
+        if t > 0.0:
+            centre = half = 0.5 * t  # the nodes of the quadrature's first interval
+            for x in _GK_NODES:
+                g = forcing(centre + half * x)
+                if value is None:
+                    value = g
+                elif g is not value:
+                    return None
+    return value
+
+
 # ---------------------------------------------------------------------------
 # solvers
 
@@ -213,7 +241,9 @@ def solve_first_order(problem: CauchyProblem, grid: np.ndarray | None = None) ->
     if problem.initial_velocity is not None:
         raise ValueError("first-order problems carry no initial velocity")
     times = uniform_times(problem.horizon) if grid is None else np.asarray(grid, dtype=float)
-    propagate = propagator(problem.operator, "exp")
+    # T(t), built on first use: a solve by the exact forced flow needs none
+    propagate = cache(partial(propagator, problem.operator, "exp"))
+    exact = duhamel_flow(problem.operator) if problem.forcing is not None else None
 
     def part_tol(t: float) -> float:
         # The truncation errors of T(t)(u0) and of every integrand value
@@ -228,7 +258,7 @@ def solve_first_order(problem: CauchyProblem, grid: np.ndarray | None = None) ->
         out = []
         for _, run in groupby(zip(values, nodes), key=lambda pair: id(pair[0])):
             run = list(run)
-            out += propagate([t - s for _, s in run], run[0][0], repeat(tol))
+            out += propagate()([t - s for _, s in run], run[0][0], repeat(tol))
         return out
 
     def forced(t: float, u):
@@ -245,11 +275,14 @@ def solve_first_order(problem: CauchyProblem, grid: np.ndarray | None = None) ->
     def evaluate(times):
         times = [float(t) for t in times]
         if problem.forcing is None:
-            return propagate(times, problem.initial, repeat(problem.tol))
+            return propagate()(times, problem.initial, repeat(problem.tol))
         bad = [t for t in times if not t >= 0.0]
         if bad:
             raise NegativeForcedTime(f"forced problems are solved for t >= 0 only, not at t = {bad[0]!r}")
-        free = propagate(times, problem.initial, map(part_tol, times))
+        g = _constant_value(problem.forcing, times) if exact is not None else None
+        if g is not None:
+            return exact(times, problem.initial, g)
+        free = propagate()(times, problem.initial, map(part_tol, times))
         return [u if t == 0.0 else forced(t, u) for t, u in zip(times, free)]
 
     return Trajectory(times, evaluate(times), evaluate)

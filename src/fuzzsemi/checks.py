@@ -670,7 +670,8 @@ def suite_solver(seed: int):
     worst_q = core.distance(got, core.scalar_mul(0.5, uu))
     recs.append(_rec("solver", "quadrature_affine_exact", 1, worst_q, 1e-14))
 
-    # forced crisp problem: u' = u + 1, u(0) = 0 has solution e^t - 1
+    # forced crisp problem: u' = u + 1, u(0) = 0 has solution e^t - 1 (a constant
+    # forcing of a scale: the exact forced flow, not the quadrature)
     one = core.crisp(1.0)
     forced = cauchy.CauchyProblem(
         operators.scale_operator(1.0), core.crisp(0.0), forcing=lambda s: one,

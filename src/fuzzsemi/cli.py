@@ -373,9 +373,16 @@ def parse_problem(config, m_levels=core.DEFAULT_LEVELS):
         _require(order == 1, "config.g", "forcing is not supported for second-order problems")
         _require(g.get("kind") == "const", "config.g.kind", 'only "const" forcing is supported')
         _require("value" in g, "config.g.value", "missing")
-        g_val = _parse_fuzzy(g["value"], "config.g.value", m_levels)
+        value = g["value"]
         if isinstance(initial, ProductElement):
-            _require(False, "config.g", "constant forcing for product problems is not supported")
+            k = len(initial)
+            _require(isinstance(value, list) and len(value) == k, "config.g.value",
+                     f"must be a list of {k} fuzzy numbers, one per component of the state")
+            g_val = ProductElement(tuple(
+                _parse_fuzzy(v, f"config.g.value[{i}]", m_levels) for i, v in enumerate(value)
+            ))
+        else:
+            g_val = _parse_fuzzy(value, "config.g.value", m_levels)
         forcing = lambda s, g_val=g_val: g_val
     horizon = config.get("T", 1.0)
     _require(_positive_finite(horizon), "config.T", "must be a finite number > 0")

@@ -46,8 +46,9 @@ class UnsupportedVelocity(FuzzsemiError):
 
 
 class SeriesOverflow(FuzzsemiError, OverflowError):
-    """The series terms overflow the float range: |t| times the operator's
-    norm bound is too large for the truncated series."""
+    """A value leaves the float range: the series terms (|t| times the
+    operator's norm bound is too large), a flow or a forced solution at some
+    t, or a coefficient of data near the float limit."""
 
 
 class NegativeForcedTime(FuzzsemiError, ValueError):

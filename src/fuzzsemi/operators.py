@@ -17,6 +17,7 @@ map carry neither and take the literal series.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import core, spaces
 from .core import FuzzyNumber
-from .errors import MuNotPositive, ProbeNormViolation, SpaceMismatch
+from .errors import MuNotPositive, ProbeNormViolation, SeriesOverflow, SpaceMismatch
 
 #: full additivity plus homogeneity under every real factor
 LINEAR = "linear"
@@ -188,17 +189,29 @@ def _level_integral(u: FuzzyNumber, values: np.ndarray) -> float:
     return float(np.trapezoid(values, u.levels))
 
 
+def _spread(c: FuzzyNumber, edge: float, values: np.ndarray, name: str) -> float:
+    # edge minus the level average of values, or SeriesOverflow (without a numpy
+    # warning) when data near the float limit take either out of the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(edge) - _level_integral(c, values)
+    if not math.isfinite(value):
+        raise SeriesOverflow(f"{name} of {c!r} leaves the float range; reduce the data")
+    return value
+
+
 def mu_coeff(c: FuzzyNumber) -> float:
     """Growth coefficient of the generator pair: core left endpoint minus
     the level-averaged lower endpoint.  Nonnegative for every fuzzy number;
-    zero exactly when the lower endpoint function is constant."""
-    return float(c.lower[-1]) - _level_integral(c, c.lower)
+    zero exactly when the lower endpoint function is constant.  SeriesOverflow
+    when it leaves the float range."""
+    return _spread(c, c.lower[-1], c.lower, "mu_coeff")
 
 
 def upper_spread_coeff(c: FuzzyNumber) -> float:
     """Support right endpoint minus the level-averaged upper endpoint; as the
-    RemarkB coefficient it is nonnegative, so its exponential closed form applies."""
-    return float(c.upper[0]) - _level_integral(c, c.upper)
+    RemarkB coefficient it is nonnegative, so its exponential closed form applies.
+    SeriesOverflow when it leaves the float range."""
+    return _spread(c, c.upper[0], c.upper, "upper_spread_coeff")
 
 
 # name: (coefficient functional of x, whether the output is coeff * c rather

@@ -38,8 +38,9 @@ scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005), in
 numpy, their degree taken from `required_order` so that the tail is below
 the unit roundoff.  `RankOneFlow` runs the same kernel on a 4 x 4 matrix
 for every builtin.  `propagator` picks a flow or the literal series for
-the solvers and `exp_apply`/`cosh_apply`/`sinh_apply`; `SemigroupEvaluator`
-stays the literal series and the flows' test oracle.
+the solvers and `exp_apply`/`cosh_apply`/`sinh_apply`; `duhamel_flow` gives
+the same flows forced by a constant g; `SemigroupEvaluator` stays the
+literal series and the flows' test oracle.
 """
 
 from __future__ import annotations
@@ -234,6 +235,13 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., :, None, :] * np.swapaxes(b, -1, -2)[..., None, :, :]).sum(axis=-1)
 
 
+def _augmented(a: np.ndarray, inject: np.ndarray) -> np.ndarray:
+    """[[a, inject], [0, 0]]: the generator of (x, g)' = (a x + inject g, 0), whose flow
+    carries x forward with the integral of a's flow applied to inject g."""
+    n, m = inject.shape
+    return np.block([[a, inject], [np.zeros((m, n + m))]])
+
+
 def _expm(powers: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """exp(taus[b, i] * base_b) for every base b and item i: shape (B, n, K, K).
 
@@ -269,14 +277,20 @@ class MatrixFlow:
     `matrices`).  Computed in floating point to a few ulps of the growth
     e^{|t| |A|} times ||x||; no truncation tolerance is involved.  The
     powers of both Taylor bases are formed once, at construction.
+
+    ``forced`` (exp only) makes it the flow of u' = Au + g for a constant
+    g: `evaluate(times, x, g)` gives T(t)x + integral_0^t T(r)g dr at t >= 0,
+    whose maps are the top block rows of the exponentials of
+    B = [[A, I], [0, 0]] and |B| (Van Loan, IEEE TAC 23, 1978) on (x, g).
     """
 
     operator: LinearOperator
     kind: str = "exp"
+    forced: bool = False
 
     def __post_init__(self):
-        if self.kind not in FLOW_KINDS:
-            raise ValueError(f"kind must be one of {FLOW_KINDS}")
+        if self.kind not in FLOW_KINDS or (self.forced and self.kind != "exp"):
+            raise ValueError(f"kind must be one of {FLOW_KINDS}, and exp when forced")
         a = self._real_matrix()
         k = a.shape[0]
         if self.kind == "cosh":
@@ -296,7 +310,8 @@ class MatrixFlow:
     def _real_matrix(self) -> np.ndarray:
         if self.operator.matrix is None:
             raise ValueError(f"{self.operator.name} carries no matrix")
-        return self.operator.matrix
+        a = self.operator.matrix
+        return _augmented(a, np.eye(len(a))) if self.forced else a
 
     def matrices(self, times) -> np.ndarray:
         """The (2, n, k, k) stack of the matrices that map the midpoints ([0])
@@ -314,41 +329,54 @@ class MatrixFlow:
         out = _expm(self._powers, np.ldexp(np.stack((signed, np.abs(times))), self._scale))
         return out[:, :, : self._k, : self._k]
 
-    def _image(self, flows, x):
+    def _image(self, flows, x, g):
         """(grid, mid, rad, size, same): the leaf whose grids the image takes, its midpoints
-        and radii, its norm bound, and whether the map is exactly the identity, per time."""
+        and radii, its norm bound, and whether the map is exactly the identity, per time.
+        A forced flow maps the stack (x, g) and keeps x's rows."""
         k = flows.shape[-1]
-        half = 0.5 * x.ends
+        if g is None:
+            grid, ends, rows, size = x, x.ends, k, core.norm(x)
+        else:
+            grid, g = core.common_grid(x, g)
+            ends, rows, size = np.stack((grid.ends, g.ends)), k // 2, max(core.norm(x), core.norm(g))
+        half = 0.5 * ends
         lo, up = half[..., 0, :], half[..., 1, :]
         parts = np.stack((lo + up, up - lo)).reshape(2, 1, k, -1)
         # flows @ parts, one column of flows at a time: the parts are long rows
-        image = flows[..., :1] * parts[:, :, :1]
+        image = flows[..., :rows, :1] * parts[:, :, :1]
         for j in range(1, k):
-            image += flows[..., j : j + 1] * parts[:, :, j : j + 1]
-        mid, rad = image.reshape(2, flows.shape[1], *lo.shape)
+            image += flows[..., :rows, j : j + 1] * parts[:, :, j : j + 1]
+        mid, rad = image.reshape(2, flows.shape[1], *grid.ends.shape[:-2], -1)
         same = (flows == np.eye(k)).all(axis=(0, 2, 3))
-        return x, mid, rad, flows[1].sum(axis=2).max(axis=1) * core.norm(x), same
+        return grid, mid, rad, flows[1].sum(axis=2).max(axis=1) * size, same
 
-    def evaluate(self, times, x) -> list:
-        """The flow at each of ``times`` applied to x, in order.
+    def evaluate(self, times, x, g=None) -> list:
+        """The flow at each of ``times`` applied to x (and, when forced, the constant
+        forcing g, at times >= 0 only), in order.
 
         x itself where the map is exactly the identity (t = 0, or a t too small to
         move any bit); otherwise the endpoints mid -/+ rad of `_image` pass one
         batched `core.clamp_nested` at a tolerance relative to its norm bound.  The
         domain is checked first.  SeriesOverflow, without a numpy warning, past the float range.
         """
-        self.operator._check_domain(core._leaf(x))
+        if (g is None) == self.forced:
+            raise ValueError("a forced flow takes a forcing g, and only a forced flow does")
+        for arg in (x,) if g is None else (x, g):
+            self.operator._check_domain(core._leaf(arg))
         times = [float(t) for t in times]
         if not times:
             return []
+        if g is not None and min(times) < 0.0:
+            raise ValueError("a forced flow is evaluated at times >= 0 only")
         with np.errstate(over="ignore", invalid="ignore"):
-            grid, mid, rad, size, same = self._image(self.matrices(times), x)
+            grid, mid, rad, size, same = self._image(self.matrices(times), x, g)
             ends = np.stack((mid - rad, mid + rad), axis=-2)
         # a non-finite matrix entry makes its image non-finite too (0 * inf is nan)
         finite = np.isfinite(ends).reshape(len(times), -1).all(axis=1)
         if not finite.all():
+            what = "forced exp" if self.forced else self.kind
             raise SeriesOverflow(
-                f"the {self.kind} flow of {self.operator.name} overflows at t = {times[np.argmin(finite)]!r}; "
+                f"the {what} flow of {self.operator.name} overflows at t = {times[np.argmin(finite)]!r}; "
                 "shorten the horizon or reduce the operator's norm or data"
             )
         tol = core.MONOTONICITY_TOLERANCE * np.maximum(1.0, size).reshape(-1, *(1,) * (ends.ndim - 3))
@@ -374,6 +402,12 @@ class RankOneFlow(MatrixFlow):
     with m = [1, -1] F(t) v_1, r = [1, 1] F(|t|) v_1 and F(t) = sum_p c_p(t) M^(p-1),
     the top-right block of the series of K = [[M, I], [0, 0]] (Van Loan, IEEE TAC
     23, 1978): `MatrixFlow`'s two matrices for K >= 0 hold F(t) and F(|t|).
+
+    Forced by a constant g, the Duhamel integral of T(r)g over [0, t] is
+    t g + (sum_p t^(p+1) / (p+1)! s_p(g)) c (Hochbruck and Ostermann, Acta
+    Numerica 19, 2010): the 6 x 6 matrix [[M, I, 0], [0, 0, I], [0, 0, 0]]
+    holds K at its top left, t I and G(t) = sum_p t^(p+1) / (p+1)! M^(p-1) in
+    its last block column, so m and r take G(t) v_1(g) as well.
     """
 
     def _real_matrix(self) -> np.ndarray:
@@ -384,21 +418,32 @@ class RankOneFlow(MatrixFlow):
             mu = np.array([phi(c), phi(core.scalar_mul(-1.0, c))])
         if not np.isfinite(mu).all():
             raise SeriesOverflow(f"phi(+-c) of {self.operator.name} overflows; reduce c")
-        return np.block([[np.maximum([mu, -mu], 0.0), np.eye(2)], [np.zeros((2, 4))]])
+        big_k = np.block([[np.maximum([mu, -mu], 0.0), np.eye(2)], [np.zeros((2, 4))]])
+        return _augmented(big_k, np.eye(4, 2, -2)) if self.forced else big_k
 
-    def _image(self, flows, x):
+    def _image(self, flows, x, g):
         phi, c = self.operator.rank_one
-        s = phi(x)
-        parts = (flows[:, :, :2, 2:] * np.maximum([s, -s], 0.0)).sum(axis=-1)  # F v_1
+        s = np.array([phi(x)] if g is None else [phi(x), phi(g)])
+        # F v_1(x), plus G v_1(g) when forced: the block columns after K's first
+        parts = (flows[:, :, :2, 2:] * np.maximum(np.multiply.outer(s, [1.0, -1.0]), 0.0).ravel()).sum(axis=-1)
         m, r = parts[0, :, 0] - parts[0, :, 1], parts[1].sum(axis=-1)
-        grid, c = core.common_grid(x, c)
-        (lx, ux), (lc, uc) = 0.5 * grid.ends, 0.5 * c.ends
-        mid, rad = lx + ux + m[:, None] * (lc + uc), ux - lx + r[:, None] * (uc - lc)
-        return grid, mid, rad, core.norm(x) + r * core.norm(c), (m == 0) & (r == 0)
+        grid, ends = core.stack_common((x, c) if g is None else (x, c, g))
+        (lx, ux), (lc, uc) = 0.5 * ends[:2]
+        mid, rad, size, same = lx + ux, ux - lx, core.norm(x), (m == 0) & (r == 0)
+        if g is not None:  # plus t g, t read from the block t I (exact: Taylor and squaring scale it by 2s)
+            t, (lg, ug) = flows[0, :, 2, 4], 0.5 * ends[2]
+            mid, rad = mid + t[:, None] * (lg + ug), rad + t[:, None] * (ug - lg)
+            size, same = size + t * core.norm(g), same & (t == 0)
+        return grid, mid + m[:, None] * (lc + uc), rad + r[:, None] * (uc - lc), size + r * core.norm(c), same
 
 
 # ---------------------------------------------------------------------------
 # the one choice of how T(t) is evaluated
+
+
+def _flow(operator: LinearOperator):
+    """`MatrixFlow` for an operator with a matrix, `RankOneFlow` for a rank-one map, else None."""
+    return MatrixFlow if operator.matrix is not None else RankOneFlow if operator.rank_one is not None else None
 
 
 def propagator(operator: LinearOperator, kind: str = "exp") -> Callable:
@@ -409,11 +454,21 @@ def propagator(operator: LinearOperator, kind: str = "exp") -> Callable:
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
-    flow = MatrixFlow if operator.matrix is not None else RankOneFlow if operator.rank_one is not None else None
+    flow = _flow(operator)
     if flow is None or kind not in FLOW_KINDS:
         return partial(_series, operator, kind)
     evaluate = flow(operator, kind).evaluate
     return lambda times, x, tols: evaluate(times, x)
+
+
+def duhamel_flow(operator: LinearOperator) -> Callable | None:
+    """The map (times, x, g) -> T(t)(x) + integral_0^t T(r)(g) dr, the solution of
+    u' = Au + g, u(0) = x for a constant g, at each of ``times`` >= 0 in one batch:
+    the forced `MatrixFlow` or `RankOneFlow`, exact to rounding.  None for an
+    operator without an exact flow (compositions, bare maps).
+    """
+    flow = _flow(operator)
+    return None if flow is None else flow(operator, "exp", forced=True).evaluate
 
 
 def exp_apply(op: LinearOperator, t: float, x, tol: float = 1e-9):
@@ -479,7 +534,8 @@ def generator_pair_closed_form(c: core.FuzzyNumber, x: core.FuzzyNumber, t: floa
     the flow is x + coeff(x)/mu * (exp(t mu) - 1) * c with
     mu = mu_coeff(c); for the upper-endpoint generator ("B") the
     coefficient and the growth rate use the upper endpoints at level 0.
-    Requires t >= 0 and a positive growth rate; SeriesOverflow when e^{t mu} overflows.
+    Requires t >= 0 and a positive growth rate; SeriesOverflow when e^{t mu} or a
+    coefficient overflows.
     """
     if t < 0:
         raise ValueError("closed form stated for t >= 0")

@@ -1,5 +1,6 @@
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from fuzzsemi.errors import (
 )
 from fuzzsemi.operators import LinearOperator, builtin, compose, identity, lift_matrix, scale_operator, zero_operator
 from fuzzsemi.semigroup import MatrixFlow, SemigroupEvaluator, generator_pair_closed_form
-from fuzzsemi.spaces import FuzzyFunction, pair
+from fuzzsemi.spaces import FuzzyFunction, ProductElement, pair
 
 import helpers
 
@@ -72,19 +73,31 @@ def test_quadrature_stalls_at_once_below_rounding_floor():
     assert len(calls) <= 30  # at most two intervals of 15 nodes
 
 
+def _copy_of(g, s):
+    return g._with(g.ends.copy())
+
+
+def _fresh(g):
+    """A forcing equal to g that returns a new object on every call: the quadrature path."""
+    return partial(_copy_of, g)
+
+
 @pytest.mark.parametrize(
     "operator, g, t",
     [
         # the series of a composition overflows inside the integral, at t - s = 0.4978...
         (compose(identity(), builtin("A1")), core.make_triangular(1e307, 1.5e307, 1.7e307, 4), 0.5),
-        # the rank-one flow stays finite there, and the quadrature stalls at the rounding floor
-        (builtin("A1"), core.make_triangular(1e307, 1.5e307, 1.7e307, 4), 0.5),
+        # a new object per call keeps A1 on the quadrature: the rank-one flow stays
+        # finite there, and the quadrature stalls at the rounding floor
+        (builtin("A1"), _fresh(core.make_triangular(1e307, 1.5e307, 1.7e307, 4)), 0.5),
         # u' = -u / 2 + g tends to 2 g: the Duhamel sum itself leaves the float range
-        (scale_operator(-0.5), core.crisp(1.5e308, 4), 2.0),
+        # (a new object per call, so the quadrature takes the sum)
+        (scale_operator(-0.5), _fresh(core.crisp(1.5e308, 4)), 2.0),
     ],
 )
 def test_forced_solve_errors_name_the_solve_time(operator, g, t):
-    problem = CauchyProblem(operator, core.make_triangular(0, 1, 2, 4), forcing=lambda s: g, horizon=t, tol=1e-9)
+    forcing = g if callable(g) else lambda s: g
+    problem = CauchyProblem(operator, core.make_triangular(0, 1, 2, 4), forcing=forcing, horizon=t, tol=1e-9)
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         with pytest.raises((SeriesOverflow, QuadratureStall), match=rf"solution at t = {t}\)"):
@@ -114,6 +127,7 @@ def test_forced_fuzzy_64_nodes_within_tol():
 
 
 def test_constant_forcing_takes_one_rule_per_node():
+    # identity() carries no matrix, so its constant forcing goes through the quadrature
     calls = []
 
     def forcing(s):
@@ -121,7 +135,7 @@ def test_constant_forcing_takes_one_rule_per_node():
         return V0
 
     grid = np.linspace(0.0, 1.0, 9)
-    problem = CauchyProblem(scale_operator(1.0), U0, forcing=forcing, horizon=1.0, tol=1e-9)
+    problem = CauchyProblem(identity(), U0, forcing=forcing, horizon=1.0, tol=1e-9)
     traj = solve_first_order(problem, grid)
     assert 0 < len(calls) <= 15 * (grid.size - 1)
     for t, st in zip(traj.times, traj.states):
@@ -218,35 +232,199 @@ def test_forcing_alternating_between_two_objects_matches_closed_form(monkeypatch
     # every interval: each run of one object is its own batch, for the
     # series (an operator without a matrix, as `_counting` builds; its
     # `partial_sums` takes (op, kind, times, x, ...)) and for the exact
-    # flow of scale(1) (`MatrixFlow.evaluate` takes (self, times, x))
+    # flow of scale(1) (`MatrixFlow.evaluate` takes (self, times, x[, g]))
     ga, gb = core.make_triangular(-0.5, 0.2, 0.8), core.make_triangular(-0.5, 0.2, 0.8)
     series_op = _counting(scale_operator(1.0))[0]
     assert series_op.matrix is None and scale_operator(1.0).matrix is not None
-    cases = ((series_op, semigroup, "partial_sums", 2), (scale_operator(1.0), MatrixFlow, "evaluate", 1))
-    for operator, owner, name, at in cases:
+    grid = cauchy.uniform_times(1.0, 5)
+    # constant forcing: one batch of 15 nodes per Gauss-Kronrod interval for the
+    # series, one forced flow over the whole grid for scale(1)
+    cases = (
+        (series_op, semigroup, "partial_sums", 2, lambda batches: batches and set(batches) == {15}),
+        (scale_operator(1.0), MatrixFlow, "evaluate", 1, lambda batches: batches == [grid.size]),
+    )
+    for operator, owner, name, at, constant_batches in cases:
         batches = []
         original = getattr(owner, name)
 
         def counted(*args, original=original, batches=batches, at=at):
-            times, x = args[at : at + 2]
-            if x is ga or x is gb:
-                batches.append(len(times))
+            if any(arg is ga or arg is gb for arg in args[at + 1 :]):
+                batches.append(len(args[at]))
             return original(*args)
 
         monkeypatch.setattr(owner, name, counted)
         problem = CauchyProblem(
             operator, U0, forcing=lambda s: ga if math.floor(40.0 * s) % 2 else gb, horizon=1.0, tol=1e-9
         )
-        grid = cauchy.uniform_times(1.0, 5)
         traj = solve_first_order(problem, grid)
         assert sum(batches) % 15 == 0 and len(batches) > sum(batches) // 15
         for t, st in zip(traj.times, traj.states):
             assert _endpoint_gap(st, _scale_forced_endpoints(1.0, U0, ga, float(t))) <= 1e-9
-        # constant forcing: one batch of 15 nodes per Gauss-Kronrod interval
         batches.clear()
         problem = CauchyProblem(operator, U0, forcing=lambda s: ga, horizon=1.0, tol=1e-9)
         solve_first_order(problem, grid)
-        assert batches and set(batches) == {15}
+        assert constant_batches(batches), batches
+
+
+# ---------------------------------------------------------------------------
+# constant forcing: the exact forced flow
+
+
+def _no_quadrature(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("constant forcing of an operator with a flow reached the quadrature")
+
+    monkeypatch.setattr(cauchy, "_refined_integral", refuse)
+
+
+@pytest.mark.parametrize("a", [2.0, 0.5, -0.5, -3.0])
+def test_exact_forced_flow_matches_the_scale_closed_form(monkeypatch, a):
+    # levelwise e^{at} u0 + (e^{at} - 1)/a g holds for fuzzy data when a > 0 and
+    # for crisp data of either sign (a negative factor widens fuzzy supports)
+    u0, g = (U0, V0) if a > 0 else (core.crisp(1.5), core.crisp(-0.7))
+    _no_quadrature(monkeypatch)
+    problem = CauchyProblem(scale_operator(a), u0, forcing=lambda s: g, horizon=2.0, tol=1e-9)
+    traj = solve_first_order(problem, cauchy.uniform_times(2.0, 9))
+    assert traj.states[0] is u0
+    for t, st in zip(traj.times, traj.states):
+        assert _endpoint_gap(st, _scale_forced_endpoints(a, u0, g, float(t))) <= 1e-13 * max(1.0, core.norm(st))
+
+
+def _generator_forced_endpoints(rate, k_u0, k_g, u0, g, c, t):
+    # u' = A u + g for A x = coeff(x) c with coeff(c) = rate > 0: A^p x = coeff(x) rate^(p-1) c, so
+    # u(t) = u0 + t g + (coeff(u0) (e^{rt} - 1)/r + coeff(g) ((e^{rt} - 1)/r - t)/r) c, levelwise when
+    # the factor of c is nonnegative or c is crisp
+    e1 = math.expm1(rate * t) / rate
+    factor = k_u0 * e1 + k_g * (e1 - t) / rate
+    return tuple(x + t * y + factor * z for x, y, z in zip(u0.ends, g.ends, c.ends))
+
+
+@pytest.mark.parametrize("name", ["RemarkA", "A1", "A4"])
+def test_exact_forced_flow_matches_the_generator_closed_form(monkeypatch, name):
+    # triangular (l, m, r): the lower endpoint integrates to (l + m)/2, the upper one
+    # to (m + r)/2, so RemarkA's coeff is (m - l)/2, A1's is l/2 + m + r/2 and A4's (l + m)/2
+    u0, g = core.make_triangular(-1.0, 0.5, 2.0), core.make_triangular(-2.0, -1.5, 0.5)
+    coeff = {
+        "RemarkA": lambda l, m, r: (m - l) / 2,
+        "A1": lambda l, m, r: l / 2 + m + r / 2,
+        "A4": lambda l, m, r: (l + m) / 2,
+    }[name]
+    c = C if name == "RemarkA" else core.crisp(1.0)
+    rate = coeff(0.0, 1.0, 2.0) if name == "RemarkA" else coeff(1.0, 1.0, 1.0)
+    _no_quadrature(monkeypatch)
+    problem = CauchyProblem(builtin(name, C), u0, forcing=lambda s: g, horizon=1.5, tol=1e-9)
+    traj = solve_first_order(problem, cauchy.uniform_times(1.5, 7))
+    for t, st in zip(traj.times, traj.states):
+        want = _generator_forced_endpoints(rate, coeff(-1.0, 0.5, 2.0), coeff(-2.0, -1.5, 0.5), u0, g, c, float(t))
+        assert _endpoint_gap(st, want) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "operator, u0, g",
+    [
+        (scale_operator(1.5), U0, core.make_triangular(-0.5, 0.2, 0.8)),
+        (scale_operator(-1.5), U0, core.make_triangular(-0.5, 0.2, 0.8)),
+        (builtin("A1"), U0, core.make_triangular(-0.5, 0.2, 0.8)),
+        (builtin("A2", C), U0, core.make_triangular(-0.5, 0.2, 0.8)),
+        (builtin("RemarkB", C), core.make_triangular(-2.0, -1.0, 0.5), core.make_triangular(0.1, 0.2, 0.8)),
+        (lift_matrix(cauchy.COUPLED_MATRIX), pair(U0, V0), pair(V0, core.make_triangular(-1.0, 0.0, 0.5))),
+        (lift_matrix(((0.5, -1.0), (2.0, -0.25))), pair(U0, V0), pair(core.crisp(0.3), V0)),
+    ],
+)
+def test_exact_forced_flow_matches_the_quadrature(operator, u0, g):
+    tol, grid = 1e-9, cauchy.uniform_times(1.0, 5)
+    calls = []
+
+    def fresh(s):
+        calls.append(s)
+        return _fresh(g)(s)
+
+    exact = solve_first_order(CauchyProblem(operator, u0, forcing=lambda s: g, tol=tol), grid)
+    quadrature = solve_first_order(CauchyProblem(operator, u0, forcing=fresh, tol=tol), grid)
+    assert len(calls) > 15 * (grid.size - 1)  # the fresh objects took the quadrature
+    for a, b in zip(exact.states, quadrature.states):
+        assert core.distance(a, b) <= tol
+
+
+def test_exact_forced_flow_of_a_product_matches_rk4(monkeypatch):
+    # endpoints: lower' = A+ lower + A- upper + g_lower, upper' = A+ upper + A- lower + g_upper
+    a = np.array(((0.5, -1.0), (2.0, -0.25)))
+    w0, g = pair(U0, V0), pair(core.make_triangular(-1.0, -0.2, 0.3), core.crisp(0.4))
+    _no_quadrature(monkeypatch)
+    problem = CauchyProblem(lift_matrix(a), w0, forcing=lambda s: g, horizon=1.0, tol=1e-9)
+    traj = solve_first_order(problem, np.array([0.0, 0.5, 1.0]))
+    ap, am = np.maximum(a, 0.0), np.minimum(a, 0.0)
+    gen = np.block([[ap, am], [am, ap]])
+    forcing = np.concatenate([g.ends[:, 0], g.ends[:, 1]])
+    y0 = np.concatenate([w0.ends[:, 0], w0.ends[:, 1]])
+    for t, st in zip(traj.times[1:], traj.states[1:]):
+        y = helpers.rk4(lambda s, y: gen @ y + forcing, y0, float(t), steps=2000)
+        assert np.abs(np.concatenate([st.ends[:, 0], st.ends[:, 1]]) - y).max() <= 1e-9
+
+
+def test_exact_forced_flow_of_the_coupled_system_matches_its_closed_form():
+    # A = [[1, 1], [-1, -1]] squares to 0 and |A| to 2 |A|: mid(t) = (I + tA) mid0 + (tI + t^2/2 A) mid_g,
+    # rad(t) = (I + (e^{2t} - 1)/2 |A|) rad0 + (tI + ((e^{2t} - 1)/2 - t)/2 |A|) rad_g
+    a = np.array(cauchy.COUPLED_MATRIX)
+    w0, g = pair(U0, V0), pair(V0, core.make_triangular(-1.0, 0.0, 0.5))
+    problem = CauchyProblem(lift_matrix(a), w0, forcing=lambda s: g, horizon=1.0, tol=1e-9)
+    traj = solve_first_order(problem, cauchy.uniform_times(1.0, 5))
+    mid = lambda w: 0.5 * (w.ends[:, 0] + w.ends[:, 1])
+    rad = lambda w: 0.5 * (w.ends[:, 1] - w.ends[:, 0])
+    eye, absa = np.eye(2), np.abs(a)
+    for t, st in zip(traj.times, traj.states):
+        t = float(t)
+        h = 0.5 * math.expm1(2.0 * t)
+        m = (eye + t * a) @ mid(w0) + (t * eye + 0.5 * t * t * a) @ mid(g)
+        r = (eye + h * absa) @ rad(w0) + (t * eye + 0.5 * (h - t) * absa) @ rad(g)
+        assert np.abs(st.ends[:, 0] - (m - r)).max() <= 1e-12
+        assert np.abs(st.ends[:, 1] - (m + r)).max() <= 1e-12
+
+
+def test_piecewise_forcing_falls_back_to_the_quadrature(monkeypatch):
+    # g = ga before s = 0.3 and gb after it; 0.3 is a bisection point of [0, 0.6] and [0, 1.2]
+    ga, gb = core.make_triangular(0.0, 0.5, 1.0), core.make_triangular(-1.0, -0.5, 0.5)
+    integrals = []
+    original = cauchy._refined_integral
+
+    def counted(*args):
+        integrals.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(cauchy, "_refined_integral", counted)
+    problem = CauchyProblem(scale_operator(1.0), U0, forcing=lambda s: ga if s < 0.3 else gb, horizon=1.2, tol=1e-9)
+    traj = solve_first_order(problem, np.array([0.0, 0.6, 1.2]))
+    assert integrals == [0.6, 1.2]
+    for t, st in zip(traj.times, traj.states):
+        t = float(t)
+        # e^t u0 + (e^t - e^{t - 0.3}) ga + (e^{t - 0.3} - 1) gb, every factor >= 0
+        want = tuple(
+            math.exp(t) * u + (math.exp(t) - math.exp(t - 0.3)) * a + math.expm1(t - 0.3) * b
+            for u, a, b in zip(U0.ends, ga.ends, gb.ends)
+        ) if t > 0 else (U0.lower, U0.upper)
+        assert _endpoint_gap(st, want) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "operator, g, grid, t",
+    [
+        # phi(g) (e^{2t} - 1 - 2t) / 4 passes the float limit between t = 1 and 2
+        (builtin("A1"), core.make_triangular(1e307, 1.5e307, 1.7e307, 4), [0.0, 1.0, 2.0], 2.0),
+        # u' = -u / 2 + g tends to 2 g, past the float limit for g = 1.5e308
+        (scale_operator(-0.5), core.crisp(1.5e308, 4), [0.0, 2.0], 2.0),
+        # (e^t - 1) g at t = 2 is 6.4 g
+        (lift_matrix(((1.0, 0.0), (0.0, 1.0))), pair(core.crisp(1e308, 4), core.crisp(0.0, 4)), [0.0, 1.0, 2.0], 2.0),
+    ],
+)
+def test_exact_forced_flow_overflow_names_the_solve_time(operator, g, grid, t):
+    u0 = core.make_triangular(0, 1, 2, 4)
+    u0 = pair(u0, u0) if isinstance(g, ProductElement) else u0
+    problem = CauchyProblem(operator, u0, forcing=lambda s: g, horizon=max(grid), tol=1e-9)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(SeriesOverflow, match=rf"at t = {t};"):
+            solve_first_order(problem, np.array(grid))
+    assert not seen, [str(w.message) for w in seen]
 
 
 # ---------------------------------------------------------------------------

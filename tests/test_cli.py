@@ -203,6 +203,66 @@ def test_solve_forcing_const(tmp_path):
     assert payload["states"][-1]["lower"][-1] == pytest.approx(math.expm1(1.0), abs=1e-5)
 
 
+def test_solve_forced_product(tmp_path):
+    # u' = A u + g on (u, v) with A = [[1, 1], [-1, -1]] (A^2 = 0) and crisp data:
+    # u(t) = (I + tA) u0 + (tI + t^2/2 A) g
+    cfg = write_config(tmp_path, {
+        "operator": {"kind": "matrix", "entries": [[1, 1], [-1, -1]]},
+        "u0": {"tri": [1, 1, 1]}, "v0": {"tri": [-2, -2, -2]},
+        "g": {"kind": "const", "value": [{"tri": [0.5, 0.5, 0.5]}, {"tri": [0.25, 0.25, 0.25]}]},
+        "T": 2.0, "tol": 1e-9,
+    })
+    out = tmp_path / "traj.json"
+    assert run("solve", cfg, "--nodes", "5", "--levels", "4", "--out", str(out)) == 0
+    payload = json.loads(out.read_text())
+    a, w0, g = np.array([[1.0, 1.0], [-1.0, -1.0]]), np.array([1.0, -2.0]), np.array([0.5, 0.25])
+    for t, state in zip(payload["times"], payload["states"]):
+        want = (np.eye(2) + t * a) @ w0 + (t * np.eye(2) + 0.5 * t * t * a) @ g
+        for comp, value in zip(state["product"], want):
+            assert max(abs(v - value) for v in comp["lower"] + comp["upper"]) <= 1e-12
+
+
+@pytest.mark.parametrize("value", [
+    [{"tri": [0, 1, 2]}],  # one component short
+    [{"tri": [0, 1, 2]}] * 3,  # one too many
+    {"tri": [0, 1, 2]},  # a single fuzzy number for a two-component state
+    [{"tri": [0, 1, 2]}, {"tri": [2, 1, 0]}],  # a malformed component
+])
+def test_solve_forced_product_needs_one_value_per_component(tmp_path, capsys, value):
+    cfg = write_config(tmp_path, {
+        "operator": {"kind": "matrix", "entries": [[0, 1], [1, 0]]},
+        "u0": {"tri": [0, 1, 2]}, "v0": {"tri": [1, 2, 3]},
+        "g": {"kind": "const", "value": value},
+    })
+    assert run("solve", cfg) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.g.value") and "Traceback" not in err
+
+
+def test_solve_scalar_forcing_rejects_a_list(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "operator": {"kind": "scale", "factor": 1.0}, "u0": {"tri": [0, 1, 2]},
+        "g": {"kind": "const", "value": [{"tri": [0, 1, 2]}]},
+    })
+    assert run("solve", cfg) == 1
+    assert capsys.readouterr().err.startswith("error: config.g.value")
+
+
+def test_solve_builtin_constant_past_the_float_range_exits_cleanly(tmp_path, capsys):
+    # mu_coeff(c) leaves the float range: a typed error, not a numpy warning and "mu = -inf"
+    cfg = write_config(tmp_path, {
+        "operator": {"kind": "builtin", "name": "RemarkA", "c": {"tri": [1e308, 1.5e308, 1.7e308]}},
+        "u0": {"tri": [0, 1, 2]},
+    })
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert run("solve", cfg, "--levels", "4") == 1
+    assert not seen, [str(w.message) for w in seen]
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.operator: ") and "float range" in err
+    assert "Traceback" not in err and "-inf" not in err
+
+
 def test_solve_levels_flag_controls_grid(tmp_path):
     cfg = write_config(tmp_path, {
         "order": 1, "operator": {"kind": "identity"}, "u0": {"tri": [0, 1, 2]},
@@ -312,23 +372,26 @@ def test_solve_series_overflow_exits_cleanly(tmp_path, capsys, operator):
 
 
 def test_solve_forced_error_names_the_solve_time(tmp_path, capsys):
-    # the error arises inside the Duhamel integral of the solution at t = 0.5,
-    # where the integrand is evaluated at t - s < 0.5
+    # the exact solution u0 + t g + phi(g) (e^{2t} - 1 - 2t) / 4 of A1 leaves the
+    # float range between the grid times 1 and 2: the error names t = 2.0
     cfg = write_config(tmp_path, {
         "operator": {"kind": "builtin", "name": "A1"},
         "u0": {"tri": [0, 1, 2]},
         "g": {"kind": "const", "value": {"tri": [1e307, 1.5e307, 1.7e307]}},
+        "T": 4.0,
     })
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        assert run("solve", cfg, "--levels", "4", "--nodes", "3") == 1
+        assert run("solve", cfg, "--levels", "4", "--nodes", "5") == 1
     assert not seen, [str(w.message) for w in seen]
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "solution at t = 0.5)" in err
+    assert err.startswith("error: ") and "at t = 2.0;" in err
     assert "Traceback" not in err
 
 
 def test_solve_quadrature_stall_exits_cleanly(tmp_path, capsys, monkeypatch):
+    # every CLI operator has an exact forced flow; without it the quadrature runs
+    monkeypatch.setattr(cauchy, "duhamel_flow", lambda operator: None)
     monkeypatch.setattr(cauchy, "_QUAD_MAX_INTERVALS", 0)
     cfg = write_config(tmp_path, {
         "operator": {"kind": "scale", "factor": 1.0},

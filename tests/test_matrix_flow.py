@@ -293,3 +293,57 @@ def test_rank_one_overflow_raises_without_warning(kind):
             with pytest.raises(SeriesOverflow, match=message):
                 RankOneFlow(op, kind).evaluate([0.5, t], x)
         assert not seen, [str(w.message) for w in seen]
+
+
+# ---------------------------------------------------------------------------
+# the forced flows: u' = Au + g with a constant g
+
+
+def _forced_cases():
+    rng = np.random.default_rng(5)
+    g = core.make_triangular(-0.5, 0.2, 0.8, 16)
+    yield scale_operator(-1.5), U0, g
+    yield lift_matrix(ROTATION), pair(U0, V0), pair(g, core.crisp(0.25))
+    yield _random_case(rng, 3)[0], *(ProductElement(tuple(random_fuzzy(rng, 16) for _ in range(3))) for _ in range(2))
+    for op, _ in _rank_one_cases():
+        yield op, core.make_triangular(-1, 0.5, 3, 5), g
+
+
+def test_forced_flow_each_time_equals_its_own_evaluation():
+    times = [0.0, 1e-300, 0.3, 7.0, 0.001, 1.0]
+    for op, x, g in _forced_cases():
+        flow = (MatrixFlow if op.matrix is not None else RankOneFlow)(op, forced=True)
+        batch = flow.evaluate(times, x, g)
+        for t, state in zip(times, batch):
+            assert np.array_equal(flow.evaluate([t], x, g)[0].ends, state.ends), (op.name, t)
+        assert batch[0] is x  # t = 0 gives x itself
+
+
+def test_forced_flow_without_forcing_is_the_flow():
+    # g = 0 adds 0 to the Duhamel part: the forced flow then agrees with the flow to rounding
+    times = [0.0, 0.3, 2.0]
+    for op, x, g in _forced_cases():
+        cls = MatrixFlow if op.matrix is not None else RankOneFlow
+        forced = cls(op, forced=True).evaluate(times, x, core.zero_like(g))
+        for a, b in zip(forced, cls(op).evaluate(times, x)):
+            assert core.distance(a, b) <= 1e-13 * max(1.0, core.norm(b))
+
+
+def test_forced_flow_validates_its_arguments():
+    flow = MatrixFlow(scale_operator(1.0), forced=True)
+    with pytest.raises(ValueError, match="forcing"):
+        flow.evaluate([1.0], U0)
+    with pytest.raises(ValueError, match="forcing"):
+        MatrixFlow(scale_operator(1.0)).evaluate([1.0], U0, V0)
+    with pytest.raises(ValueError, match=">= 0"):
+        flow.evaluate([0.5, -0.5], U0, V0)
+    with pytest.raises(ValueError, match="exp"):
+        MatrixFlow(scale_operator(1.0), "cosh", forced=True)
+    with pytest.raises(ValueError, match="exp"):
+        RankOneFlow(builtin("A1"), "cosh", forced=True)
+    with pytest.raises(SpaceMismatch):
+        RankOneFlow(builtin("A1"), forced=True).evaluate([1.0], U0, pair(U0, V0))
+    with pytest.raises(SpaceMismatch):
+        MatrixFlow(lift_matrix(ROTATION), forced=True).evaluate([1.0], pair(U0, V0), U0)
+    with pytest.raises(SpaceMismatch):
+        flow.evaluate([1.0], U0, pair(U0, V0))  # a scale acts on any element, but x and g share one space

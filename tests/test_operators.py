@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from fuzzsemi import core, operators, spaces
-from fuzzsemi.errors import MuNotPositive, ProbeNormViolation, SpaceMismatch
+from fuzzsemi import core, operators, semigroup, spaces
+from fuzzsemi.errors import MuNotPositive, ProbeNormViolation, SeriesOverflow, SpaceMismatch
 from fuzzsemi.operators import (
     builtin,
     canonical_probes,
@@ -79,6 +81,25 @@ def test_remark_b_value():
 def test_mu_coeff():
     assert mu_coeff(C) == pytest.approx(0.5, abs=1e-15)
     assert mu_coeff(core.crisp(3.0)) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_spread_coefficients_past_the_float_range_raise_without_warning():
+    # the level integral of endpoints near the float limit overflows: a typed error,
+    # where a numpy warning and mu = -inf (or a NaN closed form) used to come out
+    big = tri(1e308, 1.5e308, 1.7e308, 4)
+    cases = (
+        lambda: operators.mu_coeff(big),
+        lambda: operators.upper_spread_coeff(big),
+        lambda: builtin("RemarkA", big),
+        lambda: builtin("RemarkB", big),
+        lambda: semigroup.generator_pair_closed_form(C, tri(0, 1e308, 1.5e308), 10.0, "A"),
+    )
+    for case in cases:
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(SeriesOverflow, match="leaves the float range"):
+                case()
+        assert not seen, [str(w.message) for w in seen]
 
 
 def test_mu_must_be_positive():

@@ -2,10 +2,10 @@
 
 First-order problems u'(t) = A[u(t)] + g(t), u(0) = u0 are solved by
 variation of parameters: u(t) = T(t)(u0) + integral_0^t T(t-s)(g(s)) ds,
-with T the exponential family of the operator.  Second-order problems
-with vanishing initial velocity use the cosh family, and the wave formula
-is one combination of the even derivatives of the initial profile and
-t * u2.
+with T the exponential family of the operator.  u'' = A[u], u'(0) = v0 is
+the same problem with the cosh family C for T and the constant forcing v0:
+C(t)(u0) + integral_0^t C(r)(v0) dr (Fattorini, 1985).  The wave formula is
+one combination of the even derivatives of the initial profile and t * u2.
 
 Each solve takes every T(t) from one `semigroup.propagator`: the exact flow
 of an operator with a real matrix (`MatrixFlow`: `lift_matrix`, and
@@ -15,7 +15,7 @@ for every other operator.  An unforced solve truncates the series to tol at
 every time.
 
 A forced solve takes the exact forced flow (`semigroup.duhamel_flow`: the
-same kernel on [[A, I], [0, 0]], whose exponential carries the Duhamel
+same kernel on [[A, I], [0, 0]] (exp), whose exponential carries the Duhamel
 integral) whenever the operator has a flow and the forcing is constant:
 it returns one and the same object at all 15 Gauss-Kronrod nodes of
 [0, t], for every requested t.  Then the whole grid is one flow call and
@@ -66,10 +66,9 @@ from .errors import (
     NoApplicableForm,
     QuadratureStall,
     SeriesOverflow,
-    UnsupportedVelocity,
 )
 from .operators import LinearOperator
-from .semigroup import _coefficients, duhamel_flow, propagator, required_order
+from .semigroup import _check_tol, _coefficients, duhamel_flow, propagator, required_order
 from .spaces import FuzzyFunction, ProductElement, pair
 
 DEFAULT_TIME_NODES = 64
@@ -121,7 +120,7 @@ class CauchyProblem:
     every Gauss-Kronrod node of [0, t] counts as constant, and is solved by
     the exact forced flow when the operator has one; any other forcing goes
     through the quadrature.  ``initial_velocity`` marks the problem as second
-    order; the solver requires it to vanish.
+    order; it takes any element of the initial state's space.
     """
 
     operator: LinearOperator
@@ -134,8 +133,7 @@ class CauchyProblem:
     def __post_init__(self):
         if not 0 < self.horizon < math.inf:
             raise ValueError("horizon must be finite and > 0")
-        if not 0 < self.tol < math.inf:
-            raise ValueError("tol must be finite and > 0")
+        _check_tol(self.tol)
 
 
 @dataclass(frozen=True)
@@ -236,14 +234,12 @@ def _constant_value(forcing: Callable, times):
 # solvers
 
 
-def solve_first_order(problem: CauchyProblem, grid: np.ndarray | None = None) -> Trajectory:
-    """Variation-of-parameters solution sampled on a time grid."""
-    if problem.initial_velocity is not None:
-        raise ValueError("first-order problems carry no initial velocity")
+def _solve(problem: CauchyProblem, grid: np.ndarray | None, kind: str, forcing: Callable | None) -> Trajectory:
+    """T(t)(u0) + integral_0^t T(t-s)(forcing(s)) ds on a time grid, T the ``kind`` family."""
     times = uniform_times(problem.horizon) if grid is None else np.asarray(grid, dtype=float)
     # T(t), built on first use: a solve by the exact forced flow needs none
-    propagate = cache(partial(propagator, problem.operator, "exp"))
-    exact = duhamel_flow(problem.operator) if problem.forcing is not None else None
+    propagate = cache(partial(propagator, problem.operator, kind))
+    exact = duhamel_flow(problem.operator, kind) if forcing is not None else None
 
     def part_tol(t: float) -> float:
         # The truncation errors of T(t)(u0) and of every integrand value
@@ -254,7 +250,7 @@ def solve_first_order(problem: CauchyProblem, grid: np.ndarray | None = None) ->
     def integrand(tol: float, t: float, nodes):
         # every forcing value is held until the batch is done, so runs of
         # nodes whose value is one object can be told apart by id
-        values = [problem.forcing(s) for s in nodes]
+        values = [forcing(s) for s in nodes]
         out = []
         for _, run in groupby(zip(values, nodes), key=lambda pair: id(pair[0])):
             run = list(run)
@@ -274,12 +270,12 @@ def solve_first_order(problem: CauchyProblem, grid: np.ndarray | None = None) ->
 
     def evaluate(times):
         times = [float(t) for t in times]
-        if problem.forcing is None:
+        if forcing is None:
             return propagate()(times, problem.initial, repeat(problem.tol))
         bad = [t for t in times if not t >= 0.0]
         if bad:
-            raise NegativeForcedTime(f"forced problems are solved for t >= 0 only, not at t = {bad[0]!r}")
-        g = _constant_value(problem.forcing, times) if exact is not None else None
+            raise NegativeForcedTime(f"solved for t >= 0 only with a forcing or a velocity, not at t = {bad[0]!r}")
+        g = _constant_value(forcing, times) if exact is not None else None
         if g is not None:
             return exact(times, problem.initial, g)
         free = propagate()(times, problem.initial, map(part_tol, times))
@@ -288,25 +284,21 @@ def solve_first_order(problem: CauchyProblem, grid: np.ndarray | None = None) ->
     return Trajectory(times, evaluate(times), evaluate)
 
 
+def solve_first_order(problem: CauchyProblem, grid: np.ndarray | None = None) -> Trajectory:
+    """Variation-of-parameters solution sampled on a time grid."""
+    if problem.initial_velocity is not None:
+        raise ValueError("first-order problems carry no initial velocity")
+    return _solve(problem, grid, "exp", problem.forcing)
+
+
 def solve_second_order(problem: CauchyProblem, grid: np.ndarray | None = None) -> Trajectory:
-    """cosh-series solution of u'' = A[u], u(0) = u0, u'(0) = 0."""
+    """C(t)(u0) + integral_0^t C(r)(v0) dr, C the cosh family: u'' = A[u], u(0) = u0, u'(0) = v0."""
     if problem.initial_velocity is None:
-        raise ValueError("second-order problems need initial_velocity (the zero element)")
+        raise ValueError("second-order problems need initial_velocity (the zero element for none)")
     if problem.forcing is not None:
         raise ValueError("second-order problems take no forcing")
     v0 = problem.initial_velocity
-    if core.norm(v0) != 0.0:
-        raise UnsupportedVelocity(
-            "only a vanishing initial velocity is supported; for the wave "
-            "formula with nonzero velocity use solve_wave"
-        )
-    times = uniform_times(problem.horizon) if grid is None else np.asarray(grid, dtype=float)
-    propagate = propagator(problem.operator, "cosh")
-
-    def evaluate(times):
-        return propagate(times, problem.initial, repeat(problem.tol))
-
-    return Trajectory(times, evaluate(times), evaluate)
+    return _solve(problem, grid, "cosh", None if core.norm(v0) == 0.0 else lambda s: v0)
 
 
 def solve_wave(

@@ -41,10 +41,6 @@ class MixedSignsError(FuzzsemiError):
     """The semigroup law is only asserted for same-sign time pairs."""
 
 
-class UnsupportedVelocity(FuzzsemiError):
-    """Second-order solving requires a vanishing initial velocity."""
-
-
 class SeriesOverflow(FuzzsemiError, OverflowError):
     """A value leaves the float range: the series terms (|t| times the
     operator's norm bound is too large), a flow or a forced solution at some
@@ -52,8 +48,8 @@ class SeriesOverflow(FuzzsemiError, OverflowError):
 
 
 class NegativeForcedTime(FuzzsemiError, ValueError):
-    """A forced trajectory was asked for a time before 0: its Duhamel
-    integral is taken over [0, t] and is solved for t >= 0 only."""
+    """A trajectory with a forcing or a nonzero initial velocity was asked for a
+    time before 0: its Duhamel integral is taken over [0, t], for t >= 0 only."""
 
 
 class QuadratureStall(FuzzsemiError):

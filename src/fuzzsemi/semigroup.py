@@ -38,9 +38,9 @@ scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005), in
 numpy, their degree taken from `required_order` so that the tail is below
 the unit roundoff.  `RankOneFlow` runs the same kernel on a 4 x 4 matrix
 for every builtin.  `propagator` picks a flow or the literal series for
-the solvers and `exp_apply`/`cosh_apply`/`sinh_apply`; `duhamel_flow` gives
-the same flows forced by a constant g; `SemigroupEvaluator` stays the
-literal series and the flows' test oracle.
+the solvers and `exp_apply`/`cosh_apply`/`sinh_apply`; `duhamel_flow` adds
+a constant forcing (exp) or initial velocity (cosh); `SemigroupEvaluator`
+stays the literal series and the flows' test oracle.
 """
 
 from __future__ import annotations
@@ -157,6 +157,11 @@ def series_apply(op: LinearOperator, kind: str, t: float, x, order: int):
     return partial_sums(op, kind, (t,), x, (order,))[0]
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be finite and > 0")
+
+
 def _series(op: LinearOperator, kind: str, times, x, tols) -> list:
     """The literal series at each of ``times``, truncated below that time's tol / max(1, ||x||),
     in one `partial_sums` batch; SeriesOverflow, without a numpy warning, past the float range."""
@@ -187,8 +192,7 @@ class SemigroupEvaluator:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        if not (self.tol > 0):
-            raise ValueError("tol must be > 0")
+        _check_tol(self.tol)
         if not math.isfinite(self.operator.norm_bound):
             raise ValueError("operator norm bound must be finite")
 
@@ -278,10 +282,11 @@ class MatrixFlow:
     e^{|t| |A|} times ||x||; no truncation tolerance is involved.  The
     powers of both Taylor bases are formed once, at construction.
 
-    ``forced`` (exp only) makes it the flow of u' = Au + g for a constant
-    g: `evaluate(times, x, g)` gives T(t)x + integral_0^t T(r)g dr at t >= 0,
-    whose maps are the top block rows of the exponentials of
-    B = [[A, I], [0, 0]] and |B| (Van Loan, IEEE TAC 23, 1978) on (x, g).
+    ``forced`` adds a constant input g: `evaluate(times, x, g)` gives
+    T(t)x + integral_0^t T(r)g dr at t >= 0 from the top block rows of the
+    exponentials: of B = [[A, I], [0, 0]] and |B| for exp, u' = Au + g (Van
+    Loan, IEEE TAC 23, 1978), and of cosh's own [[0, b I], [A / b, 0]], whose
+    top block row is [C(t), b S(t)], for cosh, u'' = Au with u'(0) = g.
     """
 
     operator: LinearOperator
@@ -289,15 +294,17 @@ class MatrixFlow:
     forced: bool = False
 
     def __post_init__(self):
-        if self.kind not in FLOW_KINDS or (self.forced and self.kind != "exp"):
-            raise ValueError(f"kind must be one of {FLOW_KINDS}, and exp when forced")
-        a = self._real_matrix()
-        k = a.shape[0]
+        if self.kind not in FLOW_KINDS:
+            raise ValueError(f"kind must be one of {FLOW_KINDS}")
+        a, inject = self._real_matrix()
+        k, b = a.shape[0], 1.0
         if self.kind == "cosh":
-            # [[0, g I], [A / g, 0]] squares to diag(A, A) for every g > 0; g, a
+            # [[0, b I], [A / b, 0]] squares to diag(A, A) for every b > 0; b, a
             # power of two near sqrt(||A||), balances the blocks exactly
-            g = 2.0 ** (int(_binary_exponent(np.abs(a).sum(axis=1).max())) // 2)
-            a = np.block([[np.zeros((k, k)), g * np.eye(k)], [a / g, np.zeros((k, k))]])
+            b = 2.0 ** (int(_binary_exponent(np.abs(a).sum(axis=1).max())) // 2)
+            a = np.block([[np.zeros((k, k)), b * np.eye(k)], [a / b, np.zeros((k, k))]])
+        elif self.forced:
+            a = _augmented(a, inject)
         bases = np.stack((a, np.abs(a)))
         # a power of two brings both bases to norm at most 1 and moves into the times
         scale = int(_binary_exponent(bases[1].sum(axis=1).max()))
@@ -305,54 +312,56 @@ class MatrixFlow:
         powers = np.ldexp(bases, -scale)[:, None]
         while powers.shape[1] < _TAYLOR_DEGREE:
             powers = np.concatenate((powers, _matmul(powers, powers[:, -1:])), axis=1)
-        self.__dict__.update(_k=k, _scale=scale, _powers=powers[:, :_TAYLOR_DEGREE])
+        self.__dict__.update(_k=k, _width=len(a) if self.forced else k, _balance=b, _scale=scale,
+                             _powers=powers[:, :_TAYLOR_DEGREE])
 
-    def _real_matrix(self) -> np.ndarray:
+    def _real_matrix(self) -> tuple:
+        """The generator and the block through which a forcing enters it."""
         if self.operator.matrix is None:
             raise ValueError(f"{self.operator.name} carries no matrix")
-        a = self.operator.matrix
-        return _augmented(a, np.eye(len(a))) if self.forced else a
+        return self.operator.matrix, np.eye(len(self.operator.matrix))
 
     def matrices(self, times) -> np.ndarray:
-        """The (2, n, k, k) stack of the matrices that map the midpoints ([0])
+        """The (2, n, k, w) stack of the matrices that map the midpoints ([0])
         and the radii ([1]) at each of the n times; non-finite entries mean
         the flow overflowed (numpy warns unless the caller silences it).
 
-        cosh is the top-left block of exp(|t| [[0, g I], [A / g, 0]]), and
-        its radius matrix that of the same with |A|.  Both kinds take one
-        `_expm` call.
+        Each is the top block row of its exponential (see the class): the map
+        of x, or of x and then g when forced.  Both kinds take one `_expm` call.
         """
         times = np.asarray(times, dtype=float)
         if not np.isfinite(times).all():
             raise ValueError("times must be finite")
         signed = times if self.kind == "exp" else np.abs(times)
         out = _expm(self._powers, np.ldexp(np.stack((signed, np.abs(times))), self._scale))
-        return out[:, :, : self._k, : self._k]
+        out = out[:, :, : self._k, : self._width]
+        out[..., self._k :] /= self._balance  # b S(t) -> S(t), exact: b is a power of two (1 for exp)
+        return out
 
     def _image(self, flows, x, g):
         """(grid, mid, rad, size, same): the leaf whose grids the image takes, its midpoints
         and radii, its norm bound, and whether the map is exactly the identity, per time.
-        A forced flow maps the stack (x, g) and keeps x's rows."""
-        k = flows.shape[-1]
+        A forced flow maps the stack (x, g)."""
+        rows, cols = flows.shape[-2:]
         if g is None:
-            grid, ends, rows, size = x, x.ends, k, core.norm(x)
+            grid, ends, size = x, x.ends, core.norm(x)
         else:
             grid, g = core.common_grid(x, g)
-            ends, rows, size = np.stack((grid.ends, g.ends)), k // 2, max(core.norm(x), core.norm(g))
+            ends, size = np.stack((grid.ends, g.ends)), max(core.norm(x), core.norm(g))
         half = 0.5 * ends
         lo, up = half[..., 0, :], half[..., 1, :]
-        parts = np.stack((lo + up, up - lo)).reshape(2, 1, k, -1)
+        parts = np.stack((lo + up, up - lo)).reshape(2, 1, cols, -1)
         # flows @ parts, one column of flows at a time: the parts are long rows
-        image = flows[..., :rows, :1] * parts[:, :, :1]
-        for j in range(1, k):
-            image += flows[..., :rows, j : j + 1] * parts[:, :, j : j + 1]
+        image = flows[..., :1] * parts[:, :, :1]
+        for j in range(1, cols):
+            image += flows[..., j : j + 1] * parts[:, :, j : j + 1]
         mid, rad = image.reshape(2, flows.shape[1], *grid.ends.shape[:-2], -1)
-        same = (flows == np.eye(k)).all(axis=(0, 2, 3))
+        same = (flows == np.eye(rows, cols)).all(axis=(0, 2, 3))
         return grid, mid, rad, flows[1].sum(axis=2).max(axis=1) * size, same
 
     def evaluate(self, times, x, g=None) -> list:
         """The flow at each of ``times`` applied to x (and, when forced, the constant
-        forcing g, at times >= 0 only), in order.
+        input g: a forcing for exp, a velocity for cosh; times >= 0 only), in order.
 
         x itself where the map is exactly the identity (t = 0, or a t too small to
         move any bit); otherwise the endpoints mid -/+ rad of `_image` pass one
@@ -374,7 +383,7 @@ class MatrixFlow:
         # a non-finite matrix entry makes its image non-finite too (0 * inf is nan)
         finite = np.isfinite(ends).reshape(len(times), -1).all(axis=1)
         if not finite.all():
-            what = "forced exp" if self.forced else self.kind
+            what = f"forced {self.kind}" if self.forced else self.kind
             raise SeriesOverflow(
                 f"the {what} flow of {self.operator.name} overflows at t = {times[np.argmin(finite)]!r}; "
                 "shorten the horizon or reduce the operator's norm or data"
@@ -403,14 +412,14 @@ class RankOneFlow(MatrixFlow):
     the top-right block of the series of K = [[M, I], [0, 0]] (Van Loan, IEEE TAC
     23, 1978): `MatrixFlow`'s two matrices for K >= 0 hold F(t) and F(|t|).
 
-    Forced by a constant g, the Duhamel integral of T(r)g over [0, t] is
-    t g + (sum_p t^(p+1) / (p+1)! s_p(g)) c (Hochbruck and Ostermann, Acta
-    Numerica 19, 2010): the 6 x 6 matrix [[M, I, 0], [0, 0, I], [0, 0, 0]]
-    holds K at its top left, t I and G(t) = sum_p t^(p+1) / (p+1)! M^(p-1) in
-    its last block column, so m and r take G(t) v_1(g) as well.
+    With a constant input g, integral_0^t T(r)g dr = t g + (sum_p d_p s_p(g)) c, so m
+    and r take G(t) v_1(g), G = sum_p d_p M^(p-1), as well: d_p = t^(p+1) / (p+1)!
+    for exp (Hochbruck and Ostermann, Acta Numerica 19, 2010), from the 6 x 6
+    [[M, I, 0], [0, 0, I], [0, 0, 0]], and t^(2p+1) / (2p+1)! for cosh, from S(t)
+    of K's 8 x 8 cosh matrix.  Either top block row ends in G(t), and holds t at [2, -2].
     """
 
-    def _real_matrix(self) -> np.ndarray:
+    def _real_matrix(self) -> tuple:
         if self.operator.rank_one is None:
             raise ValueError(f"{self.operator.name} is not rank one")
         phi, c = self.operator.rank_one
@@ -418,20 +427,20 @@ class RankOneFlow(MatrixFlow):
             mu = np.array([phi(c), phi(core.scalar_mul(-1.0, c))])
         if not np.isfinite(mu).all():
             raise SeriesOverflow(f"phi(+-c) of {self.operator.name} overflows; reduce c")
-        big_k = np.block([[np.maximum([mu, -mu], 0.0), np.eye(2)], [np.zeros((2, 4))]])
-        return _augmented(big_k, np.eye(4, 2, -2)) if self.forced else big_k
+        return np.block([[np.maximum([mu, -mu], 0.0), np.eye(2)], [np.zeros((2, 4))]]), np.eye(4, 2, -2)
 
     def _image(self, flows, x, g):
         phi, c = self.operator.rank_one
         s = np.array([phi(x)] if g is None else [phi(x), phi(g)])
-        # F v_1(x), plus G v_1(g) when forced: the block columns after K's first
-        parts = (flows[:, :, :2, 2:] * np.maximum(np.multiply.outer(s, [1.0, -1.0]), 0.0).ravel()).sum(axis=-1)
+        # F v_1(x), plus G v_1(g) from the last two columns when forced
+        blocks = flows[:, :, :2, [2, 3] if g is None else [2, 3, -2, -1]]
+        parts = (blocks * np.maximum(np.multiply.outer(s, [1.0, -1.0]), 0.0).ravel()).sum(axis=-1)
         m, r = parts[0, :, 0] - parts[0, :, 1], parts[1].sum(axis=-1)
         grid, ends = core.stack_common((x, c) if g is None else (x, c, g))
         (lx, ux), (lc, uc) = 0.5 * ends[:2]
         mid, rad, size, same = lx + ux, ux - lx, core.norm(x), (m == 0) & (r == 0)
         if g is not None:  # plus t g, t read from the block t I (exact: Taylor and squaring scale it by 2s)
-            t, (lg, ug) = flows[0, :, 2, 4], 0.5 * ends[2]
+            t, (lg, ug) = flows[0, :, 2, -2], 0.5 * ends[2]
             mid, rad = mid + t[:, None] * (lg + ug), rad + t[:, None] * (ug - lg)
             size, same = size + t * core.norm(g), same & (t == 0)
         return grid, mid + m[:, None] * (lc + uc), rad + r[:, None] * (uc - lc), size + r * core.norm(c), same
@@ -461,25 +470,28 @@ def propagator(operator: LinearOperator, kind: str = "exp") -> Callable:
     return lambda times, x, tols: evaluate(times, x)
 
 
-def duhamel_flow(operator: LinearOperator) -> Callable | None:
-    """The map (times, x, g) -> T(t)(x) + integral_0^t T(r)(g) dr, the solution of
-    u' = Au + g, u(0) = x for a constant g, at each of ``times`` >= 0 in one batch:
-    the forced `MatrixFlow` or `RankOneFlow`, exact to rounding.  None for an
-    operator without an exact flow (compositions, bare maps).
+def duhamel_flow(operator: LinearOperator, kind: str = "exp") -> Callable | None:
+    """The map (times, x, g) -> T(t)(x) + integral_0^t T(r)(g) dr, T the ``kind`` family, at
+    each of ``times`` >= 0 in one batch: the solution of u' = Au + g (exp) or u'' = Au,
+    u'(0) = g (cosh), u(0) = x, for a constant g.  The forced `MatrixFlow` or `RankOneFlow`,
+    exact to rounding; None for an operator without a flow (compositions, bare maps).
     """
     flow = _flow(operator)
-    return None if flow is None else flow(operator, "exp", forced=True).evaluate
+    return None if flow is None else flow(operator, kind, forced=True).evaluate
 
 
 def exp_apply(op: LinearOperator, t: float, x, tol: float = 1e-9):
+    _check_tol(tol)
     return propagator(op, "exp")((t,), x, (tol,))[0]
 
 
 def cosh_apply(op: LinearOperator, t: float, x, tol: float = 1e-9):
+    _check_tol(tol)
     return propagator(op, "cosh")((t,), x, (tol,))[0]
 
 
 def sinh_apply(op: LinearOperator, t: float, x, tol: float = 1e-9):
+    _check_tol(tol)
     return propagator(op, "sinh")((t,), x, (tol,))[0]
 
 

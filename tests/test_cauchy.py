@@ -27,10 +27,19 @@ from fuzzsemi.errors import (
     NoApplicableForm,
     QuadratureStall,
     SeriesOverflow,
-    UnsupportedVelocity,
+    SpaceMismatch,
 )
-from fuzzsemi.operators import LinearOperator, builtin, compose, identity, lift_matrix, scale_operator, zero_operator
-from fuzzsemi.semigroup import MatrixFlow, SemigroupEvaluator, generator_pair_closed_form
+from fuzzsemi.operators import (
+    BUILTIN_NAMES,
+    LinearOperator,
+    builtin,
+    compose,
+    identity,
+    lift_matrix,
+    scale_operator,
+    zero_operator,
+)
+from fuzzsemi.semigroup import MatrixFlow, SemigroupEvaluator, generator_pair_closed_form, propagator
 from fuzzsemi.spaces import FuzzyFunction, ProductElement, pair
 
 import helpers
@@ -573,11 +582,87 @@ def test_second_order_rejects_forcing():
         )
 
 
-def test_second_order_rejects_nonzero_velocity():
-    with pytest.raises(UnsupportedVelocity):
-        solve_second_order(
-            CauchyProblem(identity(), U0, initial_velocity=core.crisp(1.0), horizon=1.0)
-        )
+def test_second_order_nonzero_velocity_matches_closed_form():
+    # u'' = u, u(0) = U0, u'(0) = 1: cosh(t) U0 + sinh(t), through the quadrature of
+    # the cosh series, since identity() carries no matrix
+    traj = solve_second_order(
+        CauchyProblem(identity(), U0, initial_velocity=core.crisp(1.0), horizon=1.0)
+    )
+    for t, st in zip(traj.times, traj.states):
+        want = core.add(core.scalar_mul(math.cosh(t), U0), core.crisp(math.sinh(t)))
+        assert core.distance(st, want) <= 1e-9 * max(1.0, core.norm(want)), t
+
+
+def _bare(op):
+    """The same map without its matrix or rank-one data: it takes the series and the quadrature."""
+    return LinearOperator(op.fn, op.norm_bound, op.homogeneity, f"bare {op.name}", op.domain)
+
+
+def _velocity_cases():
+    x, v = core.make_triangular(-1, 0.5, 3), core.make_triangular(0.5, 1, 2)
+    for factor in (0.7, -1.3):
+        yield scale_operator(factor), x, v
+    for matrix in (((0.5, -1.0), (1.0, 0.25)), cauchy.COUPLED_MATRIX):
+        yield lift_matrix(matrix), pair(x, V0), pair(core.scalar_mul(-1.0, v), U0)
+    for name in BUILTIN_NAMES:  # velocities of both signs, so phi(v) takes both signs
+        for sign in (1.0, -1.0):
+            yield builtin(name, C), x, core.scalar_mul(sign, v)
+
+
+def test_velocity_flow_matches_the_quadrature():
+    tol, times = 1e-11, np.array([0.0, 0.4, 1.0])
+    for op, x, v in _velocity_cases():
+        exact = solve_second_order(CauchyProblem(op, x, initial_velocity=v, tol=tol), times)
+        quad = solve_second_order(CauchyProblem(_bare(op), x, initial_velocity=v, tol=tol), times)
+        for t, a, b in zip(times, exact.states, quad.states):
+            assert core.distance(a, b) <= tol * max(1.0, core.norm(b)), (op.name, t)
+
+
+@pytest.mark.parametrize("a", [2.5, -0.8])
+def test_velocity_of_a_scale_meets_its_crisp_closed_form(a):
+    # u'' = a u: cosh(w t) u0 + sinh(w t) / w v0 with w = sqrt(a), cos and sin for a < 0
+    u0, v0, w = 1.5, -0.75, math.sqrt(abs(a))
+    c, s = (math.cosh, math.sinh) if a > 0 else (math.cos, math.sin)
+    times = np.linspace(0.0, 3.0, 7)
+    traj = solve_second_order(CauchyProblem(scale_operator(a), core.crisp(u0), initial_velocity=core.crisp(v0)), times)
+    for t, st in zip(times, traj.states):
+        want = c(w * t) * u0 + s(w * t) / w * v0
+        assert core.is_crisp(st) and st.lower[0] == pytest.approx(want, rel=1e-13, abs=1e-15), t
+
+
+def test_velocity_trajectory_rejects_negative_times():
+    for op in (scale_operator(0.5), builtin("A1"), identity()):
+        traj = solve_second_order(CauchyProblem(op, U0, initial_velocity=V0), np.array([0.0, 1.0]))
+        with pytest.raises(NegativeForcedTime, match="velocity") as err:
+            traj.evaluate([0.5, -0.25])
+        assert "t = -0.25" in str(err.value)
+
+
+def test_velocity_from_another_space_is_rejected():
+    w0 = pair(U0, V0)
+    cases = (
+        (builtin("A1"), U0, w0),
+        (scale_operator(0.5), U0, w0),  # a scale acts on any element, but u0 and v0 share one space
+        (lift_matrix(cauchy.COUPLED_MATRIX), w0, U0),
+        (identity(), U0, w0),  # the quadrature path
+    )
+    for op, x, v in cases:
+        with pytest.raises(SpaceMismatch):
+            solve_second_order(CauchyProblem(op, x, initial_velocity=v), np.array([0.0, 1.0]))
+
+
+def test_zero_velocity_is_the_cosh_family():
+    # a vanishing velocity is no forcing: the states are those of C(t)(u0), bit for bit,
+    # and negative times stay allowed
+    times = np.linspace(0.0, 2.0, 5)
+    cases = ((lift_matrix(cauchy.COUPLED_MATRIX), pair(U0, V0)), (builtin("RemarkA", C), U0), (identity(), U0))
+    for op, x in cases:
+        problem = CauchyProblem(op, x, initial_velocity=core.zero_like(x), horizon=2.0, tol=1e-9)
+        traj = solve_second_order(problem, times)
+        got = [*traj.states, *traj.evaluate([-0.5])]
+        want = propagator(op, "cosh")([*times, -0.5], x, [1e-9] * (len(times) + 1))
+        for a, b in zip(got, want, strict=True):
+            assert a.ends.tobytes() == b.ends.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,13 @@ def test_flow_matches_endpoint_rk4(kind):
                               np.concatenate([y0, np.zeros_like(y0)]), 1.0, steps=800)[:n]
         got = MatrixFlow(op, kind).at(1.0, w)
         assert np.abs(np.concatenate([got.ends[:, 0, :], got.ends[:, 1, :]]) - ref).max() <= 1e-8
+        if kind == "cosh":  # and with y'(0) = v: the velocity read from the same matrix
+            v = ProductElement(tuple(random_fuzzy(rng, 16) for _ in range(k)))
+            dy0 = np.concatenate([v.ends[:, 0, :], v.ends[:, 1, :]])
+            ref = helpers.rk4(lambda _, y: np.concatenate([y[n:], gen @ y[:n]]),
+                              np.concatenate([y0, dy0]), 1.0, steps=800)[:n]
+            got = MatrixFlow(op, kind, forced=True).evaluate([1.0], w, v)[0]
+            assert np.abs(np.concatenate([got.ends[:, 0, :], got.ends[:, 1, :]]) - ref).max() <= 1e-8
 
 
 @pytest.mark.parametrize("factor, t", [(-5.0, 8.0), (-5.0, 4.0), (-3.0, 12.0)])
@@ -309,10 +316,11 @@ def _forced_cases():
         yield op, core.make_triangular(-1, 0.5, 3, 5), g
 
 
-def test_forced_flow_each_time_equals_its_own_evaluation():
+@pytest.mark.parametrize("kind", ["exp", "cosh"])
+def test_forced_flow_each_time_equals_its_own_evaluation(kind):
     times = [0.0, 1e-300, 0.3, 7.0, 0.001, 1.0]
     for op, x, g in _forced_cases():
-        flow = (MatrixFlow if op.matrix is not None else RankOneFlow)(op, forced=True)
+        flow = (MatrixFlow if op.matrix is not None else RankOneFlow)(op, kind, forced=True)
         batch = flow.evaluate(times, x, g)
         for t, state in zip(times, batch):
             assert np.array_equal(flow.evaluate([t], x, g)[0].ends, state.ends), (op.name, t)
@@ -337,10 +345,6 @@ def test_forced_flow_validates_its_arguments():
         MatrixFlow(scale_operator(1.0)).evaluate([1.0], U0, V0)
     with pytest.raises(ValueError, match=">= 0"):
         flow.evaluate([0.5, -0.5], U0, V0)
-    with pytest.raises(ValueError, match="exp"):
-        MatrixFlow(scale_operator(1.0), "cosh", forced=True)
-    with pytest.raises(ValueError, match="exp"):
-        RankOneFlow(builtin("A1"), "cosh", forced=True)
     with pytest.raises(SpaceMismatch):
         RankOneFlow(builtin("A1"), forced=True).evaluate([1.0], U0, pair(U0, V0))
     with pytest.raises(SpaceMismatch):

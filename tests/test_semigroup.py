@@ -314,6 +314,17 @@ def test_exp_apply_meets_long_horizon_rotation():
         assert np.abs(u.ends - want).max() <= 1e-12
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("op", [scale_operator(1.0), identity()], ids=["flow", "series"])
+def test_one_shot_api_rejects_a_bad_tol_on_every_path(op, tol):
+    # the flow ignores tol, and an infinite tol truncated the series of identity() to x
+    for apply in (exp_apply, cosh_apply, sinh_apply):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            apply(op, 1.0, X, tol)
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        SemigroupEvaluator(op, "exp", tol)
+
+
 def test_propagator_holds_no_state():
     # every call builds its own powers, to its own largest order, whatever x was before
     op, calls = _counting(builtin("RemarkA", C))

@@ -7,12 +7,13 @@ the same problem with the cosh family C for T and the constant forcing v0:
 C(t)(u0) + integral_0^t C(r)(v0) dr (Fattorini, 1985).  The wave formula is
 one combination of the even derivatives of the initial profile and t * u2.
 
-Each solve takes every T(t) from one `semigroup.propagator`: the exact flow
+Each solve takes every T(t) from `semigroup.propagator`: the exact flow
 of an operator with a real matrix (`MatrixFlow`: `lift_matrix`, and
 `scale_operator` as 1 x 1) or a rank-one map (`RankOneFlow`: every builtin),
 exact to rounding at any horizon and either sign of t, or the literal series
-for every other operator.  An unforced solve truncates the series to tol at
-every time.
+for every other operator.  A flow is built once per operator instance and
+shared by every solve with it.  An unforced solve truncates the series to
+tol at every time.
 
 A forced solve takes the exact forced flow (`semigroup.duhamel_flow`: the
 same kernel on [[A, I], [0, 0]] (exp), whose exponential carries the Duhamel
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from itertools import groupby, islice, repeat
 from typing import Callable
 
@@ -237,8 +238,6 @@ def _constant_value(forcing: Callable, times):
 def _solve(problem: CauchyProblem, grid: np.ndarray | None, kind: str, forcing: Callable | None) -> Trajectory:
     """T(t)(u0) + integral_0^t T(t-s)(forcing(s)) ds on a time grid, T the ``kind`` family."""
     times = uniform_times(problem.horizon) if grid is None else np.asarray(grid, dtype=float)
-    # T(t), built on first use: a solve by the exact forced flow needs none
-    propagate = cache(partial(propagator, problem.operator, kind))
     exact = duhamel_flow(problem.operator, kind) if forcing is not None else None
 
     def part_tol(t: float) -> float:
@@ -254,7 +253,7 @@ def _solve(problem: CauchyProblem, grid: np.ndarray | None, kind: str, forcing: 
         out = []
         for _, run in groupby(zip(values, nodes), key=lambda pair: id(pair[0])):
             run = list(run)
-            out += propagate()([t - s for _, s in run], run[0][0], repeat(tol))
+            out += propagator(problem.operator, kind)([t - s for _, s in run], run[0][0], repeat(tol))
         return out
 
     def forced(t: float, u):
@@ -271,14 +270,14 @@ def _solve(problem: CauchyProblem, grid: np.ndarray | None, kind: str, forcing: 
     def evaluate(times):
         times = [float(t) for t in times]
         if forcing is None:
-            return propagate()(times, problem.initial, repeat(problem.tol))
+            return propagator(problem.operator, kind)(times, problem.initial, repeat(problem.tol))
         bad = [t for t in times if not t >= 0.0]
         if bad:
             raise NegativeForcedTime(f"solved for t >= 0 only with a forcing or a velocity, not at t = {bad[0]!r}")
         g = _constant_value(forcing, times) if exact is not None else None
         if g is not None:
             return exact(times, problem.initial, g)
-        free = propagate()(times, problem.initial, map(part_tol, times))
+        free = propagator(problem.operator, kind)(times, problem.initial, map(part_tol, times))
         return [u if t == 0.0 else forced(t, u) for t, u in zip(times, free)]
 
     return Trajectory(times, evaluate(times), evaluate)
@@ -298,6 +297,7 @@ def solve_second_order(problem: CauchyProblem, grid: np.ndarray | None = None) -
     if problem.forcing is not None:
         raise ValueError("second-order problems take no forcing")
     v0 = problem.initial_velocity
+    core.common_grid(problem.initial, v0)  # a velocity of another space raises, zero or not
     return _solve(problem, grid, "cosh", None if core.norm(v0) == 0.0 else lambda s: v0)
 
 

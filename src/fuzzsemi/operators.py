@@ -53,6 +53,10 @@ class LinearOperator:
             scales every leaf of any element.
         rank_one: the pair (phi, c) of a map x -> phi(x) c, phi a real
             functional and c a fuzzy number, or None.
+
+    ``_flows`` is the instance's memo of exact flows (`semigroup._flow`), keyed
+    by instance rather than by value: equality ignores ``matrix`` and
+    ``rank_one``, and `dataclasses.replace` starts an empty memo.
     """
 
     fn: Callable = field(repr=False)
@@ -62,6 +66,7 @@ class LinearOperator:
     domain: object = "any"
     matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
     rank_one: tuple | None = field(default=None, repr=False, compare=False)
+    _flows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.isfinite(self.norm_bound) or self.norm_bound < 0:

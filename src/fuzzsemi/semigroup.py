@@ -40,7 +40,10 @@ the unit roundoff.  `RankOneFlow` runs the same kernel on a 4 x 4 matrix
 for every builtin.  `propagator` picks a flow or the literal series for
 the solvers and `exp_apply`/`cosh_apply`/`sinh_apply`; `duhamel_flow` adds
 a constant forcing (exp) or initial velocity (cosh); `SemigroupEvaluator`
-stays the literal series and the flows' test oracle.
+stays the literal series and the flows' test oracle.  A flow depends on
+the operator alone, so its Taylor powers are formed once per operator:
+each flow is built on first use and kept, read-only, on the operator
+instance (`_flow`).
 """
 
 from __future__ import annotations
@@ -247,16 +250,16 @@ def _augmented(a: np.ndarray, inject: np.ndarray) -> np.ndarray:
 
 
 def _expm(powers: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """exp(taus[b, i] * base_b) for every base b and item i: shape (B, n, K, K).
+    """exp(taus[b, i] * base_b) for every row b of taus and item i: shape (B, n, K, K).
 
     ``powers[b, p]`` is base_b^(p+1) for p < `_TAYLOR_DEGREE`, every base of
-    infinity norm at most 1.  Each tau is halved s times, s the item's own,
-    until |tau| <= 1; its Taylor polynomial is the row of the exp ladder of
-    `_coefficients` at tau, c_p = c_{p-1} * (tau / p), times the powers
-    (one 1 x degree by degree x K^2 product per item), plus the identity;
-    then it is squared s times.  Every step acts on each item alone, so an
-    item gets the same bits in any batch.  Overflow gives inf or nan
-    entries, silently under the caller's `np.errstate`.
+    infinity norm at most 1; a single base serves every row.  Each tau is
+    halved s times, s the item's own, until |tau| <= 1; its Taylor polynomial
+    is the row of the exp ladder of `_coefficients` at tau,
+    c_p = c_{p-1} * (tau / p), times the powers (one 1 x degree by degree x K^2
+    product per item), plus the identity; then it is squared s times.  Every
+    step acts on each item alone, so an item gets the same bits in any batch.
+    Overflow gives inf or nan entries, silently under the caller's `np.errstate`.
     """
     nb, k = powers.shape[0], powers.shape[-1]
     squarings = np.maximum(_binary_exponent(taus), 0)
@@ -280,7 +283,9 @@ class MatrixFlow:
     e^{|t| |A|} for exp, the cosh series of (tA, |t| |A|) for cosh (see
     `matrices`).  Computed in floating point to a few ulps of the growth
     e^{|t| |A|} times ||x||; no truncation tolerance is involved.  The
-    powers of both Taylor bases are formed once, at construction.
+    powers of both Taylor bases are formed once per operator (`_flow`) and
+    are read-only; a base with no sign bit set is its own absolute value,
+    and one set of powers serves both.
 
     ``forced`` adds a constant input g: `evaluate(times, x, g)` gives
     T(t)x + integral_0^t T(r)g dr at t >= 0 from the top block rows of the
@@ -305,15 +310,16 @@ class MatrixFlow:
             a = np.block([[np.zeros((k, k)), b * np.eye(k)], [a / b, np.zeros((k, k))]])
         elif self.forced:
             a = _augmented(a, inject)
-        bases = np.stack((a, np.abs(a)))
+        # a base with no sign bit set is |A| bit for bit: its powers serve both
+        bases = np.stack((a, np.abs(a))) if np.signbit(a).any() else a[None]
         # a power of two brings both bases to norm at most 1 and moves into the times
-        scale = int(_binary_exponent(bases[1].sum(axis=1).max()))
+        scale = int(_binary_exponent(bases[-1].sum(axis=1).max()))
         # powers[:, p] = base^(p+1); times base^m the first m give the next m
         powers = np.ldexp(bases, -scale)[:, None]
         while powers.shape[1] < _TAYLOR_DEGREE:
             powers = np.concatenate((powers, _matmul(powers, powers[:, -1:])), axis=1)
         self.__dict__.update(_k=k, _width=len(a) if self.forced else k, _balance=b, _scale=scale,
-                             _powers=powers[:, :_TAYLOR_DEGREE])
+                             _powers=core._frozen(powers[:, :_TAYLOR_DEGREE]))
 
     def _real_matrix(self) -> tuple:
         """The generator and the block through which a forcing enters it."""
@@ -327,14 +333,21 @@ class MatrixFlow:
         the flow overflowed (numpy warns unless the caller silences it).
 
         Each is the top block row of its exponential (see the class): the map
-        of x, or of x and then g when forced.  Both kinds take one `_expm` call.
+        of x, or of x and then g when forced.  Both kinds take one `_expm` call,
+        over one row of taus when the base is its own absolute value and the
+        signed taus carry no sign bit (every forced exp and every cosh flow, and
+        exp at t >= 0): the two exponentials are then one, bit for bit.
         """
         times = np.asarray(times, dtype=float)
         if not np.isfinite(times).all():
             raise ValueError("times must be finite")
         signed = times if self.kind == "exp" else np.abs(times)
-        out = _expm(self._powers, np.ldexp(np.stack((signed, np.abs(times))), self._scale))
-        out = out[:, :, : self._k, : self._width]
+        taus = np.stack((signed, np.abs(times)))
+        if len(self._powers) == 1 and not np.signbit(signed).any():
+            taus = taus[1:]
+        out = _expm(self._powers, np.ldexp(taus, self._scale))[:, :, : self._k, : self._width]
+        if len(out) == 1:
+            out = np.concatenate((out, out))
         out[..., self._k :] /= self._balance  # b S(t) -> S(t), exact: b is a power of two (1 for exp)
         return out
 
@@ -450,24 +463,33 @@ class RankOneFlow(MatrixFlow):
 # the one choice of how T(t) is evaluated
 
 
-def _flow(operator: LinearOperator):
-    """`MatrixFlow` for an operator with a matrix, `RankOneFlow` for a rank-one map, else None."""
-    return MatrixFlow if operator.matrix is not None else RankOneFlow if operator.rank_one is not None else None
+def _flow(operator: LinearOperator, kind: str, forced: bool = False):
+    """The operator's ``kind`` flow: `MatrixFlow` for an operator with a matrix,
+    `RankOneFlow` for a rank-one map, else None.  Built on first use and kept in
+    the instance's ``_flows``, so every solve with the operator shares it; it is
+    read-only, and a race can at worst build it twice."""
+    cls = MatrixFlow if operator.matrix is not None else RankOneFlow if operator.rank_one is not None else None
+    if cls is None:
+        return None
+    flow = operator._flows.get((kind, forced))
+    if flow is None:
+        flow = operator._flows[kind, forced] = cls(operator, kind, forced)
+    return flow
 
 
 def propagator(operator: LinearOperator, kind: str = "exp") -> Callable:
     """The map (times, x, tols) -> T(t)(x) at each of ``times`` in one batch, one
     truncation tol per time: exp and cosh of an operator with a matrix or a
-    rank-one map take `MatrixFlow` or `RankOneFlow` (``tols`` unused), every
-    other case the literal series as `SemigroupEvaluator` truncates it.
+    rank-one map take the operator's one `MatrixFlow` or `RankOneFlow` (`_flow`;
+    ``tols`` unused), every other case the literal series as `SemigroupEvaluator`
+    truncates it.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
-    flow = _flow(operator)
-    if flow is None or kind not in FLOW_KINDS:
+    flow = _flow(operator, kind) if kind in FLOW_KINDS else None
+    if flow is None:
         return partial(_series, operator, kind)
-    evaluate = flow(operator, kind).evaluate
-    return lambda times, x, tols: evaluate(times, x)
+    return lambda times, x, tols: flow.evaluate(times, x)
 
 
 def duhamel_flow(operator: LinearOperator, kind: str = "exp") -> Callable | None:
@@ -476,8 +498,8 @@ def duhamel_flow(operator: LinearOperator, kind: str = "exp") -> Callable | None
     u'(0) = g (cosh), u(0) = x, for a constant g.  The forced `MatrixFlow` or `RankOneFlow`,
     exact to rounding; None for an operator without a flow (compositions, bare maps).
     """
-    flow = _flow(operator)
-    return None if flow is None else flow(operator, kind, forced=True).evaluate
+    flow = _flow(operator, kind, forced=True)
+    return None if flow is None else flow.evaluate
 
 
 def exp_apply(op: LinearOperator, t: float, x, tol: float = 1e-9):

@@ -647,8 +647,9 @@ def test_velocity_from_another_space_is_rejected():
         (identity(), U0, w0),  # the quadrature path
     )
     for op, x, v in cases:
-        with pytest.raises(SpaceMismatch):
-            solve_second_order(CauchyProblem(op, x, initial_velocity=v), np.array([0.0, 1.0]))
+        for velocity in (v, core.zero_like(v)):  # a zero velocity is no forcing, but still of u0's space
+            with pytest.raises(SpaceMismatch):
+                solve_second_order(CauchyProblem(op, x, initial_velocity=velocity), np.array([0.0, 1.0]))
 
 
 def test_zero_velocity_is_the_cosh_family():

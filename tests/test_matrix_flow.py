@@ -6,17 +6,18 @@ math.exp / math.cos give the long-horizon closed forms that the truncated
 series misses.
 """
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from fuzzsemi import cauchy, core
+from fuzzsemi import cauchy, core, semigroup
 from fuzzsemi.cauchy import CauchyProblem, residual_check, solve_first_order, solve_second_order
 from fuzzsemi.errors import NoApplicableForm, SeriesOverflow, SpaceMismatch
 from fuzzsemi.operators import BUILTIN_NAMES, LinearOperator, builtin, lift_matrix, mu_coeff, random_fuzzy, scale_operator
-from fuzzsemi.semigroup import MatrixFlow, RankOneFlow, SemigroupEvaluator
+from fuzzsemi.semigroup import MatrixFlow, RankOneFlow, SemigroupEvaluator, duhamel_flow, propagator
 from fuzzsemi.spaces import FuzzyFunction, ProductElement, pair
 
 import helpers
@@ -351,3 +352,98 @@ def test_forced_flow_validates_its_arguments():
         MatrixFlow(lift_matrix(ROTATION), forced=True).evaluate([1.0], pair(U0, V0), U0)
     with pytest.raises(SpaceMismatch):
         flow.evaluate([1.0], U0, pair(U0, V0))  # a scale acts on any element, but x and g share one space
+
+
+# ---------------------------------------------------------------------------
+# one flow per operator, and one exponential where both are the same
+
+
+def _flow_cases():
+    """Operators with a flow, a state for each and whether the generator has a
+    negative entry: every builtin, scale(+-1.5), problem4's swap and a
+    mixed-sign matrix."""
+    for op, _ in _rank_one_cases():
+        yield op, core.make_triangular(-1, 0.5, 3, 5), False
+    yield scale_operator(1.5), U0, False
+    yield scale_operator(-1.5), U0, True
+    yield lift_matrix(cauchy.SWAP_MATRIX), pair(U0, V0), False
+    yield *_random_case(np.random.default_rng(13), 3), True
+
+
+def test_second_solve_builds_no_flow(monkeypatch):
+    built = []
+    for cls in (MatrixFlow, RankOneFlow):
+        monkeypatch.setattr(cls, "_real_matrix", lambda self, real=cls._real_matrix: built.append(self) or real(self))
+    g = core.make_triangular(-0.5, 0.2, 0.8)
+    for op, x in ((builtin("RemarkA", U0), U0), (scale_operator(-1.5), U0)):
+        problems = (CauchyProblem(op, x), CauchyProblem(op, x, forcing=lambda s: g),
+                    CauchyProblem(op, x, initial_velocity=g))
+        for problem in problems:
+            solve = solve_second_order if problem.initial_velocity is not None else solve_first_order
+            first = solve(problem)
+            count = len(built)
+            again = solve(problem)
+            assert len(built) == count, op.name
+            for a, b in zip(first.states, again.states, strict=True):
+                assert a.ends.tobytes() == b.ends.tobytes()
+    # exp, forced exp and forced cosh: three flows per operator, each built once
+    assert len(built) == 2 * 3 and len({id(f) for f in built}) == len(built)
+
+
+def test_memoised_flow_matches_a_fresh_one_bit_for_bit():
+    times = [0.0, 0.3, 1.0, 2.5]
+    for op, x, _ in _flow_cases():
+        cls = MatrixFlow if op.matrix is not None else RankOneFlow
+        for kind in ("exp", "cosh"):
+            assert semigroup._flow(op, kind) is semigroup._flow(op, kind)
+            memo = propagator(op, kind)([-1.0, *times], x, [1e-9] * 5)
+            fresh = cls(op, kind).evaluate([-1.0, *times], x)
+            memo += duhamel_flow(op, kind)(times, x, x)
+            fresh += cls(op, kind, forced=True).evaluate(times, x, x)
+            for a, b in zip(memo, fresh, strict=True):
+                assert a.ends.tobytes() == b.ends.tobytes(), (op.name, kind)
+
+
+def test_replaced_matrix_gets_its_own_flow():
+    swap = lift_matrix(cauchy.SWAP_MATRIX)
+    rotation = dataclasses.replace(swap, matrix=ROTATION)
+    assert rotation == swap  # equality ignores the matrix, so the memo is keyed by instance
+    w0 = pair(U0, V0)
+    for kind in ("exp", "cosh"):
+        propagator(swap, kind)([1.0], w0, [1e-9])  # fill the first operator's memo
+        got = propagator(rotation, kind)([1.0], w0, [1e-9])[0]
+        assert got.ends.tobytes() == MatrixFlow(rotation, kind).at(1.0, w0).ends.tobytes()
+        assert got.ends.tobytes() != MatrixFlow(swap, kind).at(1.0, w0).ends.tobytes()
+    assert not set(map(id, swap._flows.values())) & set(map(id, rotation._flows.values()))
+
+
+def test_flow_powers_are_read_only_and_matrices_fresh():
+    for op, _, _ in _flow_cases():
+        flow = semigroup._flow(op, "exp", forced=True)
+        assert not flow._powers.flags.writeable
+        with pytest.raises(ValueError):
+            flow._powers[...] = 0.0
+        first = flow.matrices([0.5, 1.0])
+        assert first.flags.writeable and not np.shares_memory(first, flow._powers)
+        want = first.copy()
+        first[...] = np.nan
+        assert np.array_equal(flow.matrices([0.5, 1.0]), want)
+
+
+@pytest.mark.parametrize("kind", ["exp", "cosh"])
+@pytest.mark.parametrize("forced", [False, True])
+def test_one_exponential_matches_the_stacked_pair_bit_for_bit(kind, forced):
+    # a generator with no sign bit set is its own absolute value: one set of powers, and
+    # one exponential where the taus agree too; the stacked pair of powers is the reference
+    times = [0.0, 1e-300, 0.3, 1.0, 4.0, 19.0]
+    if not forced:
+        times += [-2.5, -0.001]
+    for op, x, signed in _flow_cases():
+        cls = MatrixFlow if op.matrix is not None else RankOneFlow
+        flow, stacked = cls(op, kind, forced), cls(op, kind, forced)
+        assert len(flow._powers) == 1 + signed, op.name
+        stacked.__dict__["_powers"] = np.array(np.broadcast_to(flow._powers, (2, *flow._powers.shape[1:])))
+        assert flow.matrices(times).tobytes() == stacked.matrices(times).tobytes(), (op.name, kind)
+        args = (times, x, x) if forced else (times, x)
+        for a, b in zip(flow.evaluate(*args), stacked.evaluate(*args), strict=True):
+            assert a.ends.tobytes() == b.ends.tobytes(), (op.name, kind)

@@ -3,7 +3,10 @@
 Each suite replays the algebraic and metric laws of its module on
 deterministic pseudo-random data and records the worst violation seen.
 Violations are measured relative to the magnitude of the data involved
-(scaled by max(1, size)), so the pass tolerances are relative.
+(scaled by max(1, size)), so the pass tolerances are relative.  The laws
+that every space shares with R_F (Diamond & Kloeden, *Metric Spaces of
+Fuzzy Sets*, 1994) are written once, in `_metric_laws` and `_radial_gap`,
+and each suite applies them to its own elements and metrics.
 """
 
 from __future__ import annotations
@@ -26,19 +29,67 @@ CASES = 1000
 _PROPERTY_LEVELS = 16  # coarse grids keep the 1000-case suites fast
 
 
-def _rec(suite, prop, cases, violation, tolerance):
-    return {
-        "suite": suite,
-        "property": prop,
-        "cases": int(cases),
-        "max_violation": float(violation),
-        "tolerance": float(tolerance),
-        "passed": bool(violation <= tolerance),
-    }
+class _Worst:
+    """The records of one suite, and for each property still open the worst
+    violation noted (from 0) and the number of cases noted."""
+
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.records = []
+        self._open = {}
+
+    def note(self, prop: str, *violations: float) -> None:
+        """One case of ``prop``, violated by the worst of ``violations``; a NaN
+        violation makes the property's worst NaN for good, so it fails."""
+        worst, cases = self._open.get(prop, (0.0, 0))
+        if any(map(math.isnan, violations)):
+            worst = math.nan  # max keeps its first argument unless another is larger
+        self._open[prop] = (max(worst, *violations), cases + 1)
+
+    def close(self, *tolerances: float) -> None:
+        """Record the open properties in the order first noted, each against
+        its own one of ``tolerances``, or all against a single one."""
+        if len(tolerances) == 1:
+            tolerances *= len(self._open)
+        for (prop, (worst, cases)), tol in zip(self._open.items(), tolerances, strict=True):
+            self.record(prop, cases, worst, tol)
+        self._open.clear()
+
+    def record(self, prop: str, cases: int, violation: float, tolerance: float) -> None:
+        self.records.append({
+            "suite": self.suite,
+            "property": prop,
+            "cases": int(cases),
+            "max_violation": float(violation),
+            "tolerance": float(tolerance),
+            "passed": bool(violation <= tolerance),
+        })
 
 
 def _rel(err: float, *magnitudes: float) -> float:
     return err / max(1.0, *magnitudes) if magnitudes else err
+
+
+def _metric_laws(out: _Worst, names, dist, lam: float, scale: float, x, y, z, e=None) -> None:
+    """Note, under the three ``names`` and relative to ``scale``, the laws of
+    the metric ``dist`` on elements of one space: translation invariance
+    D(x+z, y+z) = D(x, y), scaling homogeneity D(lam x, lam y) = |lam| D(x, y)
+    and, given ``e``, joint subadditivity D(x+y, z+e) <= D(x, z) + D(y, e)."""
+    translation, scaling, subadditivity = names
+    apart = dist(x, y)
+    shifted = dist(core.add(x, z), core.add(y, z))
+    out.note(translation, _rel(abs(shifted - apart), scale))
+    scaled = dist(core.scalar_mul(lam, x), core.scalar_mul(lam, y))
+    out.note(scaling, _rel(abs(scaled - abs(lam) * apart), scale * max(1.0, abs(lam))))
+    if e is not None:
+        joint = dist(core.add(x, y), core.add(z, e)) - dist(x, z) - dist(y, e)
+        out.note(subadditivity, _rel(max(joint, 0.0), scale))
+
+
+def _radial_gap(x, a: float, b: float) -> float:
+    """|D(a x, b x) - |a - b| D(0, x)|: zero for factors of one sign."""
+    apart = core.distance(core.scalar_mul(a, x), core.scalar_mul(b, x))
+    return abs(apart - abs(a - b) * core.distance(core.zero_like(x), x))
 
 
 def random_symmetric_triangular(rng, m_levels=_PROPERTY_LEVELS) -> FuzzyNumber:
@@ -54,148 +105,95 @@ def random_symmetric_triangular(rng, m_levels=_PROPERTY_LEVELS) -> FuzzyNumber:
 def suite_core(seed: int):
     rng = np.random.default_rng([seed, 1])
     m = _PROPERTY_LEVELS
-    recs = []
+    out = _Worst("core")
 
     def rf():
         return random_fuzzy(rng, m, span=2.0)
 
-    worst = {name: 0.0 for name in (
-        "metric_identity", "metric_symmetry", "metric_triangle",
-        "translation_invariance", "scale_homogeneity", "joint_subadditivity",
-        "add_commutative", "add_associative", "zero_neutral",
-        "same_sign_distributivity", "scalar_distributes_over_add",
-        "scalar_mul_associative", "norm_laws", "same_sign_radial",
-    )}
     for _ in range(CASES):
         u, v, w, e = rf(), rf(), rf(), rf()
         k = rng.uniform(-3.0, 3.0)
         scale = max(core.norm(u), core.norm(v), core.norm(w), core.norm(e), abs(k))
+        k_scale = scale * max(1.0, abs(k))
 
-        worst["metric_identity"] = max(worst["metric_identity"], core.distance(u, u))
-        worst["metric_symmetry"] = max(
-            worst["metric_symmetry"], abs(core.distance(u, v) - core.distance(v, u))
-        )
+        out.note("metric_identity", core.distance(u, u))
+        out.note("metric_symmetry", abs(core.distance(u, v) - core.distance(v, u)))
         tri = core.distance(u, w) - core.distance(u, v) - core.distance(v, w)
-        worst["metric_triangle"] = max(worst["metric_triangle"], _rel(max(tri, 0.0), scale))
-        worst["translation_invariance"] = max(
-            worst["translation_invariance"],
-            _rel(abs(core.distance(core.add(u, w), core.add(v, w)) - core.distance(u, v)), scale),
-        )
-        worst["scale_homogeneity"] = max(
-            worst["scale_homogeneity"],
-            _rel(
-                abs(
-                    core.distance(core.scalar_mul(k, u), core.scalar_mul(k, v))
-                    - abs(k) * core.distance(u, v)
-                ),
-                scale * max(1.0, abs(k)),
-            ),
-        )
-        joint = core.distance(core.add(u, v), core.add(w, e)) - core.distance(u, w) - core.distance(v, e)
-        worst["joint_subadditivity"] = max(worst["joint_subadditivity"], _rel(max(joint, 0.0), scale))
-        worst["add_commutative"] = max(
-            worst["add_commutative"], core.distance(core.add(u, v), core.add(v, u))
-        )
-        worst["add_associative"] = max(
-            worst["add_associative"],
-            _rel(core.distance(core.add(core.add(u, v), w), core.add(u, core.add(v, w))), scale),
-        )
-        worst["zero_neutral"] = max(
-            worst["zero_neutral"], core.distance(core.add(u, core.zero_like(u)), u)
-        )
+        out.note("metric_triangle", _rel(max(tri, 0.0), scale))
+        names = ("translation_invariance", "scale_homogeneity", "joint_subadditivity")
+        _metric_laws(out, names, core.distance, k, scale, u, v, w, e)
+        out.note("add_commutative", core.distance(core.add(u, v), core.add(v, u)))
+        regrouped = core.distance(core.add(core.add(u, v), w), core.add(u, core.add(v, w)))
+        out.note("add_associative", _rel(regrouped, scale))
+        out.note("zero_neutral", core.distance(core.add(u, core.zero_like(u)), u))
 
         a, b = rng.uniform(0.0, 3.0, 2)
         sgn = 1.0 if rng.uniform() < 0.5 else -1.0
         a, b = sgn * a, sgn * b
         lhs = core.scalar_mul(a + b, u)
         rhs = core.add(core.scalar_mul(a, u), core.scalar_mul(b, u))
-        worst["same_sign_distributivity"] = max(
-            worst["same_sign_distributivity"], _rel(core.distance(lhs, rhs), scale * (abs(a) + abs(b)))
-        )
-        worst["scalar_distributes_over_add"] = max(
-            worst["scalar_distributes_over_add"],
-            _rel(
-                core.distance(
-                    core.scalar_mul(k, core.add(u, v)),
-                    core.add(core.scalar_mul(k, u), core.scalar_mul(k, v)),
-                ),
-                scale * max(1.0, abs(k)),
-            ),
-        )
+        out.note("same_sign_distributivity", _rel(core.distance(lhs, rhs), scale * (abs(a) + abs(b))))
+        lhs = core.scalar_mul(k, core.add(u, v))
+        rhs = core.add(core.scalar_mul(k, u), core.scalar_mul(k, v))
+        out.note("scalar_distributes_over_add", _rel(core.distance(lhs, rhs), k_scale))
         lam, mu = rng.uniform(-2.0, 2.0, 2)
-        worst["scalar_mul_associative"] = max(
-            worst["scalar_mul_associative"],
-            _rel(
-                core.distance(core.scalar_mul(lam, core.scalar_mul(mu, u)), core.scalar_mul(lam * mu, u)),
-                scale * max(1.0, abs(lam * mu)),
-            ),
-        )
+        nested = core.distance(core.scalar_mul(lam, core.scalar_mul(mu, u)), core.scalar_mul(lam * mu, u))
+        out.note("scalar_mul_associative", _rel(nested, scale * max(1.0, abs(lam * mu))))
         norm_err = max(
             abs(core.norm(core.scalar_mul(k, u)) - abs(k) * core.norm(u)),
             max(core.norm(core.add(u, v)) - core.norm(u) - core.norm(v), 0.0),
             max(abs(core.norm(u) - core.norm(v)) - core.distance(u, v), 0.0),
         )
-        worst["norm_laws"] = max(worst["norm_laws"], _rel(norm_err, scale * max(1.0, abs(k))))
+        out.note("norm_laws", _rel(norm_err, k_scale))
         alpha, beta = rng.uniform(0.0, 3.0, 2)
         if rng.uniform() < 0.5:
             alpha, beta = -alpha, -beta
-        worst["same_sign_radial"] = max(
-            worst["same_sign_radial"],
-            _rel(
-                abs(
-                    core.distance(core.scalar_mul(alpha, u), core.scalar_mul(beta, u))
-                    - abs(alpha - beta) * core.distance(core.zero_like(u), u)
-                ),
-                scale * max(1.0, abs(alpha), abs(beta)),
-            ),
-        )
-    for name, v in worst.items():
-        recs.append(_rec("core", name, CASES, v, EXACT_TOL))
+        radial = _radial_gap(u, alpha, beta)
+        out.note("same_sign_radial", _rel(radial, scale * max(1.0, abs(alpha), abs(beta))))
+    out.close(EXACT_TOL)
 
     # nesting of freshly built numbers, recomputed from the arrays
-    nest = max(core.nesting_defect(rf().ends).max() for _ in range(CASES))
-    recs.append(_rec("core", "nesting", CASES, nest, 0.0))
+    out.record("nesting", CASES, max(core.nesting_defect(rf().ends).max() for _ in range(CASES)), 0.0)
 
     # the stated failures of linearity: witnesses must not vanish
     u = core.make_triangular(0.0, 1.0, 2.0, m)
     mixed = core.add(u, core.scalar_mul(-1.0, u))  # (1 + (-1)) * u would be crisp zero
     wit = abs(core.distance(mixed, core.zero_like(u)) - 2.0)
-    recs.append(_rec("core", "opposite_witness_distance_two", 1, wit, EXACT_TOL))
+    out.record("opposite_witness_distance_two", 1, wit, EXACT_TOL)
     lhs = core.distance(core.scalar_mul(1.0, u), core.scalar_mul(-1.0, u))
     rhs = 2.0 * core.distance(core.zero_like(u), u)
     radial_wit = 0.0 if (abs(lhs - 2.0) <= EXACT_TOL and abs(rhs - 4.0) <= EXACT_TOL) else 1.0
-    recs.append(_rec("core", "mixed_sign_radial_witness", 1, radial_wit, 0.0))
+    out.record("mixed_sign_radial_witness", 1, radial_wit, 0.0)
 
     # partial-difference round trip on pairs built as u = v + w
-    rt = 0.0
     for _ in range(CASES):
         v, w = rf(), rf()
         u = core.add(v, w)
         got = core.add(core.hukuhara_diff(u, v), v)
-        rt = max(rt, _rel(core.distance(got, u), core.norm(u)))
-    recs.append(_rec("core", "hdiff_roundtrip", CASES, rt, EXACT_TOL))
+        out.note("hdiff_roundtrip", _rel(core.distance(got, u), core.norm(u)))
+    out.close(EXACT_TOL)
 
     try:
         core.hukuhara_diff(core.zero(m), core.make_triangular(0.0, 1.0, 2.0, m))
         missing = 1.0
     except HDifferenceError:
         missing = 0.0
-    recs.append(_rec("core", "hdiff_nonexistence_witness", 1, missing, 0.0))
+    out.record("hdiff_nonexistence_witness", 1, missing, 0.0)
 
-    # one orientation of the difference always exists for symmetric triangulars
-    total = 0.0
+    # one orientation of the difference always exists for symmetric triangulars,
+    # and it is again symmetric triangular
     for _ in range(CASES):
         x1 = random_symmetric_triangular(rng, m)
         x2 = random_symmetric_triangular(rng, m)
         try:
             _, d = core.oriented_hukuhara_diff(x1, x2)
-            # the result should again be symmetric triangular
-            mid = 0.5 * (d.lower + d.upper)
-            total = max(total, float(np.abs(mid - mid[-1]).max()))
         except HDifferenceError:
-            total = max(total, 1.0)
-    recs.append(_rec("core", "symmetric_triangular_totality", CASES, total, 1e-9))
-    return recs
+            out.note("symmetric_triangular_totality", 1.0)
+            continue
+        mid = 0.5 * (d.lower + d.upper)
+        out.note("symmetric_triangular_totality", float(np.abs(mid - mid[-1]).max()))
+    out.close(1e-9)
+    return out.records
 
 
 # ---------------------------------------------------------------------------
@@ -207,118 +205,37 @@ def _random_function(rng, nodes, m):
 
 
 def suite_spaces(seed: int):
+    """The shared metric laws on every space: the sup and L^p metrics of
+    functions, rho_p and mu of sequences, the box metric of products."""
     rng = np.random.default_rng([seed, 2])
     m = 8
     nodes = np.linspace(0.0, 1.0, 5)
-    recs = []
-    worst = {name: 0.0 for name in (
-        "sup_translation", "sup_scaling", "sup_subadditivity", "sup_radial_same_sign",
-        "sup_norm_difference", "lp_translation", "lp_scaling", "lp_subadditivity",
-        "rho_translation", "rho_scaling", "mu_translation", "mu_scaling",
-        "box_translation", "box_scaling", "box_subadditivity",
-    )}
+    out = _Worst("spaces")
+
+    def laws(metric, dist, *elements):
+        # the shared laws as metric_translation, ..., at this case's lam and scale
+        names = [f"{metric}_{law}" for law in ("translation", "scaling", "subadditivity")]
+        _metric_laws(out, names, dist, lam, scale, *elements)
+
     for _ in range(CASES):
-        f = _random_function(rng, nodes, m)
-        g = _random_function(rng, nodes, m)
-        h = _random_function(rng, nodes, m)
-        e = _random_function(rng, nodes, m)
+        f, g, h, e = (_random_function(rng, nodes, m) for _ in range(4))
         lam = rng.uniform(-2.0, 2.0)
         p = float(rng.integers(1, 4))
+        mu = rng.uniform(0.0, 2.0)
+        xs, ys, zs = (FuzzySequence([random_fuzzy(rng, m) for _ in range(4)]) for _ in range(3))
+        w1, w2, w3, w4 = (pair(random_fuzzy(rng, m), random_fuzzy(rng, m)) for _ in range(4))
         scale = max(core.norm(f), core.norm(g), core.norm(h), 1.0)
 
-        worst["sup_translation"] = max(
-            worst["sup_translation"],
-            _rel(abs(core.distance(core.add(f, h), core.add(g, h))
-                     - core.distance(f, g)), scale),
-        )
-        worst["sup_scaling"] = max(
-            worst["sup_scaling"],
-            _rel(abs(core.distance(core.scalar_mul(lam, f), core.scalar_mul(lam, g))
-                     - abs(lam) * core.distance(f, g)), scale * max(1.0, abs(lam))),
-        )
-        joint = (
-            core.distance(core.add(f, g), core.add(h, e))
-            - core.distance(f, h) - core.distance(g, e)
-        )
-        worst["sup_subadditivity"] = max(worst["sup_subadditivity"], _rel(max(joint, 0.0), scale))
-        lam2 = abs(lam)
-        mu2 = rng.uniform(0.0, 2.0)
-        zero_f = core.zero_like(f)
-        worst["sup_radial_same_sign"] = max(
-            worst["sup_radial_same_sign"],
-            _rel(abs(core.distance(core.scalar_mul(lam2, f), core.scalar_mul(mu2, f))
-                     - abs(lam2 - mu2) * core.distance(zero_f, f)), scale * 4.0),
-        )
-        worst["sup_norm_difference"] = max(
-            worst["sup_norm_difference"],
-            _rel(max(abs(core.norm(f) - core.norm(g)) - core.distance(f, g), 0.0), scale),
-        )
-
-        worst["lp_translation"] = max(
-            worst["lp_translation"],
-            _rel(abs(spaces.lp_distance(core.add(f, h), core.add(g, h), p)
-                     - spaces.lp_distance(f, g, p)), scale),
-        )
-        worst["lp_scaling"] = max(
-            worst["lp_scaling"],
-            _rel(abs(spaces.lp_distance(core.scalar_mul(lam, f), core.scalar_mul(lam, g), p)
-                     - abs(lam) * spaces.lp_distance(f, g, p)), scale * max(1.0, abs(lam))),
-        )
-        jlp = (
-            spaces.lp_distance(core.add(f, g), core.add(h, e), p)
-            - spaces.lp_distance(f, h, p) - spaces.lp_distance(g, e, p)
-        )
-        worst["lp_subadditivity"] = max(worst["lp_subadditivity"], _rel(max(jlp, 0.0), scale))
-
-        xs = FuzzySequence(tuple(random_fuzzy(rng, m) for _ in range(4)))
-        ys = FuzzySequence(tuple(random_fuzzy(rng, m) for _ in range(4)))
-        zs = FuzzySequence(tuple(random_fuzzy(rng, m) for _ in range(4)))
-        xt = FuzzySequence(tuple(core.add(a, c) for a, c in zip(xs.terms, zs.terms)))
-        yt = FuzzySequence(tuple(core.add(b, c) for b, c in zip(ys.terms, zs.terms)))
-        worst["rho_translation"] = max(
-            worst["rho_translation"],
-            _rel(abs(spaces.rho_p_metric(xt, yt, p) - spaces.rho_p_metric(xs, ys, p)), scale),
-        )
-        xs_l = FuzzySequence(tuple(core.scalar_mul(lam, a) for a in xs.terms))
-        ys_l = FuzzySequence(tuple(core.scalar_mul(lam, b) for b in ys.terms))
-        worst["rho_scaling"] = max(
-            worst["rho_scaling"],
-            _rel(abs(spaces.rho_p_metric(xs_l, ys_l, p) - abs(lam) * spaces.rho_p_metric(xs, ys, p)),
-                 scale * max(1.0, abs(lam))),
-        )
-        worst["mu_translation"] = max(
-            worst["mu_translation"],
-            _rel(abs(spaces.mu_metric(xt, yt) - spaces.mu_metric(xs, ys)), scale),
-        )
-        worst["mu_scaling"] = max(
-            worst["mu_scaling"],
-            _rel(abs(spaces.mu_metric(xs_l, ys_l) - abs(lam) * spaces.mu_metric(xs, ys)),
-                 scale * max(1.0, abs(lam))),
-        )
-
-        w1 = pair(random_fuzzy(rng, m), random_fuzzy(rng, m))
-        w2 = pair(random_fuzzy(rng, m), random_fuzzy(rng, m))
-        w3 = pair(random_fuzzy(rng, m), random_fuzzy(rng, m))
-        w4 = pair(random_fuzzy(rng, m), random_fuzzy(rng, m))
-        worst["box_translation"] = max(
-            worst["box_translation"],
-            _rel(abs(core.distance(core.add(w1, w3), core.add(w2, w3))
-                     - core.distance(w1, w2)), scale),
-        )
-        worst["box_scaling"] = max(
-            worst["box_scaling"],
-            _rel(abs(core.distance(core.scalar_mul(lam, w1), core.scalar_mul(lam, w2))
-                     - abs(lam) * core.distance(w1, w2)), scale * max(1.0, abs(lam))),
-        )
-        jbox = (
-            core.distance(core.add(w1, w2), core.add(w3, w4))
-            - core.distance(w1, w3) - core.distance(w2, w4)
-        )
-        worst["box_subadditivity"] = max(worst["box_subadditivity"], _rel(max(jbox, 0.0), scale))
-
-    for name, v in worst.items():
-        recs.append(_rec("spaces", name, CASES, v, EXACT_TOL))
-    return recs
+        laws("sup", core.distance, f, g, h, e)
+        out.note("sup_radial_same_sign", _rel(_radial_gap(f, abs(lam), mu), scale * 4.0))
+        gap = abs(core.norm(f) - core.norm(g)) - core.distance(f, g)
+        out.note("sup_norm_difference", _rel(max(gap, 0.0), scale))
+        laws("lp", lambda a, b: spaces.lp_distance(a, b, p), f, g, h, e)
+        laws("rho", lambda a, b: spaces.rho_p_metric(a, b, p), xs, ys, zs)
+        laws("mu", spaces.mu_metric, xs, ys, zs)
+        laws("box", core.distance, w1, w2, w3, w4)
+    out.close(EXACT_TOL)
+    return out.records
 
 
 # ---------------------------------------------------------------------------
@@ -333,77 +250,56 @@ def _builtin_catalogue(m_levels=core.DEFAULT_LEVELS):
 def suite_operators(seed: int):
     rng = np.random.default_rng([seed, 3])
     m = _PROPERTY_LEVELS
-    recs = []
+    out = _Worst("operators")
     probes = canonical_probes(m)
 
     for op in _builtin_catalogue(m):
-        additive = 0.0
-        homogen = 0.0
+        suffix = "full" if op.homogeneity == operators.LINEAR else "positive"
         for _ in range(CASES):
             x = random_fuzzy(rng, m, span=2.0)
             y = random_fuzzy(rng, m, span=2.0)
             scale = max(core.norm(x), core.norm(y)) * max(1.0, op.norm_bound)
-            additive = max(
-                additive,
-                _rel(core.distance(op(core.add(x, y)), core.add(op(x), op(y))), scale),
-            )
+            split = core.distance(op(core.add(x, y)), core.add(op(x), op(y)))
+            out.note(f"{op.name}_additive", _rel(split, scale))
             lam = rng.uniform(0.0, 3.0)
             if op.homogeneity == operators.LINEAR and rng.uniform() < 0.5:
                 lam = -lam
-            homogen = max(
-                homogen,
-                _rel(
-                    core.distance(op(core.scalar_mul(lam, x)), core.scalar_mul(lam, op(x))),
-                    scale * max(1.0, abs(lam)),
-                ),
-            )
-        recs.append(_rec("operators", f"{op.name}_additive", CASES, additive, EXACT_TOL))
-        suffix = "full" if op.homogeneity == operators.LINEAR else "positive"
-        recs.append(_rec("operators", f"{op.name}_homogeneous_{suffix}", CASES, homogen, EXACT_TOL))
+            moved = core.distance(op(core.scalar_mul(lam, x)), core.scalar_mul(lam, op(x)))
+            out.note(f"{op.name}_homogeneous_{suffix}", _rel(moved, scale * max(1.0, abs(lam))))
+        out.close(EXACT_TOL)
 
         zero_img = core.distance(op(core.zero(m)), core.zero(m))
-        recs.append(_rec("operators", f"{op.name}_preserves_zero", 1, zero_img, EXACT_TOL))
+        out.record(f"{op.name}_preserves_zero", 1, zero_img, EXACT_TOL)
 
-        sound = 0.0
-        for x in probes:
-            sound = max(sound, core.norm(op(x)) - op.norm_bound * core.norm(x))
-        for _ in range(200):
-            x = random_fuzzy(rng, m, span=2.0)
-            sound = max(sound, core.norm(op(x)) - op.norm_bound * core.norm(x))
-        recs.append(_rec("operators", f"{op.name}_norm_sound", len(probes) + 200, max(sound, 0.0), 1e-10))
+        for x in [*probes, *(random_fuzzy(rng, m, span=2.0) for _ in range(200))]:
+            out.note(f"{op.name}_norm_sound", core.norm(op(x)) - op.norm_bound * core.norm(x))
+        out.close(1e-10)
 
-        sub = 0.0
-        zero_op_ = operators.zero_operator()
+        zero_op = operators.zero_operator()
         for i in range(1, 6):
-            phi_i = operators.phi_distance(operators.power(op, i), zero_op_, probes)
-            sub = max(sub, phi_i - op.norm_bound**i)
-        recs.append(_rec("operators", f"{op.name}_power_bounds", 5, max(sub, 0.0), 1e-9))
+            phi_i = operators.phi_distance(operators.power(op, i), zero_op, probes)
+            out.note(f"{op.name}_power_bounds", phi_i - op.norm_bound**i)
+        out.close(1e-9)
 
     # the coupled matrix squares to the fuzziness residual in both slots
     coupled = lift_matrix(cauchy.COUPLED_MATRIX)
-    worst_sq = 0.0
-    worst_neg = 0.0
     for _ in range(200):
         w = pair(random_fuzzy(rng, m), random_fuzzy(rng, m))
         ee = cauchy.fuzziness_residual(w[0], w[1])
         sq = coupled(coupled(w))
-        worst_sq = max(worst_sq, core.distance(sq[0], ee), core.distance(sq[1], ee))
-        worst_neg = max(worst_neg, core.distance(core.scalar_mul(-1.0, ee), ee))
-    recs.append(_rec("operators", "coupled_square_is_residual", 200, worst_sq, EXACT_TOL))
-    recs.append(_rec("operators", "residual_negation_invariant", 200, worst_neg, 0.0))
+        out.note("coupled_square_is_residual", core.distance(sq[0], ee), core.distance(sq[1], ee))
+        out.note("residual_negation_invariant", core.distance(core.scalar_mul(-1.0, ee), ee))
+    out.close(EXACT_TOL, 0.0)
 
     ident = lift_matrix(np.eye(2))
     swap = lift_matrix(cauchy.SWAP_MATRIX)
-    worst_id = 0.0
-    worst_swap = 0.0
     for _ in range(200):
         w = pair(random_fuzzy(rng, m), random_fuzzy(rng, m))
-        worst_id = max(worst_id, core.distance(ident(w), w))
+        out.note("lift_identity", core.distance(ident(w), w))
         sw = swap(w)
-        worst_swap = max(worst_swap, core.distance(sw[0], w[1]), core.distance(sw[1], w[0]))
-    recs.append(_rec("operators", "lift_identity", 200, worst_id, 0.0))
-    recs.append(_rec("operators", "lift_swap", 200, worst_swap, 0.0))
-    return recs
+        out.note("lift_swap", core.distance(sw[0], w[1]), core.distance(sw[1], w[0]))
+    out.close(0.0)
+    return out.records
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +314,7 @@ def _semigroup_catalogue():
 
 def suite_semigroup(seed: int):
     del seed  # the probe set and time grids are fixed; nothing random here
-    recs = []
+    out = _Worst("semigroup")
     probes = canonical_probes()
     pair_probes = [pair(probes[i], probes[i + 1]) for i in range(0, 10, 2)]
     tol = 1e-9
@@ -427,8 +323,6 @@ def suite_semigroup(seed: int):
     lifted = [lift_matrix(cauchy.SWAP_MATRIX), lift_matrix(cauchy.COUPLED_MATRIX)]
 
     # Cauchy-tail soundness: ten extra terms move the partial sum by < tol
-    worst = 0.0
-    cases = 0
     for op in ops + lifted:
         xs = probes[:12] if op.domain == "fuzzy" else pair_probes
         for t in (0.5, 1.0, 2.0):
@@ -436,93 +330,65 @@ def suite_semigroup(seed: int):
             for x in xs:
                 a = semigroup.series_apply(op, "exp", t, x, m_ord)
                 b = semigroup.series_apply(op, "exp", t, x, m_ord + 10)
-                worst = max(worst, core.distance(a, b))
-                cases += 1
-    recs.append(_rec("semigroup", "truncation_tail_sound", cases, worst, tol))
+                out.note("truncation_tail_sound", core.distance(a, b))
+    out.close(tol)
 
     # identity at t = 0, exactly
-    worst = 0.0
     for op in ops:
         ev = semigroup.SemigroupEvaluator(op, "exp", tol)
         for x in probes[:8]:
-            worst = max(worst, core.distance(ev.at(0.0, x), x))
-    recs.append(_rec("semigroup", "identity_at_zero", 8 * len(ops), worst, 0.0))
+            out.note("identity_at_zero", core.distance(ev.at(0.0, x), x))
+    out.close(0.0)
 
     # exponential law on same-sign grids
-    worst = 0.0
-    cases = 0
     for op in ops:
         ev = semigroup.SemigroupEvaluator(op, "exp", tol)
         for t in (0.0, 0.25, 0.5, 1.0):
             for s in (0.0, 0.25, 0.5, 1.0):
                 for x in probes:
-                    worst = max(worst, semigroup.check_semigroup_law(ev, t, s, x))
-                    cases += 1
-    recs.append(_rec("semigroup", "exponential_law", cases, worst, 1e-8))
+                    out.note("exponential_law", semigroup.check_semigroup_law(ev, t, s, x))
+    out.close(1e-8)
 
     # generator limit: quotient within the explicit remainder bound (one
-    # table row per step size), and the residual shrinks with h (up to
+    # property per step size), and the residual shrinks with h (up to
     # rounding noise)
     hs = (1e-1, 1e-2, 1e-3, 1e-4)
-    excess = {h: 0.0 for h in hs}
-    residuals = {}
     for op in ops:
         ev = semigroup.SemigroupEvaluator(op, "exp", 1e-12)
         for x in probes:
             nx = core.norm(x)
-            for h in hs:
-                res = semigroup.generator_residual(ev, h, x)
+            residuals = [semigroup.generator_residual(ev, h, x) for h in hs]
+            for h, res in zip(hs, residuals):
                 bound = nx * (math.exp(h * op.norm_bound) - 1.0 - h * op.norm_bound) / h
-                excess[h] = max(excess[h], res - (bound + 1e-6))
-                residuals[(op.name, id(x), h)] = res
-    cases = len(ops) * len(probes)
-    for h in hs:
-        recs.append(_rec("semigroup", f"generator_remainder_bound_h={h:g}", cases,
-                         max(excess[h], 0.0), 0.0))
-    mono = 0.0
-    for op in ops:
-        for x in probes:
-            for h_prev, h_next in zip(hs, hs[1:]):
-                mono = max(
-                    mono,
-                    residuals[(op.name, id(x), h_next)]
-                    - residuals[(op.name, id(x), h_prev)] - 1e-9,
-                )
-    recs.append(_rec("semigroup", "generator_residual_monotone", cases * (len(hs) - 1),
-                     max(mono, 0.0), 0.0))
+                out.note(f"generator_remainder_bound_h={h:g}", res - (bound + 1e-6))
+            for res_prev, res_next in zip(residuals, residuals[1:]):
+                out.note("generator_residual_monotone", res_next - res_prev - 1e-9)
+    out.close(0.0)
 
     # closed form of the scaling-generator pair (symmetric constant, so the
     # lower- and upper-endpoint growth rates coincide)
     c = core.make_triangular(0.0, 1.0, 2.0)
-    worst = 0.0
-    cases = 0
     for which, op in (("A", builtin("RemarkA", c)), ("B", builtin("RemarkB", c))):
         ev = semigroup.SemigroupEvaluator(op, "exp", tol)
         for t in (0.0, 0.5, 1.0, 1.5, 2.0):
             for x in probes[:12]:
                 closed = semigroup.generator_pair_closed_form(c, x, t, which)
-                worst = max(worst, core.distance(ev.at(t, x), closed))
-                cases += 1
-    recs.append(_rec("semigroup", "scaling_generator_closed_form", cases, worst, 1e-8))
+                out.note("scaling_generator_closed_form", core.distance(ev.at(t, x), closed))
+    out.close(1e-8)
 
     # cosh/sinh basics
-    worst0 = 0.0
-    worstz = 0.0
     for op in ops:
         ch = semigroup.SemigroupEvaluator(op, "cosh", tol)
         sh = semigroup.SemigroupEvaluator(op, "sinh", tol)
         for x in probes[:8]:
-            worst0 = max(worst0, core.distance(ch.at(0.0, x), x))
-            worstz = max(worstz, core.distance(sh.at(0.0, x), core.zero_like(x)))
-    recs.append(_rec("semigroup", "cosh_identity_at_zero", 8 * len(ops), worst0, 0.0))
-    recs.append(_rec("semigroup", "sinh_zero_at_zero", 8 * len(ops), worstz, 0.0))
+            out.note("cosh_identity_at_zero", core.distance(ch.at(0.0, x), x))
+            out.note("sinh_zero_at_zero", core.distance(sh.at(0.0, x), core.zero_like(x)))
+    out.close(0.0)
 
     # second derivative of the cosh flow: the sinh quotient approaches
     # A[cosh(t)]; checked on operators with certified bound <= 1
     small_c = core.make_triangular(-0.2, 0.0, 0.2)
     bounded = [operators.identity(), builtin("A4"), builtin("A5"), builtin("RemarkA", small_c)]
-    worst = 0.0
-    cases = 0
     h = 1e-3
     tol2 = 1e-12
     for op in bounded:
@@ -532,17 +398,15 @@ def suite_semigroup(seed: int):
         for t in (0.5, 1.0):
             for x in probes[:8]:
                 quot = core.scalar_mul(1.0 / h, core.hukuhara_diff(sh.at(t + h, x), sh.at(t, x)))
-                target = op(ch.at(t, x))
-                res = core.distance(quot, target)
+                res = core.distance(quot, op(ch.at(t, x)))
                 allowance = (
                     h * mb ** 1.5 * math.sinh(math.sqrt(mb) * (t + h)) * max(1.0, core.norm(x))
                     + 2.0 * tol2 / h
                     + 1e-9
                 )
-                worst = max(worst, res - allowance)
-                cases += 1
-    recs.append(_rec("semigroup", "cosh_second_derivative", cases, max(worst, 0.0), 0.0))
-    return recs
+                out.note("cosh_second_derivative", res - allowance)
+    out.close(0.0)
+    return out.records
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +429,7 @@ def _rk4(field, y0: np.ndarray, t_end: float, steps: int = 400) -> np.ndarray:
 
 def suite_solver(seed: int):
     rng = np.random.default_rng([seed, 4])
-    recs = []
+    out = _Worst("solver")
     tol = 1e-9
     u0 = core.make_triangular(0.0, 1.0, 2.0)
     v0 = core.make_triangular(1.0, 2.0, 3.0)
@@ -580,95 +444,77 @@ def suite_solver(seed: int):
     traj5 = cauchy.solve_first_order(
         cauchy.CauchyProblem(coupled, w0, horizon=1.0, tol=tol), cauchy.uniform_times(1.0, 9)
     )
-    defect = max(core.nesting_defect(s.ends).max() for s in traj4.states + traj5.states)
-    recs.append(_rec("solver", "trajectory_validity", len(traj4.states) + len(traj5.states), defect, 0.0))
+    states = traj4.states + traj5.states
+    defect = max(core.nesting_defect(s.ends).max() for s in states)
+    out.record("trajectory_validity", len(states), defect, 0.0)
 
     # series vs closed forms on fuzzy data
-    worst4 = max(
-        core.distance(st, cauchy.problem4_closed_form(u0, v0, float(t)))
-        for t, st in zip(traj4.times, traj4.states)
-    )
-    recs.append(_rec("solver", "problem4_series_vs_closed", len(traj4.states), worst4, 1e-8))
-    worst5 = max(
-        core.distance(st, cauchy.problem5_closed_form(u0, v0, float(t)))
-        for t, st in zip(traj5.times, traj5.states)
-    )
-    recs.append(_rec("solver", "problem5_series_vs_closed", len(traj5.states), worst5, 1e-8))
-
-    zero_pair = core.zero_like(w0)
     traj6 = cauchy.solve_second_order(
-        cauchy.CauchyProblem(coupled, w0, initial_velocity=zero_pair, horizon=1.0, tol=tol),
+        cauchy.CauchyProblem(coupled, w0, initial_velocity=core.zero_like(w0), horizon=1.0, tol=tol),
         cauchy.uniform_times(1.0, 9),
     )
-    worst6 = max(
-        core.distance(st, cauchy.problem6_closed_form(u0, v0, float(t)))
-        for t, st in zip(traj6.times, traj6.states)
-    )
-    recs.append(_rec("solver", "problem6_series_vs_closed", len(traj6.states), worst6, 1e-8))
+    for name, traj, closed_form in (
+        ("problem4", traj4, cauchy.problem4_closed_form),
+        ("problem5", traj5, cauchy.problem5_closed_form),
+        ("problem6", traj6, cauchy.problem6_closed_form),
+    ):
+        for t, st in zip(traj.times, traj.states):
+            out.note(f"{name}_series_vs_closed", core.distance(st, closed_form(u0, v0, float(t))))
+    out.close(1e-8)
 
     # crisp data: agreement with a classical fixed-step integrator
     a0, b0 = 1.5, -0.5
     crisp_pair = pair(core.crisp(a0), core.crisp(b0))
-    worst_rk = 0.0
-    for matrix, name in ((cauchy.SWAP_MATRIX, "swap"), (cauchy.COUPLED_MATRIX, "coupled")):
-        op = lift_matrix(matrix)
-        traj = cauchy.solve_first_order(
-            cauchy.CauchyProblem(op, crisp_pair, horizon=1.0, tol=tol), np.array([0.0, 0.5, 1.0])
-        )
+    for matrix in (cauchy.SWAP_MATRIX, cauchy.COUPLED_MATRIX):
+        problem = cauchy.CauchyProblem(lift_matrix(matrix), crisp_pair, horizon=1.0, tol=tol)
+        traj = cauchy.solve_first_order(problem, np.array([0.0, 0.5, 1.0]))
         mat = np.asarray(matrix)
         for t, st in zip(traj.times, traj.states):
             if t == 0.0:
                 continue
             ref = _rk4(lambda _, y: mat @ y, np.array([a0, b0]), float(t))
             got = np.array([st[0].lower[-1], st[1].lower[-1]])
-            worst_rk = max(worst_rk, float(np.abs(ref - got).max()))
-    recs.append(_rec("solver", "crisp_collapse_rk4", 4, worst_rk, max(tol, 1e-6)))
+            out.note("crisp_collapse_rk4", float(np.abs(ref - got).max()))
+    out.close(max(tol, 1e-6))
 
     # crisp closed formulas and the vanishing fuzziness residual
-    worst_cf = 0.0
-    e_crisp = cauchy.fuzziness_residual(core.crisp(a0), core.crisp(b0))
-    e_norm_crisp = core.norm(e_crisp)
+    e_norm_crisp = core.norm(cauchy.fuzziness_residual(core.crisp(a0), core.crisp(b0)))
     s0 = a0 + b0
     for t in (0.25, 0.75, 1.0):
         st5 = cauchy.problem5_closed_form(core.crisp(a0), core.crisp(b0), t)
-        worst_cf = max(
-            worst_cf,
+        out.note(
+            "crisp_closed_formulas",
             abs(st5[0].lower[-1] - (a0 + t * s0)),
             abs(st5[1].lower[-1] - (b0 - t * s0)),
         )
         st6 = cauchy.problem6_closed_form(core.crisp(a0), core.crisp(b0), t)
-        worst_cf = max(
-            worst_cf,
+        out.note(
+            "crisp_closed_formulas",
             abs(st6[0].lower[-1] - (a0 + 0.5 * t * t * s0)),
             abs(st6[1].lower[-1] - (b0 - 0.5 * t * t * s0)),
         )
         st4 = cauchy.problem4_closed_form(core.crisp(a0), core.crisp(b0), t)
-        worst_cf = max(
-            worst_cf,
+        out.note(
+            "crisp_closed_formulas",
             abs(st4[0].lower[-1] - (a0 * math.cosh(t) + b0 * math.sinh(t))),
             abs(st4[1].lower[-1] - (a0 * math.sinh(t) + b0 * math.cosh(t))),
         )
-    recs.append(_rec("solver", "crisp_closed_formulas", 9, worst_cf, 1e-8))
-    recs.append(_rec("solver", "crisp_fuzziness_residual_zero", 1, e_norm_crisp, 0.0))
+    out.close(1e-8)
+    out.record("crisp_fuzziness_residual_zero", 1, e_norm_crisp, 0.0)
 
     # the fuzziness residual vanishes only for crisp sums
-    worst_iff = 0.0
     for _ in range(200):
         uu = random_fuzzy(rng, 16)
         vv = random_fuzzy(rng, 16)
-        e = cauchy.fuzziness_residual(uu, vv)
+        e = core.norm(cauchy.fuzziness_residual(uu, vv))
         sum_spread = float((core.add(uu, vv).upper - core.add(uu, vv).lower).max())
-        if sum_spread < 1e-12:
-            worst_iff = max(worst_iff, core.norm(e))
-        elif core.norm(e) == 0.0:
-            worst_iff = max(worst_iff, 1.0)
-    recs.append(_rec("solver", "fuzziness_residual_iff_crisp", 200, worst_iff, 1e-12))
+        out.note("fuzziness_residual_iff_crisp", e if sum_spread < 1e-12 else float(e == 0.0))
+    out.close(1e-12)
 
     # the forced solve's quadrature integrates an affine integrand exactly
     uu = core.make_triangular(-1.0, 0.5, 3.0)
     got = cauchy._refined_integral(lambda nodes: [core.scalar_mul(s, uu) for s in nodes], 1.0, 1e-14)
-    worst_q = core.distance(got, core.scalar_mul(0.5, uu))
-    recs.append(_rec("solver", "quadrature_affine_exact", 1, worst_q, 1e-14))
+    out.record("quadrature_affine_exact", 1, core.distance(got, core.scalar_mul(0.5, uu)), 1e-14)
 
     # forced crisp problem: u' = u + 1, u(0) = 0 has solution e^t - 1 (a constant
     # forcing of a scale: the exact forced flow, not the quadrature)
@@ -678,10 +524,9 @@ def suite_solver(seed: int):
         horizon=1.0, tol=1e-7,
     )
     ftraj = cauchy.solve_first_order(forced, np.array([0.0, 0.5, 1.0]))
-    worst_f = max(
-        abs(st.lower[-1] - math.expm1(float(t))) for t, st in zip(ftraj.times, ftraj.states)
-    )
-    recs.append(_rec("solver", "forced_variation_of_parameters", 3, worst_f, 1e-6))
+    for t, st in zip(ftraj.times, ftraj.states):
+        out.note("forced_variation_of_parameters", abs(st.lower[-1] - math.expm1(float(t))))
+    out.close(1e-6)
 
     # the residual checker separates the true flow from the crisp-style formula
     nu0 = core.make_triangular(0.5, 1.0, 1.5)
@@ -703,12 +548,11 @@ def suite_solver(seed: int):
     )
     true_res = cauchy.residual_check(true, coupled, h=1e-3, times=[1.0])
     witness = 0.0 if (naive_low >= 0.5 * e_norm and true_res < 1e-2) else 1.0
-    recs.append(_rec("solver", "nonsolution_witness", 4, witness, 0.0))
+    out.record("nonsolution_witness", 4, witness, 0.0)
 
     # wave profile with proportional even derivatives collapses to a cosh factor
     c = core.make_triangular(0.0, 1.0, 2.0)
     xs = np.linspace(0.0, 1.0, 17)
-    worst_w = 0.0
     for t in (0.5, 1.0):
         got = cauchy.solve_wave(
             lambda x, order: core.scalar_mul(math.exp(x), c), None, t, xs,
@@ -717,9 +561,9 @@ def suite_solver(seed: int):
         want = FuzzyFunction(
             xs, tuple(core.scalar_mul(math.cosh(t) * math.exp(float(x)), c) for x in xs)
         )
-        worst_w = max(worst_w, core.distance(got, want))
-    recs.append(_rec("solver", "wave_cosh_collapse", 2, worst_w, 1e-8))
-    return recs
+        out.note("wave_cosh_collapse", core.distance(got, want))
+    out.close(1e-8)
+    return out.records
 
 
 SUITES = {

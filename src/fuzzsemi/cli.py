@@ -399,6 +399,9 @@ def cmd_solve(args) -> int:
     if not 2 <= args.nodes <= _MAX_GRID_POINTS:
         print(f"error: --nodes must be in [2, {_MAX_GRID_POINTS}]", file=sys.stderr)
         return 1
+    if not 1 <= args.levels <= _MAX_GRID_POINTS:
+        print(f"error: --levels must be in [1, {_MAX_GRID_POINTS}]", file=sys.stderr)
+        return 1
     try:
         with open(args.config) as fh:
             config = json.load(fh)
@@ -474,9 +477,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     ve = sub.add_parser("verify", parents=[common], help="run the seeded property suites")
     ve.add_argument("suite", choices=checks.SUITE_NAMES + ("all",))
-    ve.add_argument("--seed", type=int, default=0)
+    ve.add_argument("--seed", type=_seed, default=0, help="nonnegative integer (default %(default)s)")
     ve.set_defaults(func=cmd_verify)
     return parser
+
+
+def _seed(text):
+    try:
+        seed = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad seed {text!r}") from exc
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _band_list(text):

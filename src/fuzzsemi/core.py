@@ -11,12 +11,13 @@ for such data up to rounding.
 
 Every element keeps its endpoints in one array ``ends`` whose last two
 axes are (lower/upper, level): (2, levels) for a fuzzy number, and
-(nodes, 2, levels) or (k, 2, levels) for a sampled function or a product
-(`spaces`).  The algebra, metric and norm act on those two axes only, so
-each is written once: a function's or product's operation is the number's
-at every node or component.  This module is the only element algebra: its
-kernels check their own operands (one kind, one arity, one domain) through
-the `Leaf._match` hook that `spaces` overrides, and `combine_rows` forms
+(nodes, 2, levels) or (k, 2, levels) for a sampled function, a product or
+a sequence (`spaces`).  The algebra, metric and norm act on those two axes
+only, so each is written once: a function's, product's or sequence's
+operation is the number's at every node, component or term.  This module
+is the only element algebra: its kernels check their own operands (one
+kind, one arity, one domain) through the `Leaf._match` hook that `spaces`
+overrides, and `combine_rows` forms
 every real linear combination sum_j c_j x_j the series, quadrature and
 lifted matrices need, many at once: one left-to-right accumulation over
 the terms, one coefficient row per output (`combine` is its one-row case).
@@ -56,9 +57,10 @@ def _frozen(a) -> np.ndarray:
 
 
 class Leaf:
-    """Base of fuzzy numbers, sampled fuzzy functions and products: read-only
-    endpoint data ``ends`` of shape (..., 2, levels) on the grid ``levels``,
-    lower endpoints in ``ends[..., 0, :]`` and upper ones in ``ends[..., 1, :]``."""
+    """Base of fuzzy numbers, sampled fuzzy functions, products and sequences:
+    read-only endpoint data ``ends`` of shape (..., 2, levels) on the grid
+    ``levels``, lower endpoints in ``ends[..., 0, :]`` and upper ones in
+    ``ends[..., 1, :]``."""
 
     def __repr__(self):
         # a failed __post_init__ leaves an instance without ends, and
@@ -100,7 +102,7 @@ class Leaf:
 
 def _leaf(u) -> Leaf:
     if not isinstance(u, Leaf):
-        raise SpaceMismatch(f"{type(u).__name__} is not a fuzzy number, function or product")
+        raise SpaceMismatch(f"{type(u).__name__} is not a fuzzy number, function, product or sequence")
     return u
 
 

@@ -537,9 +537,8 @@ def check_semigroup_law(ev: SemigroupEvaluator, t: float, s: float, x) -> float:
         raise ValueError("the semigroup law applies to the exponential family")
     if t * s < 0:
         raise MixedSignsError(f"mixed-sign pair (t, s) = ({t}, {s})")
-    direct = ev.at(t + s, x)
-    nested = ev.at(t, ev.at(s, x))
-    return core.distance(direct, nested)
+    direct, inner = ev.evaluate((t + s, s), x)  # one batch, each bit-identical to its own `at`
+    return core.distance(direct, ev.at(t, inner))
 
 
 def generator_residual(ev: SemigroupEvaluator, h: float, x) -> float:

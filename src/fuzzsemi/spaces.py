@@ -8,14 +8,15 @@ Sequence spaces are finite truncations; membership of the underlying
 infinite object in a summability class is not (and cannot be) checked
 from finite data.
 
-Functions and products (stacked as one (k, 2, levels) array) are
-`core.Leaf`s, so the `core` kernels are their algebra, metric and norm:
-`core.distance` is the supremum metric D* on functions and the box metric
-on products.  Each kind overrides the `Leaf._match` hook that those
-kernels call: functions on different node grids are aligned on the union
-grid (different domains raise DomainMismatch), products of different
-arity raise ArityMismatch.  Only the metrics that are not a supremum
-(`lp_distance`, the sequence metrics) live here.
+Functions, products and sequences (the last two stacked as one
+(k, 2, levels) array) are `core.Leaf`s, so the `core` kernels are their
+algebra, metric and norm: `core.distance` is the supremum metric D* on functions, the box
+metric on products and the metric mu on sequences.  Each kind overrides
+the `Leaf._match` hook that those kernels call: functions on different
+node grids are aligned on the union grid (different domains raise
+DomainMismatch), products of different arity raise ArityMismatch and
+sequences of different length LengthMismatch.  Only the metrics that are
+not a supremum (`lp_distance`, `rho_p_metric`) are written here.
 """
 
 from __future__ import annotations
@@ -135,23 +136,21 @@ class FuzzyFunction(core.Leaf):
 FuzzyFunction.values = property(lambda f: tuple(FuzzyNumber._trusted(f.levels, e) for e in f.ends))
 
 
-@dataclass(frozen=True, eq=False)
-class FuzzySequence:
-    """Finite truncation of a fuzzy-number sequence."""
-
-    terms: tuple
-
-    def __post_init__(self):
-        terms = tuple(self.terms)
-        if not terms:
-            raise ValueError("a fuzzy sequence needs at least one term")
-        for t in terms:
-            if not isinstance(t, FuzzyNumber):
-                raise ValueError("terms must be FuzzyNumber instances")
-        object.__setattr__(self, "terms", terms)
-
-    def __len__(self):
-        return len(self.terms)
+def _stack(leaf: core.Leaf, numbers, noun: str, not_a_number: type) -> None:
+    """Store fuzzy numbers in ``leaf`` as one (k, 2, levels) array ``ends`` on
+    the union of their level grids: the constructor of products and sequences.
+    No numbers raise ValueError, anything but a FuzzyNumber ``not_a_number``."""
+    numbers = tuple(numbers)
+    if not numbers:
+        raise ValueError(f"a {type(leaf).__name__} needs at least one {noun}")
+    if not all(isinstance(c, FuzzyNumber) for c in numbers):
+        raise not_a_number(f"{noun}s must be FuzzyNumber instances")
+    levels = numbers[0].levels
+    if not all(np.array_equal(c.levels, levels) for c in numbers):
+        levels = core._frozen(functools.reduce(np.union1d, (c.levels for c in numbers)))
+        numbers = tuple(c.resample(levels) for c in numbers)
+    object.__setattr__(leaf, "levels", levels)
+    object.__setattr__(leaf, "ends", core._frozen([c.ends for c in numbers]))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -163,17 +162,7 @@ class ProductElement(core.Leaf):
     components: InitVar[tuple]
 
     def __post_init__(self, components):
-        components = tuple(components)
-        if not components:
-            raise ValueError("a product element needs at least one component")
-        if not all(isinstance(c, FuzzyNumber) for c in components):
-            raise SpaceMismatch("product components must be FuzzyNumber instances")
-        levels = components[0].levels
-        if not all(np.array_equal(c.levels, levels) for c in components):
-            levels = core._frozen(functools.reduce(np.union1d, (c.levels for c in components)))
-            components = tuple(c.resample(levels) for c in components)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "ends", core._frozen([c.ends for c in components]))
+        _stack(self, components, "component", SpaceMismatch)
 
     def _summary(self):
         return f"{len(self)} components, {self.levels.size} levels"
@@ -192,6 +181,34 @@ class ProductElement(core.Leaf):
 
 # the constructor takes the components; afterwards they are read back as views of ends
 ProductElement.components = property(lambda w: tuple(FuzzyNumber._trusted(w.levels, e) for e in w.ends))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class FuzzySequence(core.Leaf):
+    """Finite truncation of a fuzzy-number sequence, stacked as one
+    (n, 2, levels) array ``ends`` on the union of its terms' level grids;
+    ``terms`` reads it back as fuzzy numbers.  A sequence is its own kind:
+    mixing it with a product raises SpaceMismatch, and sequences of
+    different lengths raise LengthMismatch."""
+
+    terms: InitVar[tuple]
+
+    def __post_init__(self, terms):
+        _stack(self, terms, "term", ValueError)
+
+    def _summary(self):
+        return f"{len(self)} terms, {self.levels.size} levels"
+
+    def _match(self, other):
+        if len(self) != len(other):
+            raise LengthMismatch(f"{len(self)} terms vs {len(other)}")
+        return self, other
+
+    def __len__(self):
+        return len(self.ends)
+
+
+FuzzySequence.terms = property(lambda x: tuple(FuzzyNumber._trusted(x.levels, e) for e in x.ends))
 
 
 def pair(u, v) -> ProductElement:
@@ -229,27 +246,19 @@ def cp_sup_distance(fs: Sequence[FuzzyFunction], gs: Sequence[FuzzyFunction]) ->
     return float(sum(core.distance(fi, gi) for fi, gi in zip(fs, gs)))
 
 
-def _seq_terms(x) -> tuple:
-    return x.terms if isinstance(x, FuzzySequence) else tuple(x)
-
-
-def rho_p_metric(x, y, p: float = 1.0) -> float:
+def rho_p_metric(x: FuzzySequence, y: FuzzySequence, p: float = 1.0) -> float:
     """p-norm (finite p >= 1) of the termwise fuzzy distances of two finite sequences."""
     if not 1 <= p < math.inf:
         raise ValueError(f"p must be a finite number >= 1, got {p}")
-    xs, ys = _seq_terms(x), _seq_terms(y)
-    if len(xs) != len(ys):
-        raise LengthMismatch(f"{len(xs)} terms vs {len(ys)}")
-    gaps = np.array([core.distance(u, v) for u, v in zip(xs, ys)])
+    x, y = core.common_grid(x, y)
+    gaps = np.abs(x.ends - y.ends).max(axis=(-2, -1))  # termwise fuzzy distances
     return float(np.sum(gaps**p) ** (1.0 / p))
 
 
-def mu_metric(x, y) -> float:
-    """Supremum of the termwise fuzzy distances (bounded-sequence metric)."""
-    xs, ys = _seq_terms(x), _seq_terms(y)
-    if len(xs) != len(ys):
-        raise LengthMismatch(f"{len(xs)} terms vs {len(ys)}")
-    return max(core.distance(u, v) for u, v in zip(xs, ys))
+def mu_metric(x: FuzzySequence, y: FuzzySequence) -> float:
+    """Supremum of the termwise fuzzy distances (bounded-sequence metric):
+    `core.distance` on sequences."""
+    return core.distance(x, y)
 
 
 # perfbench's lifted workload builds its zero velocities through this name

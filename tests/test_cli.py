@@ -414,6 +414,14 @@ def test_solve_too_many_nodes(tmp_path, capsys):
     assert "--nodes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("levels", ["0", "100001", "100000000000000000000"])
+def test_solve_levels_out_of_range(tmp_path, capsys, levels):
+    cfg = write_config(tmp_path, {"operator": {"kind": "scale", "factor": 0.5}, "u0": {"tri": [0, 1, 2]}})
+    assert run("solve", cfg, "--levels", levels) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --levels"), err
+
+
 # seeded mutations of valid configs: the exit-code contract must hold on all of them
 
 _FUZZ_BASES = (
@@ -520,10 +528,16 @@ def test_verify_reports_failures(monkeypatch, tmp_path):
 # misc plumbing
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(capsys):
     assert run() == 1
     assert run("example") == 1
     assert run("--bogus") == 1
+    for seed in ("-1", "x"):
+        capsys.readouterr()
+        assert run("verify", "solver", "--seed", seed) == 1, seed
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--seed" in err, (seed, err)
+        assert "Traceback" not in err, (seed, err)
 
 
 def test_threads_flag_removed():

@@ -5,6 +5,7 @@ import pytest
 
 from fuzzsemi import core, spaces
 from fuzzsemi.errors import ArityMismatch, DomainMismatch, HDifferenceError, LengthMismatch, SpaceMismatch
+from fuzzsemi.operators import lift_matrix
 from fuzzsemi.spaces import FuzzyFunction, FuzzySequence, ProductElement, pair
 
 import helpers
@@ -147,6 +148,33 @@ def test_sequence_metrics():
 def test_sequence_requires_terms():
     with pytest.raises(ValueError):
         FuzzySequence(())
+    with pytest.raises(ValueError):
+        FuzzySequence((tri(0, 1, 2), "nope"))
+
+
+def test_sequence_is_one_stacked_leaf():
+    xs = (tri(0, 1, 2, 4), tri(1, 2, 4, 8), tri(-1, 0, 0.5, 4))
+    ys = (tri(-1, 0, 0.5, 8), tri(0, 1, 1.5, 4), tri(2, 3, 3, 8))
+    x, y = FuzzySequence(xs), FuzzySequence(ys)
+    assert x.ends.shape == (3, 2, 9) and len(x) == 3
+    assert x.terms[1] == xs[1] and x.terms[0] == xs[0].resample(x.levels)  # union of the level grids
+    pairs = list(zip(x.terms, y.terms))
+    assert core.add(x, y).terms == tuple(core.add(u, v) for u, v in pairs)
+    assert core.scalar_mul(-1.5, x).terms == tuple(core.scalar_mul(-1.5, u) for u in x.terms)
+    # the termwise reference each metric replaced
+    gaps = np.array([core.distance(u, v) for u, v in pairs])
+    for p in (1.0, 2.0, 3.0):
+        assert spaces.rho_p_metric(x, y, p) == float(np.sum(gaps**p) ** (1.0 / p))
+    assert spaces.mu_metric(x, y) == max(gaps)
+    # a sequence is its own kind: products and operators on products reject it
+    w = ProductElement(xs)
+    for kernel in (core.add, core.distance, spaces.mu_metric, spaces.rho_p_metric):
+        with pytest.raises(SpaceMismatch):
+            kernel(x, w)
+    with pytest.raises(SpaceMismatch):
+        lift_matrix(np.eye(3))(x)
+    with pytest.raises(LengthMismatch):
+        core.add(x, FuzzySequence(ys[:2]))
 
 
 def test_box_distance():

@@ -7,36 +7,30 @@ the same problem with the cosh family C for T and the constant forcing v0:
 C(t)(u0) + integral_0^t C(r)(v0) dr (Fattorini, 1985).  The wave formula is
 one combination of the even derivatives of the initial profile and t * u2.
 
-Each solve takes every T(t) from `semigroup.propagator`: the exact flow
-of an operator with a real matrix (`MatrixFlow`: `lift_matrix`, and
-`scale_operator` as 1 x 1) or a rank-one map (`RankOneFlow`: every builtin),
-exact to rounding at any horizon and either sign of t, or the literal series
-for every other operator.  A flow is built once per operator instance and
-shared by every solve with it.  An unforced solve truncates the series to
-tol at every time.
+Each solve takes every T(t) from one `semigroup.propagator` map, with the
+problem's constant input g when it has one: the exact flow of an operator
+with a real matrix (`MatrixFlow`: `lift_matrix`, and `scale_operator` as
+1 x 1) or a rank-one map (`RankOneFlow`: every builtin), exact to rounding,
+or else the literal series truncated to tol, plus the Duhamel series of g.
+A flow is built once per operator instance and shared by every solve.
 
-A forced solve takes the exact forced flow (`semigroup.duhamel_flow`: the
-same kernel on [[A, I], [0, 0]] (exp), whose exponential carries the Duhamel
-integral) whenever the operator has a flow and the forcing is constant:
-it returns one and the same object at all 15 Gauss-Kronrod nodes of
-[0, t], for every requested t.  Then the whole grid is one flow call and
-tol plays no part.  Every other forced solve (compositions, bare maps,
-forcings that vary in time or switch between objects) takes the integral
-by adaptive Gauss-Kronrod quadrature in the fuzzy algebra: the 15-point
-Kronrod rule is accepted on an interval once it agrees with the embedded
-7-point Gauss rule to the interval's share of tol, and the interval is
-bisected otherwise.  All weights of both rules are positive, so levelwise
-each rule is the classical one applied to every endpoint function; each
-rule's sum is one `core.combine` of the integrand values.  There the
-truncation (of T(t)(u0) and of every integrand value) gets half of tol and
-the quadrature the other half.  An error of a forced solve at t names t,
-not the integrand's t - s.
+The velocity v0 is a constant input, and so is a forcing that returns one
+and the same object at all 15 Gauss-Kronrod nodes of [0, t], for every
+requested t; the whole grid is then one propagator call.  Only a forcing
+that varies in time takes the integral by adaptive Gauss-Kronrod quadrature
+in the fuzzy algebra: the 15-point Kronrod rule is accepted on an interval
+once it agrees with the embedded 7-point Gauss rule to the interval's share
+of tol, and the interval is bisected otherwise.  All weights of both rules
+are positive, so levelwise each rule is the classical one applied to every
+endpoint function; each rule's sum is one `core.combine` of the integrand
+values, one propagator call per node.  The truncation (of T(t)(u0) and of
+every integrand value) gets half of tol and the quadrature the other half.
+An error of a forced solve at t names t, not the integrand's t - s.
 
-Evaluation is batched by time: ``evaluate`` maps a sequence of times to
-one state per time, the solvers evaluate their whole grid (the quadrature
-path its free part) in one call, and the integrand maps an interval's
-15 Gauss-Kronrod nodes to 15 values in one batch per run of one forcing
-object.  Every value is bit-identical to the one-time evaluation.
+Evaluation is batched by time: ``evaluate`` maps a sequence of times to one
+state per time, and the solvers evaluate their whole grid (the quadrature
+path its free part) in one call, each value bit-identical to the one-time
+evaluation.
 
 A finite-difference residual checker probes whether a trajectory
 satisfies the differential equation in the generalized sense: at each
@@ -53,8 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import groupby, islice, repeat
+from itertools import islice, repeat
 from typing import Callable
 
 import numpy as np
@@ -69,7 +62,7 @@ from .errors import (
     SeriesOverflow,
 )
 from .operators import LinearOperator
-from .semigroup import _check_tol, _coefficients, duhamel_flow, propagator, required_order
+from .semigroup import _check_tol, _coefficients, propagator, required_order
 from .spaces import FuzzyFunction, ProductElement, pair
 
 DEFAULT_TIME_NODES = 64
@@ -116,12 +109,12 @@ _GK_GAUSS = _WG[:-1] + _WG[::-1]
 class CauchyProblem:
     """Problem description: operator, forcing, initial data, horizon, tolerance.
 
-    ``forcing`` is a continuous map t -> element or None for the
-    homogeneous problem.  A forcing that returns one and the same object at
-    every Gauss-Kronrod node of [0, t] counts as constant, and is solved by
-    the exact forced flow when the operator has one; any other forcing goes
-    through the quadrature.  ``initial_velocity`` marks the problem as second
-    order; it takes any element of the initial state's space.
+    ``forcing`` is a continuous map t -> element (any other non-None value
+    raises ValueError) or None for the homogeneous problem.  One that returns
+    one and the same object at every Gauss-Kronrod node of [0, t] is the
+    propagator's constant input; only one that varies takes the quadrature.
+    ``initial_velocity`` marks the problem as second order; it takes any
+    element of the initial state's space.
     """
 
     operator: LinearOperator
@@ -134,6 +127,8 @@ class CauchyProblem:
     def __post_init__(self):
         if not 0 < self.horizon < math.inf:
             raise ValueError("horizon must be finite and > 0")
+        if self.forcing is not None and not callable(self.forcing):
+            raise ValueError(f"forcing must be a callable s -> element or None, not {type(self.forcing).__name__}")
         _check_tol(self.tol)
 
 
@@ -235,32 +230,22 @@ def _constant_value(forcing: Callable, times):
 # solvers
 
 
-def _solve(problem: CauchyProblem, grid: np.ndarray | None, kind: str, forcing: Callable | None) -> Trajectory:
-    """T(t)(u0) + integral_0^t T(t-s)(forcing(s)) ds on a time grid, T the ``kind`` family."""
+def _solve(problem: CauchyProblem, grid: np.ndarray | None, kind: str, forcing) -> Trajectory:
+    """T(t)(u0) + integral_0^t T(t-s)(forcing(s)) ds on a time grid, T the ``kind`` family; a leaf forcing is g."""
     times = uniform_times(problem.horizon) if grid is None else np.asarray(grid, dtype=float)
-    exact = duhamel_flow(problem.operator, kind) if forcing is not None else None
+    evolve = propagator(problem.operator, kind)
 
     def part_tol(t: float) -> float:
-        # The truncation errors of T(t)(u0) and of every integrand value
-        # (integrated over [0, t]) share one half of tol, the quadrature
-        # takes the other half.
+        # T(t)(u0) and every integrand value (over [0, t]) share half of tol, the quadrature the rest
         return 0.5 * problem.tol / (1.0 + abs(t))
 
-    def integrand(tol: float, t: float, nodes):
-        # every forcing value is held until the batch is done, so runs of
-        # nodes whose value is one object can be told apart by id
-        values = [forcing(s) for s in nodes]
-        out = []
-        for _, run in groupby(zip(values, nodes), key=lambda pair: id(pair[0])):
-            run = list(run)
-            out += propagator(problem.operator, kind)([t - s for _, s in run], run[0][0], repeat(tol))
-        return out
-
     def forced(t: float, u):
-        # u plus the Duhamel integral over [0, t]; an error names t, not t - s
+        # u plus the Duhamel integral over [0, t], one propagator call per node; an error names t, not t - s
+        tols = (part_tol(t),)
+        integrand = lambda nodes: [evolve((t - s,), forcing(s), tols)[0] for s in nodes]
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                u = core.add(u, _refined_integral(partial(integrand, part_tol(t), t), t, 0.5 * problem.tol))
+                u = core.add(u, _refined_integral(integrand, t, 0.5 * problem.tol))
         except (SeriesOverflow, QuadratureStall) as exc:
             raise type(exc)(f"{exc} (in the Duhamel integral of the solution at t = {t!r})") from exc
         if not np.isfinite(u.ends).all():
@@ -270,14 +255,14 @@ def _solve(problem: CauchyProblem, grid: np.ndarray | None, kind: str, forcing: 
     def evaluate(times):
         times = [float(t) for t in times]
         if forcing is None:
-            return propagator(problem.operator, kind)(times, problem.initial, repeat(problem.tol))
+            return evolve(times, problem.initial, repeat(problem.tol))
         bad = [t for t in times if not t >= 0.0]
         if bad:
             raise NegativeForcedTime(f"solved for t >= 0 only with a forcing or a velocity, not at t = {bad[0]!r}")
-        g = _constant_value(forcing, times) if exact is not None else None
+        g = _constant_value(forcing, times) if callable(forcing) else forcing
         if g is not None:
-            return exact(times, problem.initial, g)
-        free = propagator(problem.operator, kind)(times, problem.initial, map(part_tol, times))
+            return evolve(times, problem.initial, repeat(problem.tol), g)
+        free = evolve(times, problem.initial, map(part_tol, times))
         return [u if t == 0.0 else forced(t, u) for t, u in zip(times, free)]
 
     return Trajectory(times, evaluate(times), evaluate)
@@ -298,7 +283,7 @@ def solve_second_order(problem: CauchyProblem, grid: np.ndarray | None = None) -
         raise ValueError("second-order problems take no forcing")
     v0 = problem.initial_velocity
     core.common_grid(problem.initial, v0)  # a velocity of another space raises, zero or not
-    return _solve(problem, grid, "cosh", None if core.norm(v0) == 0.0 else lambda s: v0)
+    return _solve(problem, grid, "cosh", None if core.norm(v0) == 0.0 else v0)
 
 
 def solve_wave(

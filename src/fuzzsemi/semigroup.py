@@ -37,20 +37,18 @@ for cosh, which is the top-left block of the exponential of
 scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005), in
 numpy, their degree taken from `required_order` so that the tail is below
 the unit roundoff.  `RankOneFlow` runs the same kernel on a 4 x 4 matrix
-for every builtin.  `propagator` picks a flow or the literal series for
-the solvers and `exp_apply`/`cosh_apply`/`sinh_apply`; `duhamel_flow` adds
-a constant forcing (exp) or initial velocity (cosh); `SemigroupEvaluator`
-stays the literal series and the flows' test oracle.  A flow depends on
-the operator alone, so its Taylor powers are formed once per operator:
-each flow is built on first use and kept, read-only, on the operator
-instance (`_flow`).
+for every builtin.  `propagator`, the one map for T(t) with an optional
+constant input (a forcing for exp, a velocity for cosh), picks a flow or the
+literal series for the solvers and `exp_apply`/`cosh_apply`/`sinh_apply`;
+`SemigroupEvaluator` stays the literal series and the flows' test oracle.
+A flow depends on the operator alone, so it is built on first use and kept,
+read-only, on the operator instance (`_flow`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate, count, islice, repeat
 from operator import mul, truediv
 from typing import Callable
@@ -130,7 +128,7 @@ def required_order(t: float, bound: float, tol: float, kind: str = "exp") -> int
     return order
 
 
-def partial_sums(op: LinearOperator, kind: str, times, x, orders) -> list:
+def partial_sums(op: LinearOperator, kind: str, times, x, orders, integral: bool = False) -> list:
     """Partial sums of the operator series, orders[i] terms at times[i].
 
     Powers come from the ladder y_0 = x, y_{p+1} = A(y_p), extended once to
@@ -138,15 +136,16 @@ def partial_sums(op: LinearOperator, kind: str, times, x, orders) -> list:
     multiplication.  All the sums are one `core.combine_rows` over that
     ladder, with a fixed left-to-right fuzzy-addition order, so each equals
     its own `series_apply` bit for bit.  Order 0 gives x itself (the zero
-    element for sinh).
+    element for sinh).  With ``integral`` the p-th coefficient goes to A^(p-1):
+    the integral over [0, t] of exp (kind exp) or cosh (kind sinh), 0 at order 0.
     """
     rows = [list(islice(_coefficients(kind, t), order)) for t, order in zip(times, orders, strict=True)]
     powers = [x]
-    while len(powers) <= max(orders, default=0):
+    while len(powers) < max(orders, default=0) + (not integral):
         powers.append(op(powers[-1]))
-    # exp and cosh start from the identity term x; sinh has none
-    if kind == "sinh":
-        unit, terms = core.zero_like(x), powers[1:]
+    # exp and cosh start from the identity term x; sinh and the integrals have none
+    if integral or kind == "sinh":
+        unit, terms = core.zero_like(x), powers if integral else powers[1:]
     else:
         unit, terms, rows = x, powers, [[1.0, *row] if row else row for row in rows]
     filled = [row for row in rows if row]
@@ -165,14 +164,30 @@ def _check_tol(tol: float) -> None:
         raise ValueError("tol must be finite and > 0")
 
 
-def _series(op: LinearOperator, kind: str, times, x, tols) -> list:
+def _series(op: LinearOperator, kind: str, times, x, tols, g=None) -> list:
     """The literal series at each of ``times``, truncated below that time's tol / max(1, ||x||),
-    in one `partial_sums` batch; SeriesOverflow, without a numpy warning, past the float range."""
-    times = [float(t) for t in times]
+    in one `partial_sums` batch; SeriesOverflow, without a numpy warning, past the float range.
+
+    A constant input g (exp or cosh, times >= 0) adds integral_0^t T(r)(g) dr = sum_p d_p(t) A^p(g),
+    d_p the order-(p+1) coefficient of exp (sinh for cosh; Hochbruck and Ostermann, Acta Numerica
+    19, 2010): all d_p >= 0, so it holds levelwise, and its tail past m terms is 1/M times that of
+    exp (sinh) past order m.  Each part gets tol / 2, relative to max(1, ||x||) and max(1, ||g||).
+    """
+    times, m = [float(t) for t in times], op.norm_bound
+    if g is not None:
+        if kind == "sinh" or min(times, default=0.0) < 0.0:
+            raise ValueError("a constant input is taken by exp and cosh at times >= 0 only")
+        ladder, scale = "sinh" if kind == "cosh" else kind, max(1.0, core.norm(g))
+        tols = [0.5 * tol for _, tol in zip(times, tols)]
+        g_orders = [required_order(t, m, m * tol / scale, ladder) if m else int(t > 0.0)  # M = 0: t g is exact
+                    for t, tol in zip(times, tols)]
     scale = max(1.0, core.norm(x))
-    orders = [required_order(t, op.norm_bound, tol / scale, kind) for t, tol in zip(times, tols)]
+    orders = [required_order(t, m, tol / scale, kind) for t, tol in zip(times, tols)]
     with np.errstate(over="ignore", invalid="ignore"):
         states = partial_sums(op, kind, times, x, orders)
+        if g is not None:
+            integrals = partial_sums(op, ladder, times, g, g_orders, integral=True)
+            states = [core.add(u, v) if n else u for u, v, n in zip(states, integrals, g_orders)]
     for t, u in zip(times, states):
         if not np.isfinite(u.ends).all():
             raise SeriesOverflow(f"{kind} series of {op.name} overflows at t = {t!r}; shorten the horizon")
@@ -478,28 +493,21 @@ def _flow(operator: LinearOperator, kind: str, forced: bool = False):
 
 
 def propagator(operator: LinearOperator, kind: str = "exp") -> Callable:
-    """The map (times, x, tols) -> T(t)(x) at each of ``times`` in one batch, one
-    truncation tol per time: exp and cosh of an operator with a matrix or a
-    rank-one map take the operator's one `MatrixFlow` or `RankOneFlow` (`_flow`;
-    ``tols`` unused), every other case the literal series as `SemigroupEvaluator`
-    truncates it.
+    """The map (times, x, tols, g=None) -> T(t)(x) at each of ``times`` in one batch, one truncation
+    tol per time, T the ``kind`` family; with a constant input g (exp or cosh, times >= 0), plus
+    integral_0^t T(r)(g) dr: u(t) for u' = Au + g (exp) or u'' = Au, u'(0) = g (cosh), u(0) = x.
+    exp and cosh of an operator with a matrix or a rank-one map take its `MatrixFlow` or
+    `RankOneFlow` (`_flow`, forced with g; ``tols`` unused), exact to rounding; every other case
+    the literal series as `SemigroupEvaluator` truncates it, plus the Duhamel series of g (`_series`).
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
-    flow = _flow(operator, kind) if kind in FLOW_KINDS else None
-    if flow is None:
-        return partial(_series, operator, kind)
-    return lambda times, x, tols: flow.evaluate(times, x)
 
+    def evaluate(times, x, tols, g=None):
+        flow = _flow(operator, kind, g is not None) if kind in FLOW_KINDS else None
+        return _series(operator, kind, times, x, tols, g) if flow is None else flow.evaluate(times, x, g)
 
-def duhamel_flow(operator: LinearOperator, kind: str = "exp") -> Callable | None:
-    """The map (times, x, g) -> T(t)(x) + integral_0^t T(r)(g) dr, T the ``kind`` family, at
-    each of ``times`` >= 0 in one batch: the solution of u' = Au + g (exp) or u'' = Au,
-    u'(0) = g (cosh), u(0) = x, for a constant g.  The forced `MatrixFlow` or `RankOneFlow`,
-    exact to rounding; None for an operator without a flow (compositions, bare maps).
-    """
-    flow = _flow(operator, kind, forced=True)
-    return None if flow is None else flow.evaluate
+    return evaluate
 
 
 def exp_apply(op: LinearOperator, t: float, x, tol: float = 1e-9):

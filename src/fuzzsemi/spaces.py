@@ -219,6 +219,13 @@ def pair(u, v) -> ProductElement:
 # metrics
 
 
+def _common(kind: type, u, v):
+    """`core.common_grid` for the metrics written for one space: SpaceMismatch unless both are ``kind``s."""
+    if not (isinstance(u, kind) and isinstance(v, kind)):
+        raise SpaceMismatch(f"the metric compares {kind.__name__}s, not {type(u).__name__} and {type(v).__name__}")
+    return core.common_grid(u, v)
+
+
 def lp_distance(f: FuzzyFunction, g: FuzzyFunction, p: float = 1.0) -> float:
     """Integral metric (trapezoid over the stored nodes) of finite order p >= 1.
 
@@ -227,7 +234,7 @@ def lp_distance(f: FuzzyFunction, g: FuzzyFunction, p: float = 1.0) -> float:
     """
     if not 1 <= p < math.inf:
         raise ValueError(f"p must be a finite number >= 1, got {p}")
-    f, g = core.common_grid(f, g)
+    f, g = _common(FuzzyFunction, f, g)
     gaps = np.abs(f.ends - g.ends).max(axis=(-2, -1))  # pointwise fuzzy distances
     return float(np.trapezoid(gaps**p, f.nodes) ** (1.0 / p))
 
@@ -250,7 +257,7 @@ def rho_p_metric(x: FuzzySequence, y: FuzzySequence, p: float = 1.0) -> float:
     """p-norm (finite p >= 1) of the termwise fuzzy distances of two finite sequences."""
     if not 1 <= p < math.inf:
         raise ValueError(f"p must be a finite number >= 1, got {p}")
-    x, y = core.common_grid(x, y)
+    x, y = _common(FuzzySequence, x, y)
     gaps = np.abs(x.ends - y.ends).max(axis=(-2, -1))  # termwise fuzzy distances
     return float(np.sum(gaps**p) ** (1.0 / p))
 
@@ -258,7 +265,7 @@ def rho_p_metric(x: FuzzySequence, y: FuzzySequence, p: float = 1.0) -> float:
 def mu_metric(x: FuzzySequence, y: FuzzySequence) -> float:
     """Supremum of the termwise fuzzy distances (bounded-sequence metric):
     `core.distance` on sequences."""
-    return core.distance(x, y)
+    return core.distance(*_common(FuzzySequence, x, y))
 
 
 # perfbench's lifted workload builds its zero velocities through this name

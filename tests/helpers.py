@@ -5,9 +5,13 @@ Everything in here is deliberately implemented from first principles
 values do not share a code path with the library being tested.
 """
 
+import copy
+import functools
 import math
 
 import numpy as np
+
+from fuzzsemi import checks
 
 
 class IntervalO:
@@ -120,3 +124,14 @@ def h_cosh(t):
         if k >= 2:
             total += term / 4.0
     return total
+
+
+@functools.lru_cache(maxsize=None)
+def _suite_records(suite, seed):
+    return tuple(checks.SUITES[suite](seed=seed))
+
+
+def suite_records(suite, seed):
+    """The records of one `verify` suite at one seed, computed once per test
+    session; each call returns a fresh copy."""
+    return copy.deepcopy(list(_suite_records(suite, seed)))

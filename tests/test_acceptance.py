@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from fuzzsemi import cauchy, checks, core, semigroup
+from fuzzsemi import cauchy, core, semigroup
 from fuzzsemi.cauchy import (
     CauchyProblem,
     Trajectory,
@@ -177,10 +177,10 @@ def test_criterion_06_nonsolution_witness():
 
 
 def test_criterion_07_algebra_property_suites():
-    report = checks.run_suites(("core", "spaces"), seed=42)
-    assert report["passed"]
+    results = [*helpers.suite_records("core", 42), *helpers.suite_records("spaces", 42)]
+    assert all(r["passed"] for r in results)
     law_records = [
-        r for r in report["results"]
+        r for r in results
         if r["property"] not in (
             "nesting", "opposite_witness_distance_two", "mixed_sign_radial_witness",
             "hdiff_nonexistence_witness", "symmetric_triangular_totality",
@@ -189,7 +189,7 @@ def test_criterion_07_algebra_property_suites():
     for rec in law_records:
         assert rec["cases"] >= 1000, rec
         assert rec["max_violation"] <= 1e-12, rec
-    witness_names = {r["property"] for r in report["results"]}
+    witness_names = {r["property"] for r in results}
     assert "opposite_witness_distance_two" in witness_names
     assert "mixed_sign_radial_witness" in witness_names
     _report(7, "metric/algebra laws hold on 1000 seeded cases each, witnesses included")

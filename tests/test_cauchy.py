@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from functools import partial
@@ -67,12 +68,13 @@ def test_quadrature_stall(monkeypatch):
 def test_quadrature_stalls_at_once_below_rounding_floor():
     # a forcing value of 1e300 puts the rounding of every Gauss-Kronrod sum
     # far above tol 1e-6; bisection cannot help, so the first interval stops
+    # (a new object per call, so the forcing is not constant and the quadrature runs)
     g = core.make_triangular(-1e300, 0.5, 1, 4)
     calls = []
 
     def forcing(s):
         calls.append(s)
-        return g
+        return _copy_of(g, s)
 
     problem = CauchyProblem(
         identity(), core.make_triangular(0, 1, 2, 4), forcing=forcing, horizon=0.5, tol=1e-6
@@ -94,7 +96,8 @@ def _fresh(g):
 @pytest.mark.parametrize(
     "operator, g, t",
     [
-        # the series of a composition overflows inside the integral, at t - s = 0.4978...
+        # the constant forcing of a composition takes the Duhamel series, whose
+        # powers A^p g overflow at the solve time
         (compose(identity(), builtin("A1")), core.make_triangular(1e307, 1.5e307, 1.7e307, 4), 0.5),
         # a new object per call keeps A1 on the quadrature: the rank-one flow stays
         # finite there, and the quadrature stalls at the rounding floor
@@ -106,10 +109,12 @@ def _fresh(g):
 )
 def test_forced_solve_errors_name_the_solve_time(operator, g, t):
     forcing = g if callable(g) else lambda s: g
+    # the quadrature names the solution's t; the series of a constant forcing is taken at t itself
+    names = rf"solution at t = {t}\)" if callable(g) else rf"series of {operator.name} overflows at t = {t};"
     problem = CauchyProblem(operator, core.make_triangular(0, 1, 2, 4), forcing=forcing, horizon=t, tol=1e-9)
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        with pytest.raises((SeriesOverflow, QuadratureStall), match=rf"solution at t = {t}\)"):
+        with pytest.raises((SeriesOverflow, QuadratureStall), match=names):
             solve_first_order(problem, np.array([0.0, t]))
     assert not seen, [str(w.message) for w in seen]
 
@@ -136,7 +141,8 @@ def test_forced_fuzzy_64_nodes_within_tol():
 
 
 def test_constant_forcing_takes_one_rule_per_node():
-    # identity() carries no matrix, so its constant forcing goes through the quadrature
+    # identity() carries no matrix, so its constant forcing takes the Duhamel series;
+    # telling it constant calls it once per node of the first Gauss-Kronrod interval
     calls = []
 
     def forcing(s):
@@ -238,41 +244,39 @@ def test_fresh_forcing_objects_match_closed_form():
 
 def test_forcing_alternating_between_two_objects_matches_closed_form(monkeypatch):
     # two equal values as distinct objects, switching several times inside
-    # every interval: each run of one object is its own batch, for the
-    # series (an operator without a matrix, as `_counting` builds; its
-    # `partial_sums` takes (op, kind, times, x, ...)) and for the exact
-    # flow of scale(1) (`MatrixFlow.evaluate` takes (self, times, x[, g]))
+    # every interval: not a constant, so the quadrature takes them with one
+    # propagator call per node, for the series (an operator without a matrix,
+    # as `_counting` builds; its `partial_sums` takes (op, kind, times, x, ...))
+    # and for the exact flow of scale(1) (`MatrixFlow.evaluate` takes
+    # (self, times, x, g))
     ga, gb = core.make_triangular(-0.5, 0.2, 0.8), core.make_triangular(-0.5, 0.2, 0.8)
     series_op = _counting(scale_operator(1.0))[0]
     assert series_op.matrix is None and scale_operator(1.0).matrix is not None
     grid = cauchy.uniform_times(1.0, 5)
-    # constant forcing: one batch of 15 nodes per Gauss-Kronrod interval for the
-    # series, one forced flow over the whole grid for scale(1)
-    cases = (
-        (series_op, semigroup, "partial_sums", 2, lambda batches: batches and set(batches) == {15}),
-        (scale_operator(1.0), MatrixFlow, "evaluate", 1, lambda batches: batches == [grid.size]),
-    )
-    for operator, owner, name, at, constant_batches in cases:
+    cases = ((series_op, semigroup, "partial_sums", 2), (scale_operator(1.0), MatrixFlow, "evaluate", 1))
+    for operator, owner, name, at in cases:
         batches = []
         original = getattr(owner, name)
 
-        def counted(*args, original=original, batches=batches, at=at):
+        def counted(*args, original=original, batches=batches, at=at, **kwargs):
             if any(arg is ga or arg is gb for arg in args[at + 1 :]):
                 batches.append(len(args[at]))
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
         problem = CauchyProblem(
             operator, U0, forcing=lambda s: ga if math.floor(40.0 * s) % 2 else gb, horizon=1.0, tol=1e-9
         )
         traj = solve_first_order(problem, grid)
-        assert sum(batches) % 15 == 0 and len(batches) > sum(batches) // 15
+        assert batches and set(batches) == {1} and len(batches) % 15 == 0, batches
         for t, st in zip(traj.times, traj.states):
             assert _endpoint_gap(st, _scale_forced_endpoints(1.0, U0, ga, float(t))) <= 1e-9
+        # a constant forcing is one batch over the whole grid: the Duhamel series
+        # of the series operator, the forced flow of scale(1)
         batches.clear()
         problem = CauchyProblem(operator, U0, forcing=lambda s: ga, horizon=1.0, tol=1e-9)
         solve_first_order(problem, grid)
-        assert constant_batches(batches), batches
+        assert batches == [grid.size], batches
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +285,7 @@ def test_forcing_alternating_between_two_objects_matches_closed_form(monkeypatch
 
 def _no_quadrature(monkeypatch):
     def refuse(*args):
-        raise AssertionError("constant forcing of an operator with a flow reached the quadrature")
+        raise AssertionError("a constant forcing reached the quadrature")
 
     monkeypatch.setattr(cauchy, "_refined_integral", refuse)
 
@@ -522,6 +526,13 @@ def test_crisp_collapse_against_rk4():
         assert np.abs(got - ref).max() <= 1e-6
 
 
+def test_problem_rejects_a_forcing_that_is_not_callable():
+    # a leaf or a number as forcing would otherwise fail inside the solve with a bare TypeError
+    for forcing in (V0, 1.5, pair(U0, V0)):
+        with pytest.raises(ValueError, match="callable"):
+            CauchyProblem(scale_operator(1.0), U0, forcing=forcing)
+
+
 def test_first_order_rejects_velocity():
     with pytest.raises(ValueError):
         solve_first_order(CauchyProblem(identity(), U0, initial_velocity=core.zero()))
@@ -583,8 +594,8 @@ def test_second_order_rejects_forcing():
 
 
 def test_second_order_nonzero_velocity_matches_closed_form():
-    # u'' = u, u(0) = U0, u'(0) = 1: cosh(t) U0 + sinh(t), through the quadrature of
-    # the cosh series, since identity() carries no matrix
+    # u'' = u, u(0) = U0, u'(0) = 1: cosh(t) U0 + sinh(t), through the Duhamel series
+    # of the cosh family, since identity() carries no matrix
     traj = solve_second_order(
         CauchyProblem(identity(), U0, initial_velocity=core.crisp(1.0), horizon=1.0)
     )
@@ -594,7 +605,8 @@ def test_second_order_nonzero_velocity_matches_closed_form():
 
 
 def _bare(op):
-    """The same map without its matrix or rank-one data: it takes the series and the quadrature."""
+    """The same map without its matrix or rank-one data: it takes the literal series, and a
+    constant input its Duhamel series."""
     return LinearOperator(op.fn, op.norm_bound, op.homogeneity, f"bare {op.name}", op.domain)
 
 
@@ -610,12 +622,49 @@ def _velocity_cases():
 
 
 def test_velocity_flow_matches_the_quadrature():
+    # the bare copies, without a flow, take the Duhamel series of the velocity
     tol, times = 1e-11, np.array([0.0, 0.4, 1.0])
     for op, x, v in _velocity_cases():
         exact = solve_second_order(CauchyProblem(op, x, initial_velocity=v, tol=tol), times)
         quad = solve_second_order(CauchyProblem(_bare(op), x, initial_velocity=v, tol=tol), times)
         for t, a, b in zip(times, exact.states, quad.states):
             assert core.distance(a, b) <= tol * max(1.0, core.norm(b)), (op.name, t)
+
+
+def test_no_constant_input_reaches_the_quadrature(monkeypatch):
+    # a constant forcing (exp) and a velocity (cosh) go into the propagator as its
+    # constant input, for every operator with a flow and for its bare copy, which
+    # takes the Duhamel series; identity() and I∘A1 never had a flow, and are the
+    # same maps as scale(1) and A1
+    from test_matrix_flow import _flow_cases
+
+    _no_quadrature(monkeypatch)
+    tol, times = 1e-10, np.array([0.0, 0.4, 1.0])
+    cases = [(op, x, core.scalar_mul(-0.5, x)) for op, x, _ in _flow_cases()] + list(_velocity_cases())
+    pairs = [(op, _bare(op), x, g) for op, x, g in cases]
+    pairs += [(scale_operator(1.0), identity(), U0, V0), (builtin("A1"), compose(identity(), builtin("A1")), U0, V0)]
+    for op, flowless, x, g in pairs:
+        assert semigroup._flow(flowless, "exp") is None
+        for solve, problem in (
+            (solve_first_order, CauchyProblem(op, x, forcing=lambda s, g=g: g, tol=tol)),
+            (solve_second_order, CauchyProblem(op, x, initial_velocity=g, tol=tol)),
+        ):
+            exact = solve(problem, times)
+            series = solve(dataclasses.replace(problem, operator=flowless), times)
+            for t, a, b in zip(times, exact.states, series.states, strict=True):
+                assert core.distance(a, b) <= tol * max(1.0, core.norm(a)), (flowless.name, solve.__name__, t)
+
+
+def test_constant_input_of_the_zero_operator_is_exact():
+    # M = 0: the Duhamel series is its one term t g, for a forcing and for a velocity alike
+    g, times = core.make_triangular(-0.5, 0.2, 0.8), np.array([0.0, 0.25, 1.0, 3.0])
+    for traj in (
+        solve_first_order(CauchyProblem(zero_operator(), U0, forcing=lambda s: g, horizon=3.0), times),
+        solve_second_order(CauchyProblem(zero_operator(), U0, initial_velocity=g, horizon=3.0), times),
+    ):
+        assert traj.states[0] is U0
+        for t, st in zip(times, traj.states):
+            assert st.ends.tobytes() == core.add(U0, core.scalar_mul(float(t), g)).ends.tobytes(), t
 
 
 @pytest.mark.parametrize("a", [2.5, -0.8])
@@ -644,7 +693,7 @@ def test_velocity_from_another_space_is_rejected():
         (builtin("A1"), U0, w0),
         (scale_operator(0.5), U0, w0),  # a scale acts on any element, but u0 and v0 share one space
         (lift_matrix(cauchy.COUPLED_MATRIX), w0, U0),
-        (identity(), U0, w0),  # the quadrature path
+        (identity(), U0, w0),  # the series path
     )
     for op, x, v in cases:
         for velocity in (v, core.zero_like(v)):  # a zero velocity is no forcing, but still of u0's space

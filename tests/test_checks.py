@@ -4,6 +4,8 @@ import pytest
 
 from fuzzsemi import checks
 
+import helpers
+
 _BUILTIN_LAWS = [
     (f"{name}_{prop}", cases, tol)
     for name, homogeneity in (
@@ -67,7 +69,7 @@ SUITE_LAWS = {
 
 @pytest.mark.parametrize("suite", ["core", "spaces", "operators", "semigroup", "solver"])
 def test_suite_passes(suite):
-    records = checks.SUITES[suite](seed=42)
+    records = helpers.suite_records(suite, 42)
     failures = [r for r in records if not r["passed"]]
     assert not failures, failures
     assert [(r["property"], r["cases"], r["tolerance"]) for r in records] == SUITE_LAWS[suite]

@@ -390,8 +390,8 @@ def test_solve_forced_error_names_the_solve_time(tmp_path, capsys):
 
 
 def test_solve_quadrature_stall_exits_cleanly(tmp_path, capsys, monkeypatch):
-    # every CLI operator has an exact forced flow; without it the quadrature runs
-    monkeypatch.setattr(cauchy, "duhamel_flow", lambda operator, kind: None)
+    # every CLI forcing is constant; taken as one that varies, it goes through the quadrature
+    monkeypatch.setattr(cauchy, "_constant_value", lambda forcing, times: None)
     monkeypatch.setattr(cauchy, "_QUAD_MAX_INTERVALS", 0)
     cfg = write_config(tmp_path, {
         "operator": {"kind": "scale", "factor": 1.0},

@@ -171,6 +171,23 @@ def test_compose_order():
     assert ab(X).lower[0] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_composed_matrices_carry_no_matrix():
+    # levelwise a lifted matrix maps midpoints by A and radii by |A|, so a composition
+    # maps radii by |A| |B|, not |AB|: lifting the product would be another operator
+    a, b = np.array([[1.0, -1.0], [0.5, 1.0]]), np.array([[1.0, 1.0], [1.0, 0.0]])
+    w = pair(core.make_triangular(0, 1, 2), core.make_triangular(-1, 0, 3))
+    composed, product = compose(lift_matrix(a), lift_matrix(b)), lift_matrix(a @ b)
+    assert composed.matrix is None and composed.rank_one is None and semigroup._flow(composed, "exp") is None
+    rad = lambda u: 0.5 * (u.ends[:, 1] - u.ends[:, 0])
+    assert np.array_equal(rad(composed(w)), np.abs(a) @ np.abs(b) @ rad(w))
+    assert np.array_equal(rad(product(w)), np.abs(a @ b) @ rad(w))
+    assert core.distance(composed(w), product(w)) == 2.0
+    # with no flow, its exp is the literal series
+    for t in (-0.4, 0.7):
+        got = semigroup.exp_apply(composed, t, w)
+        assert got.ends.tobytes() == semigroup.SemigroupEvaluator(composed, "exp", 1e-9).at(t, w).ends.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # probe metric
 

@@ -177,6 +177,18 @@ def test_sequence_is_one_stacked_leaf():
         core.add(x, FuzzySequence(ys[:2]))
 
 
+def test_space_metrics_check_their_kind():
+    # the L^p metric is written for functions, rho_p and mu for sequences: any other
+    # pair of leaves raises SpaceMismatch, even where the arrays would line up
+    u, f, x = tri(0, 1, 2), const_fn(tri(0, 1, 2)), FuzzySequence((tri(0, 1, 2), tri(1, 2, 3)))
+    w = pair(u, tri(1, 2, 3))
+    for metric, own, other in ((spaces.lp_distance, f, x), (spaces.rho_p_metric, x, f), (spaces.mu_metric, x, f)):
+        for a, b in ((w, w), (u, u), (other, other), (own, w), (w, own), (own, "nope")):
+            with pytest.raises(SpaceMismatch):
+                metric(a, b)
+        assert metric(own, own) == 0.0
+
+
 def test_box_distance():
     w1 = pair(tri(0, 1, 2), core.zero(16))
     w2 = pair(core.zero(16), core.zero(16))

@@ -41,10 +41,15 @@ Negative-time evaluation is exposed but experimental: supports widen and
 partial differences may fail there; failures are reported, not hidden.
 A forced trajectory rejects negative times with `NegativeForcedTime`, so a
 residual check on it needs every sample time to be at least h.
+
+`WORKED_SYSTEMS` maps each worked system of the paper (Problems 4-6, the
+Remark A pair, the wave) to a runner that solves it and evaluates its closed
+form: `fuzzsemi example` and the `verify` solver suite both read it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import islice, repeat
@@ -61,8 +66,8 @@ from .errors import (
     QuadratureStall,
     SeriesOverflow,
 )
-from .operators import LinearOperator
-from .semigroup import _check_tol, _coefficients, propagator, required_order
+from .operators import LinearOperator, builtin, lift_matrix
+from .semigroup import _check_tol, _coefficients, generator_pair_closed_form, propagator, required_order
 from .spaces import FuzzyFunction, ProductElement, pair
 
 DEFAULT_TIME_NODES = 64
@@ -401,7 +406,7 @@ def residual_check(
 
 
 # ---------------------------------------------------------------------------
-# the worked systems and their closed forms
+# the worked systems: their closed forms, and one runner each that solves and judges them
 
 
 def fuzziness_residual(u, v):
@@ -475,3 +480,44 @@ def naive_problem5_formula(u0: core.FuzzyNumber, v0: core.FuzzyNumber, t: float)
         core.add(u0, core.scalar_mul(t, s)),
         core.add(v0, core.scalar_mul(-t, s)),
     )
+
+
+def _pair_system(matrix, order: int, closed_form: str, times, tol, levels, nodes):
+    """Problems 4-6: the lifted ``matrix`` on the pair (tri(0, 1, 2), tri(1, 2, 3)), of first
+    order or of second with zero velocity.  ``closed_form`` names a function of this module,
+    looked up at call time so that a wrapper installed on the module sees it."""
+    u0, v0 = core.make_triangular(0.0, 1.0, 2.0, levels), core.make_triangular(1.0, 2.0, 3.0, levels)
+    w0 = pair(u0, v0)
+    velocity, solver = (core.zero_like(w0), solve_second_order) if order == 2 else (None, solve_first_order)
+    problem = CauchyProblem(lift_matrix(matrix), w0, initial_velocity=velocity, horizon=max(times[-1], 1.0), tol=tol)
+    return solver(problem, times).states, [globals()[closed_form](u0, v0, float(t)) for t in times]
+
+
+def _remark_a_system(times, tol, levels, nodes):
+    """Remark A's generator pair x -> mu(x) c, the constant and the initial value both tri(0, 1, 2)."""
+    c = x = core.make_triangular(0.0, 1.0, 2.0, levels)
+    problem = CauchyProblem(builtin("RemarkA", c), x, horizon=max(times[-1], 1.0), tol=tol)
+    return solve_first_order(problem, times).states, [generator_pair_closed_form(c, x, float(t), "A") for t in times]
+
+
+def _wave_system(times, tol, levels, nodes):
+    """The wave with profile e^x c on ``nodes`` points of [0, 1], c = tri(0, 1, 2): every even
+    derivative is the profile (bound 2e), so u(t) = cosh(t) e^x c."""
+    c = core.make_triangular(0.0, 1.0, 2.0, levels)
+    xs = np.linspace(0.0, 1.0, nodes)
+    profile = lambda x, order: core.scalar_mul(math.exp(x), c)
+    states = [solve_wave(profile, None, float(t), xs, bound=2.0 * math.e, tol=tol) for t in times]
+    return states, [
+        FuzzyFunction(xs, tuple(core.scalar_mul(math.cosh(float(t)) * math.exp(float(x)), c) for x in xs))
+        for t in times
+    ]
+
+
+# name: (run(times, tol, levels, nodes) -> (states, closed-form states), the CLI's default --t-max)
+WORKED_SYSTEMS = {
+    "problem4": (functools.partial(_pair_system, SWAP_MATRIX, 1, "problem4_closed_form"), 2.0),
+    "problem5": (functools.partial(_pair_system, COUPLED_MATRIX, 1, "problem5_closed_form"), 1.0),
+    "problem6": (functools.partial(_pair_system, COUPLED_MATRIX, 2, "problem6_closed_form"), 1.0),
+    "wave": (_wave_system, 1.0),
+    "remarkA": (_remark_a_system, 2.0),
+}

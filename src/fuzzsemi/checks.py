@@ -6,7 +6,8 @@ Violations are measured relative to the magnitude of the data involved
 (scaled by max(1, size)), so the pass tolerances are relative.  The laws
 that every space shares with R_F (Diamond & Kloeden, *Metric Spaces of
 Fuzzy Sets*, 1994) are written once, in `_metric_laws` and `_radial_gap`,
-and each suite applies them to its own elements and metrics.
+and each suite applies them to its own elements and metrics.  The solver
+suite judges the worked systems through the runners of `cauchy.WORKED_SYSTEMS`.
 """
 
 from __future__ import annotations
@@ -431,35 +432,21 @@ def suite_solver(seed: int):
     rng = np.random.default_rng([seed, 4])
     out = _Worst("solver")
     tol = 1e-9
-    u0 = core.make_triangular(0.0, 1.0, 2.0)
-    v0 = core.make_triangular(1.0, 2.0, 3.0)
-    w0 = pair(u0, v0)
-    swap = lift_matrix(cauchy.SWAP_MATRIX)
-    coupled = lift_matrix(cauchy.COUPLED_MATRIX)
 
-    # every solver state keeps nested level sets
-    traj4 = cauchy.solve_first_order(
-        cauchy.CauchyProblem(swap, w0, horizon=2.0, tol=tol), cauchy.uniform_times(2.0, 9)
-    )
-    traj5 = cauchy.solve_first_order(
-        cauchy.CauchyProblem(coupled, w0, horizon=1.0, tol=tol), cauchy.uniform_times(1.0, 9)
-    )
-    states = traj4.states + traj5.states
+    def worked(name, times):  # a worked system's (states, closed-form states) on the suite's grid
+        return cauchy.WORKED_SYSTEMS[name][0](times, tol, core.DEFAULT_LEVELS, 17)
+
+    # each system over its default horizon: states keep nested level sets and meet the closed form
+    runs = {
+        name: worked(name, cauchy.uniform_times(cauchy.WORKED_SYSTEMS[name][1], 9))
+        for name in ("problem4", "problem5", "problem6")
+    }
+    states = runs["problem4"][0] + runs["problem5"][0]
     defect = max(core.nesting_defect(s.ends).max() for s in states)
     out.record("trajectory_validity", len(states), defect, 0.0)
-
-    # series vs closed forms on fuzzy data
-    traj6 = cauchy.solve_second_order(
-        cauchy.CauchyProblem(coupled, w0, initial_velocity=core.zero_like(w0), horizon=1.0, tol=tol),
-        cauchy.uniform_times(1.0, 9),
-    )
-    for name, traj, closed_form in (
-        ("problem4", traj4, cauchy.problem4_closed_form),
-        ("problem5", traj5, cauchy.problem5_closed_form),
-        ("problem6", traj6, cauchy.problem6_closed_form),
-    ):
-        for t, st in zip(traj.times, traj.states):
-            out.note(f"{name}_series_vs_closed", core.distance(st, closed_form(u0, v0, float(t))))
+    for name, (series, closed) in runs.items():
+        for st, want in zip(series, closed):
+            out.note(f"{name}_series_vs_closed", core.distance(st, want))
     out.close(1e-8)
 
     # crisp data: agreement with a classical fixed-step integrator
@@ -481,24 +468,14 @@ def suite_solver(seed: int):
     e_norm_crisp = core.norm(cauchy.fuzziness_residual(core.crisp(a0), core.crisp(b0)))
     s0 = a0 + b0
     for t in (0.25, 0.75, 1.0):
-        st5 = cauchy.problem5_closed_form(core.crisp(a0), core.crisp(b0), t)
-        out.note(
-            "crisp_closed_formulas",
-            abs(st5[0].lower[-1] - (a0 + t * s0)),
-            abs(st5[1].lower[-1] - (b0 - t * s0)),
-        )
-        st6 = cauchy.problem6_closed_form(core.crisp(a0), core.crisp(b0), t)
-        out.note(
-            "crisp_closed_formulas",
-            abs(st6[0].lower[-1] - (a0 + 0.5 * t * t * s0)),
-            abs(st6[1].lower[-1] - (b0 - 0.5 * t * t * s0)),
-        )
-        st4 = cauchy.problem4_closed_form(core.crisp(a0), core.crisp(b0), t)
-        out.note(
-            "crisp_closed_formulas",
-            abs(st4[0].lower[-1] - (a0 * math.cosh(t) + b0 * math.sinh(t))),
-            abs(st4[1].lower[-1] - (a0 * math.sinh(t) + b0 * math.cosh(t))),
-        )
+        for closed_form, want in (
+            (cauchy.problem5_closed_form, (a0 + t * s0, b0 - t * s0)),
+            (cauchy.problem6_closed_form, (a0 + 0.5 * t * t * s0, b0 - 0.5 * t * t * s0)),
+            (cauchy.problem4_closed_form, (a0 * math.cosh(t) + b0 * math.sinh(t),
+                                           a0 * math.sinh(t) + b0 * math.cosh(t))),
+        ):
+            st = closed_form(core.crisp(a0), core.crisp(b0), t)
+            out.note("crisp_closed_formulas", *(abs(c.lower[-1] - w) for c, w in zip(st.components, want)))
     out.close(1e-8)
     out.record("crisp_fuzziness_residual_zero", 1, e_norm_crisp, 0.0)
 
@@ -529,6 +506,7 @@ def suite_solver(seed: int):
     out.close(1e-6)
 
     # the residual checker separates the true flow from the crisp-style formula
+    coupled = lift_matrix(cauchy.COUPLED_MATRIX)
     nu0 = core.make_triangular(0.5, 1.0, 1.5)
     nv0 = core.make_triangular(1.5, 2.0, 2.5)
     e_norm = core.norm(cauchy.fuzziness_residual(nu0, nv0))
@@ -551,16 +529,7 @@ def suite_solver(seed: int):
     out.record("nonsolution_witness", 4, witness, 0.0)
 
     # wave profile with proportional even derivatives collapses to a cosh factor
-    c = core.make_triangular(0.0, 1.0, 2.0)
-    xs = np.linspace(0.0, 1.0, 17)
-    for t in (0.5, 1.0):
-        got = cauchy.solve_wave(
-            lambda x, order: core.scalar_mul(math.exp(x), c), None, t, xs,
-            bound=2.0 * math.e, tol=tol,
-        )
-        want = FuzzyFunction(
-            xs, tuple(core.scalar_mul(math.cosh(t) * math.exp(float(x)), c) for x in xs)
-        )
+    for got, want in zip(*worked("wave", np.array([0.5, 1.0]))):
         out.note("wave_cosh_collapse", core.distance(got, want))
     out.close(1e-8)
     return out.records

@@ -2,10 +2,10 @@
 
 Three subcommands:
 
-* ``example`` -- run one of the worked systems through the series engine,
-  evaluate its closed form, and report the pointwise distances.
+* ``example`` -- run one row of `cauchy.WORKED_SYSTEMS` (a worked system
+  and its closed form) and report the pointwise distances.
 * ``solve``   -- solve a user problem described by a JSON config.
-* ``verify``  -- run the seeded property suites and emit a report.
+* ``verify``  -- run the seeded property suites (``--seed``, ``--out``).
 
 Exit codes: 0 success, 1 usage / schema / I-O error, 2 tolerance or
 verification failure.  Outputs carry a ``"schema": "fuzzsemi/1"`` field
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import logging
 import math
@@ -30,7 +29,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import cauchy, checks, core, semigroup, spaces
+from . import cauchy, checks, core, spaces
 from .errors import FuzzsemiError, SchemaError
 from .operators import builtin, lift_matrix, scale_operator
 from .spaces import FuzzyFunction, ProductElement, pair
@@ -194,59 +193,17 @@ def _example_payload(name, times, series_states, closed_states, tol):
     }
 
 
-def _system_example(matrix, order, closed_form, args, times, tol):
-    # closed_form is a name, looked up at call time so wrappers on `cauchy` see it
-    u0 = core.make_triangular(0.0, 1.0, 2.0, args.levels)
-    v0 = core.make_triangular(1.0, 2.0, 3.0, args.levels)
-    op = lift_matrix(matrix)
-    w0 = pair(u0, v0)
-    velocity = core.zero_like(w0) if order == 2 else None
-    solver = cauchy.solve_second_order if order == 2 else cauchy.solve_first_order
-    problem = cauchy.CauchyProblem(op, w0, initial_velocity=velocity, horizon=max(args.t_max, 1.0), tol=tol)
-    return solver(problem, times), [getattr(cauchy, closed_form)(u0, v0, float(t)) for t in times]
-
-
-def _remark_a_example(args, times, tol):
-    c = x = core.make_triangular(0.0, 1.0, 2.0, args.levels)  # the constant and the initial value
-    problem = cauchy.CauchyProblem(builtin("RemarkA", c), x, horizon=max(args.t_max, 1.0), tol=tol)
-    traj = cauchy.solve_first_order(problem, times)
-    return traj, [semigroup.generator_pair_closed_form(c, x, float(t), "A") for t in times]
-
-
-def _wave_example(args, times, tol):
-    c = core.make_triangular(0.0, 1.0, 2.0, args.levels)
-    xs = np.linspace(0.0, 1.0, args.nodes)
-    states = [
-        cauchy.solve_wave(lambda x_, order: core.scalar_mul(math.exp(x_), c), None, float(t), xs,
-                          bound=2.0 * math.e, tol=tol)
-        for t in times
-    ]
-    closed = [
-        FuzzyFunction(xs, tuple(core.scalar_mul(math.cosh(float(t)) * math.exp(float(x)), c) for x in xs))
-        for t in times
-    ]
-    return cauchy.Trajectory(times, states), closed
-
-
-# name: (run(args, times, tol) -> (trajectory, closed-form states), default --t-max)
-_EXAMPLES = {
-    "problem4": (functools.partial(_system_example, cauchy.SWAP_MATRIX, 1, "problem4_closed_form"), 2.0),
-    "problem5": (functools.partial(_system_example, cauchy.COUPLED_MATRIX, 1, "problem5_closed_form"), 1.0),
-    "problem6": (functools.partial(_system_example, cauchy.COUPLED_MATRIX, 2, "problem6_closed_form"), 1.0),
-    "wave": (_wave_example, 1.0),
-    "remarkA": (_remark_a_example, 2.0),
-}
-EXAMPLE_NAMES = tuple(_EXAMPLES)
+EXAMPLE_NAMES = tuple(cauchy.WORKED_SYSTEMS)
 
 
 def cmd_example(args) -> int:
-    if args.name not in _EXAMPLES:
+    if args.name not in cauchy.WORKED_SYSTEMS:
         print(
             f"error: unknown example {args.name!r}; valid names: {', '.join(EXAMPLE_NAMES)}",
             file=sys.stderr,
         )
         return 1
-    run, default_t_max = _EXAMPLES[args.name]
+    run, default_t_max = cauchy.WORKED_SYSTEMS[args.name]
     if args.t_max is None:
         args.t_max = default_t_max
     if not (
@@ -262,12 +219,12 @@ def cmd_example(args) -> int:
     else:
         times = np.array([0.0])
 
-    traj, closed = run(args, times, engine_tol)
+    states, closed = run(times, engine_tol, args.levels, args.nodes)
 
-    payload = _example_payload(args.name, times, traj.states, closed, args.tol)
+    payload = _example_payload(args.name, times, states, closed, args.tol)
     _emit(payload, args.out)
     if args.csv:
-        _write_band_csv(args.csv, times, traj.states, args.bands)
+        _write_band_csv(args.csv, times, states, args.bands)
     return 0 if payload["max_distance"] <= args.tol else 2
 
 
@@ -475,8 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="time nodes (default %(default)s)")
     so.set_defaults(func=cmd_solve)
 
-    ve = sub.add_parser("verify", parents=[common], help="run the seeded property suites")
+    ve = sub.add_parser("verify", help="run the seeded property suites")
     ve.add_argument("suite", choices=checks.SUITE_NAMES + ("all",))
+    ve.add_argument("--out", help="write the JSON report to this path")
     ve.add_argument("--seed", type=_seed, default=0, help="nonnegative integer (default %(default)s)")
     ve.set_defaults(func=cmd_verify)
     return parser

@@ -8,15 +8,17 @@ Sequence spaces are finite truncations; membership of the underlying
 infinite object in a summability class is not (and cannot be) checked
 from finite data.
 
-Functions, products and sequences (the last two stacked as one
-(k, 2, levels) array) are `core.Leaf`s, so the `core` kernels are their
-algebra, metric and norm: `core.distance` is the supremum metric D* on functions, the box
-metric on products and the metric mu on sequences.  Each kind overrides
-the `Leaf._match` hook that those kernels call: functions on different
-node grids are aligned on the union grid (different domains raise
-DomainMismatch), products of different arity raise ArityMismatch and
-sequences of different length LengthMismatch.  Only the metrics that are
-not a supremum (`lp_distance`, `rho_p_metric`) are written here.
+Functions, products and sequences are `core.Leaf`s, so the `core` kernels
+are their algebra, metric and norm: `core.distance` is the supremum metric
+D* on functions, the box metric on products and the metric mu on
+sequences.  Products and sequences are two names of one stacked kind
+(`_Stacked`: k fuzzy numbers as one (k, 2, levels) array, written once),
+each with its own noun and errors.  Each kind overrides the `Leaf._match`
+hook that those kernels call: functions on different node grids are
+aligned on the union grid (different domains raise DomainMismatch),
+products of different arity raise ArityMismatch and sequences of
+different length LengthMismatch.  Only the metrics that are not a
+supremum (`lp_distance`, `rho_p_metric`) are written here.
 """
 
 from __future__ import annotations
@@ -132,83 +134,63 @@ class FuzzyFunction(core.Leaf):
         return cls(nodes, tuple(fn(float(x)) for x in nodes))
 
 
-# the constructor takes the values; afterwards they are read back as views of ends
-FuzzyFunction.values = property(lambda f: tuple(FuzzyNumber._trusted(f.levels, e) for e in f.ends))
+class _Stacked(core.Leaf):
+    """The one kind behind products and sequences: fuzzy numbers stacked as
+    one (k, 2, levels) array ``ends`` on the union of their level grids.
+    Each subclass names its entries ``noun`` and raises ``not_a_number`` for
+    an entry that is not a FuzzyNumber and ``mismatch`` for two of different
+    lengths; no entries raise ValueError."""
 
-
-def _stack(leaf: core.Leaf, numbers, noun: str, not_a_number: type) -> None:
-    """Store fuzzy numbers in ``leaf`` as one (k, 2, levels) array ``ends`` on
-    the union of their level grids: the constructor of products and sequences.
-    No numbers raise ValueError, anything but a FuzzyNumber ``not_a_number``."""
-    numbers = tuple(numbers)
-    if not numbers:
-        raise ValueError(f"a {type(leaf).__name__} needs at least one {noun}")
-    if not all(isinstance(c, FuzzyNumber) for c in numbers):
-        raise not_a_number(f"{noun}s must be FuzzyNumber instances")
-    levels = numbers[0].levels
-    if not all(np.array_equal(c.levels, levels) for c in numbers):
-        levels = core._frozen(functools.reduce(np.union1d, (c.levels for c in numbers)))
-        numbers = tuple(c.resample(levels) for c in numbers)
-    object.__setattr__(leaf, "levels", levels)
-    object.__setattr__(leaf, "ends", core._frozen([c.ends for c in numbers]))
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class ProductElement(core.Leaf):
-    """Fixed-arity tuple of fuzzy numbers, stacked as one (k, 2, levels) array
-    ``ends`` on the union of their level grids; ``components`` and ``[i]``
-    read it back as fuzzy numbers."""
-
-    components: InitVar[tuple]
-
-    def __post_init__(self, components):
-        _stack(self, components, "component", SpaceMismatch)
+    def __post_init__(self, entries):
+        entries = tuple(entries)
+        if not entries:
+            raise ValueError(f"a {type(self).__name__} needs at least one {self.noun}")
+        if not all(isinstance(c, FuzzyNumber) for c in entries):
+            raise self.not_a_number(f"{self.noun}s must be FuzzyNumber instances")
+        levels = entries[0].levels
+        if not all(np.array_equal(c.levels, levels) for c in entries):
+            levels = core._frozen(functools.reduce(np.union1d, (c.levels for c in entries)))
+            entries = tuple(c.resample(levels) for c in entries)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "ends", core._frozen([c.ends for c in entries]))
 
     def _summary(self):
-        return f"{len(self)} components, {self.levels.size} levels"
+        return f"{len(self)} {self.noun}s, {self.levels.size} levels"
 
     def _match(self, other):
         if len(self) != len(other):
-            raise ArityMismatch(f"{len(self)} components vs {len(other)}")
+            raise self.mismatch(f"{len(self)} {self.noun}s vs {len(other)}")
         return self, other
 
     def __len__(self):
         return len(self.ends)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class ProductElement(_Stacked):
+    """Fixed-arity tuple of fuzzy numbers; ``components`` and ``[i]`` read
+    them back."""
+
+    noun, not_a_number, mismatch = "component", SpaceMismatch, ArityMismatch
+    components: InitVar[tuple]
 
     def __getitem__(self, i):
         return self.components[i]
 
 
-# the constructor takes the components; afterwards they are read back as views of ends
-ProductElement.components = property(lambda w: tuple(FuzzyNumber._trusted(w.levels, e) for e in w.ends))
-
-
 @dataclass(frozen=True, eq=False, repr=False)
-class FuzzySequence(core.Leaf):
-    """Finite truncation of a fuzzy-number sequence, stacked as one
-    (n, 2, levels) array ``ends`` on the union of its terms' level grids;
-    ``terms`` reads it back as fuzzy numbers.  A sequence is its own kind:
-    mixing it with a product raises SpaceMismatch, and sequences of
-    different lengths raise LengthMismatch."""
+class FuzzySequence(_Stacked):
+    """Finite truncation of a fuzzy-number sequence; ``terms`` reads it back.
+    A sequence is its own kind: mixing it with a product raises SpaceMismatch."""
 
+    noun, not_a_number, mismatch = "term", ValueError, LengthMismatch
     terms: InitVar[tuple]
 
-    def __post_init__(self, terms):
-        _stack(self, terms, "term", ValueError)
 
-    def _summary(self):
-        return f"{len(self)} terms, {self.levels.size} levels"
-
-    def _match(self, other):
-        if len(self) != len(other):
-            raise LengthMismatch(f"{len(self)} terms vs {len(other)}")
-        return self, other
-
-    def __len__(self):
-        return len(self.ends)
-
-
-FuzzySequence.terms = property(lambda x: tuple(FuzzyNumber._trusted(x.levels, e) for e in x.ends))
+# the constructors take the entries; afterwards they are read back as views of ends
+FuzzyFunction.values = ProductElement.components = FuzzySequence.terms = property(
+    lambda leaf: tuple(FuzzyNumber._trusted(leaf.levels, e) for e in leaf.ends)
+)
 
 
 def pair(u, v) -> ProductElement:

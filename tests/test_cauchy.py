@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from fuzzsemi import cauchy, core, semigroup
+from fuzzsemi import cauchy, cli, core, semigroup
 from fuzzsemi.cauchy import (
     CauchyProblem,
     Trajectory,
@@ -753,6 +753,28 @@ def test_wave_requires_bound():
         solve_wave(lambda x, order: C, None, 1.0, xs)
     with pytest.raises(MissingDerivativeBound):
         solve_wave(lambda x, order: C, None, 1.0, xs, bound=-1.0)
+
+
+def test_worked_systems_table_serves_example_and_verify():
+    # every row meets its closed form on a coarse grid: 5 times, 16 level panels, 9 wave nodes
+    for name, (run, t_max) in cauchy.WORKED_SYSTEMS.items():
+        states, closed = run(np.linspace(0.0, t_max, 5), 1e-9, 16, 9)
+        assert len(states) == len(closed) == 5, name
+        for st, want in zip(states, closed):
+            assert np.array_equal(st.levels, core.level_grid(16)), name
+            assert name != "wave" or st.nodes.size == 9
+            assert core.distance(st, want) <= 1e-8, name
+    # `fuzzsemi example` runs exactly the table's rows
+    assert cli.EXAMPLE_NAMES == tuple(cauchy.WORKED_SYSTEMS)
+    # `verify solver` judges the same runners, on its own grids
+    records = {r["property"]: r["max_violation"] for r in helpers.suite_records("solver", 42)}
+    for name, prop, times in (
+        *((n, f"{n}_series_vs_closed", cauchy.uniform_times(cauchy.WORKED_SYSTEMS[n][1], 9))
+          for n in ("problem4", "problem5", "problem6")),
+        ("wave", "wave_cosh_collapse", np.array([0.5, 1.0])),
+    ):
+        states, closed = cauchy.WORKED_SYSTEMS[name][0](times, 1e-9, core.DEFAULT_LEVELS, 17)
+        assert records[prop] == max(map(core.distance, states, closed)), name
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import math
 import random
@@ -9,6 +10,8 @@ import pytest
 
 from fuzzsemi import cauchy, checks, cli, core
 from fuzzsemi.errors import SchemaError
+
+import helpers
 
 
 def run(*argv):
@@ -538,6 +541,13 @@ def test_usage_error_exit_code(capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--seed" in err, (seed, err)
         assert "Traceback" not in err, (seed, err)
+    # verify takes --seed and --out only: the grid and CSV flags of example and solve are usage errors
+    for flag in (("--levels", "3"), ("--csv", "x.csv"), ("--bands", "0.5")):
+        capsys.readouterr()
+        assert run("verify", "solver", *flag) == 1, flag
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag[0] in err, (flag, err)
+        assert "Traceback" not in err, (flag, err)
 
 
 def test_threads_flag_removed():
@@ -610,10 +620,13 @@ _MATRIX_CONFIG = {
 @pytest.mark.parametrize("argv", [
     *(("solve", name, order) for name in ("scalar", "matrix") for order in (1, 2)),
     *(("example", name) for name in cli.EXAMPLE_NAMES),
-    ("verify", "all", "--seed", "0"),
+    ("verify", "all", "--seed", "42"),
 ], ids=lambda argv: "-".join(map(str, argv)))
 def test_json_writer_matches_stdlib_on_cli_payloads(tmp_path, monkeypatch, capsys, argv):
-    # solves print to stdout, the rest write to --out
+    # solves print to stdout, the rest write to --out; verify reads the suite
+    # records that test_checks computes at seed 42, not a second run of the suites
+    cached = {name: functools.partial(helpers.suite_records, name) for name in checks.SUITES}
+    monkeypatch.setattr(checks, "SUITES", cached)
     out = None
     if argv[0] == "solve":
         _, name, order = argv

@@ -4,8 +4,10 @@ First-order problems u'(t) = A[u(t)] + g(t), u(0) = u0 are solved by
 variation of parameters: u(t) = T(t)(u0) + integral_0^t T(t-s)(g(s)) ds,
 with T the exponential family of the operator.  u'' = A[u], u'(0) = v0 is
 the same problem with the cosh family C for T and the constant forcing v0:
-C(t)(u0) + integral_0^t C(r)(v0) dr (Fattorini, 1985).  The wave formula is
-one combination of the even derivatives of the initial profile and t * u2.
+C(t)(u0) + integral_0^t C(r)(v0) dr (Fattorini, 1985).  The wave formula
+combines the even derivatives of the initial profile and adds t * u2; its
+solver takes a sequence of times, samples each derivative once for all of
+them and combines every time in one `core.combine_rows`.
 
 Each solve takes every T(t) from one `semigroup.propagator` map, with the
 problem's constant input g when it has one: the exact flow of an operator
@@ -294,33 +296,40 @@ def solve_second_order(problem: CauchyProblem, grid: np.ndarray | None = None) -
 def solve_wave(
     u1_derivatives: Callable[[float, int], core.FuzzyNumber],
     u2: FuzzyFunction | None,
-    t: float,
+    times,
     x_nodes: np.ndarray,
     bound: float | None = None,
     tol: float = 1e-9,
-) -> FuzzyFunction:
-    """Series solution of the fuzzy wave equation at one time t >= 0.
+) -> list:
+    """Series solution of the fuzzy wave equation, one state per time t >= 0 of ``times``.
 
     ``u1_derivatives(x, 2p)`` must return the even-order derivative of the
     initial profile at x, and ``bound`` must certify a uniform norm bound
-    for all of them; the even coefficient ladder is truncated where the
-    tail (bound * remaining cosh coefficients) drops below tol.  The
-    initial-velocity term enters as t * u2.
+    for all of them; each time's even coefficient ladder is truncated where
+    the tail (bound * remaining cosh coefficients) drops below tol.  The
+    derivatives are sampled once, up to the largest order any time needs,
+    and all times are one `core.combine_rows`; the initial-velocity term
+    t * u2 is then added to each as `core.add` adds it, so every state
+    equals the one-time solve bit for bit.
     """
     if bound is None or not (bound > 0) or not math.isfinite(bound):
         raise MissingDerivativeBound("a positive uniform bound on the even derivatives is required")
+    times = [float(t) for t in times]
+    if not times:
+        return []
     x_nodes = np.asarray(x_nodes, dtype=float)
-    order = required_order(t, 1.0, tol / bound, "cosh")
+    orders = [required_order(t, 1.0, tol / bound, "cosh") for t in times]
 
     def derivative(k):  # the k-th derivative of the profile, sampled at every node
         return FuzzyFunction(x_nodes, tuple(u1_derivatives(float(x), k) for x in x_nodes))
 
-    coeffs = [1.0, *islice(_coefficients("cosh", t), order)]
-    terms = [derivative(2 * p) for p in range(order + 1)]
-    if u2 is not None:
-        coeffs.append(t)
-        terms.append(u2.resample_nodes(x_nodes))
-    return core.combine(coeffs, terms)
+    terms = [derivative(2 * p) for p in range(max(orders) + 1)]
+    rows = [[1.0, *islice(_coefficients("cosh", t), order)] for t, order in zip(times, orders)]
+    states = core.combine_rows(rows, terms)
+    if u2 is None:
+        return states
+    u2 = u2.resample_nodes(x_nodes)
+    return [core.add(u, core.scalar_mul(t, u2)) for t, u in zip(times, states)]
 
 
 # ---------------------------------------------------------------------------
@@ -506,11 +515,11 @@ def _wave_system(times, tol, levels, nodes):
     c = core.make_triangular(0.0, 1.0, 2.0, levels)
     xs = np.linspace(0.0, 1.0, nodes)
     profile = lambda x, order: core.scalar_mul(math.exp(x), c)
-    states = [solve_wave(profile, None, float(t), xs, bound=2.0 * math.e, tol=tol) for t in times]
-    return states, [
-        FuzzyFunction(xs, tuple(core.scalar_mul(math.cosh(float(t)) * math.exp(float(x)), c) for x in xs))
-        for t in times
-    ]
+    states = solve_wave(profile, None, times, xs, bound=2.0 * math.e, tol=tol)
+    # each time's closed form is one row of factors cosh(t) e^x, scaled as scalar_mul scales c
+    grid = FuzzyFunction(xs, (c,) * nodes)
+    growth = [math.exp(float(x)) for x in xs]
+    return states, [grid._with(core._scaled(np.array([math.cosh(float(t)) * g for g in growth]), c.ends)) for t in times]
 
 
 # name: (run(times, tol, levels, nodes) -> (states, closed-form states), the CLI's default --t-max)

@@ -218,6 +218,9 @@ def cmd_example(args) -> int:
         times = np.linspace(0.0, args.t_max, args.t_points)
     else:
         times = np.array([0.0])
+    if not (np.diff(times) > 0).all():  # linspace repeats times below the float spacing near 0
+        print(f"error: --t-max {args.t_max!r} over --t-points {args.t_points} gives repeated times", file=sys.stderr)
+        return 1
 
     states, closed = run(times, engine_tol, args.levels, args.nodes)
 

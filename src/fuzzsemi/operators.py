@@ -173,16 +173,24 @@ def canonical_probes(m_levels: int = core.DEFAULT_LEVELS, seed: int = PROBE_SEED
     return fixed + tuple(randoms)
 
 
+def _random_ends(rng: np.random.Generator, shape, m_levels: int, span: float = 1.0) -> np.ndarray:
+    """Endpoints (*shape, 2, m_levels + 1) of random fuzzy numbers, drawn in C
+    order of ``shape``: each number's lower, then upper, endpoint draws, as
+    that many `random_fuzzy` calls consume the generator."""
+    ends = rng.uniform(-span, span, (*shape, 2, m_levels + 1))
+    ends.sort(axis=-1)
+    lo, up = ends[..., 0, :], ends[..., 1, :]
+    np.negative(up, out=up)  # the upper branch descends
+    # re-anchor a descending branch that ends below the lower one so its
+    # top-level value is exactly the top-level lower endpoint (x - x is
+    # exact, adding a constant rounds monotonically)
+    np.copyto(up, (up - up[..., -1:]) + lo[..., -1:], where=lo[..., -1:] > up[..., -1:])
+    return ends
+
+
 def random_fuzzy(rng: np.random.Generator, m_levels: int = core.DEFAULT_LEVELS, span: float = 1.0) -> FuzzyNumber:
     """Random valid fuzzy number with support inside roughly [-2*span, 2*span]."""
-    lo = np.sort(rng.uniform(-span, span, m_levels + 1))
-    up = -np.sort(rng.uniform(-span, span, m_levels + 1))
-    if lo[-1] > up[-1]:
-        # re-anchor the descending branch so its top-level value is exactly
-        # the top-level lower endpoint (x - x is exact, adding a constant
-        # rounds monotonically)
-        up = (up - up[-1]) + lo[-1]
-    return FuzzyNumber(core.level_grid(m_levels), lo, up)
+    return FuzzyNumber(core.level_grid(m_levels), *_random_ends(rng, (), m_levels, span))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ import math
 
 import numpy as np
 
-from fuzzsemi import checks
+from fuzzsemi import cauchy, checks, core
+from fuzzsemi.operators import lift_matrix
+from fuzzsemi.spaces import pair
 
 
 class IntervalO:
@@ -138,3 +140,43 @@ def suite_records(suite, seed):
     """The records of one `verify` suite at one seed, computed once per test
     session; each call returns a fresh copy."""
     return copy.deepcopy(list(_suite_records(suite, seed)))
+
+
+def random_fuzzy_per_draw(rng, m_levels, span=1.0):
+    """One random fuzzy number's (lower, upper) endpoints by the drawing rule
+    of `operators.random_fuzzy`, one number per call."""
+    lo = np.sort(rng.uniform(-span, span, m_levels + 1))
+    up = -np.sort(rng.uniform(-span, span, m_levels + 1))
+    if lo[-1] > up[-1]:
+        up = (up - up[-1]) + lo[-1]
+    return lo, up
+
+
+def per_draw_solver_records(seed):
+    """The `crisp_collapse_rk4` and `fuzziness_residual_iff_crisp` records of
+    `checks.suite_solver`, formed one RK4 step on numpy 2-vectors and one
+    drawn case at a time."""
+    out = checks._Worst("solver")
+    a0, b0 = 1.5, -0.5
+    for matrix in (cauchy.SWAP_MATRIX, cauchy.COUPLED_MATRIX):
+        problem = cauchy.CauchyProblem(
+            lift_matrix(matrix), pair(core.crisp(a0), core.crisp(b0)), horizon=1.0, tol=1e-9
+        )
+        traj = cauchy.solve_first_order(problem, np.array([0.0, 0.5, 1.0]))
+        mat = np.asarray(matrix)
+        for t, st in zip(traj.times, traj.states):
+            if t == 0.0:
+                continue
+            ref = rk4(lambda _, y: mat @ y, np.array([a0, b0]), float(t))
+            got = np.array([st[0].lower[-1], st[1].lower[-1]])
+            out.note("crisp_collapse_rk4", float(np.abs(ref - got).max()))
+    out.close(1e-6)
+    rng = np.random.default_rng([seed, 4])
+    levels = core.level_grid(16)
+    for _ in range(200):
+        uu, vv = (core.FuzzyNumber(levels, *random_fuzzy_per_draw(rng, 16)) for _ in range(2))
+        e = core.norm(cauchy.fuzziness_residual(uu, vv))
+        sum_spread = float((core.add(uu, vv).upper - core.add(uu, vv).lower).max())
+        out.note("fuzziness_residual_iff_crisp", e if sum_spread < 1e-12 else float(e == 0.0))
+    out.close(1e-12)
+    return out.records

@@ -226,8 +226,8 @@ def test_criterion_09_generator_bound():
 def test_criterion_10_wave_example():
     xs = np.linspace(0.0, 1.0, 33)
     for t in (0.5, 1.0):
-        got = solve_wave(
-            lambda x, order: core.scalar_mul(math.exp(x), C), None, t, xs,
+        (got,) = solve_wave(
+            lambda x, order: core.scalar_mul(math.exp(x), C), None, (t,), xs,
             bound=2.0 * math.e, tol=1e-9,
         )
         want = FuzzyFunction(

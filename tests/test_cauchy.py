@@ -721,7 +721,7 @@ def test_zero_velocity_is_the_cosh_family():
 
 def test_wave_at_zero_returns_profile():
     xs = np.linspace(0.0, 1.0, 5)
-    got = solve_wave(lambda x, order: core.scalar_mul(math.exp(x), C), None, 0.0, xs, bound=2 * math.e)
+    (got,) = solve_wave(lambda x, order: core.scalar_mul(math.exp(x), C), None, (0.0,), xs, bound=2 * math.e)
     want = FuzzyFunction(xs, tuple(core.scalar_mul(math.exp(float(x)), C) for x in xs))
     assert core.distance(got, want) == 0.0
 
@@ -729,8 +729,8 @@ def test_wave_at_zero_returns_profile():
 def test_wave_exponential_profile_collapses_to_cosh():
     xs = np.linspace(0.0, 1.0, 9)
     for t in (0.5, 1.0):
-        got = solve_wave(
-            lambda x, order: core.scalar_mul(math.exp(x), C), None, t, xs,
+        (got,) = solve_wave(
+            lambda x, order: core.scalar_mul(math.exp(x), C), None, (t,), xs,
             bound=2 * math.e, tol=1e-9,
         )
         want = FuzzyFunction(
@@ -742,7 +742,7 @@ def test_wave_exponential_profile_collapses_to_cosh():
 def test_wave_zero_profile_moves_with_velocity():
     xs = np.linspace(0.0, 1.0, 5)
     u2 = FuzzyFunction(xs, tuple(core.make_triangular(0, 1, 2) for _ in xs))
-    got = solve_wave(lambda x, order: core.zero(), u2, 0.75, xs, bound=1.0)
+    (got,) = solve_wave(lambda x, order: core.zero(), u2, (0.75,), xs, bound=1.0)
     want = FuzzyFunction(xs, tuple(core.scalar_mul(0.75, core.make_triangular(0, 1, 2)) for _ in xs))
     assert core.distance(got, want) <= 1e-12
 
@@ -750,9 +750,40 @@ def test_wave_zero_profile_moves_with_velocity():
 def test_wave_requires_bound():
     xs = np.linspace(0.0, 1.0, 3)
     with pytest.raises(MissingDerivativeBound):
-        solve_wave(lambda x, order: C, None, 1.0, xs)
+        solve_wave(lambda x, order: C, None, (1.0,), xs)
     with pytest.raises(MissingDerivativeBound):
-        solve_wave(lambda x, order: C, None, 1.0, xs, bound=-1.0)
+        solve_wave(lambda x, order: C, None, (1.0,), xs, bound=-1.0)
+
+
+def test_wave_at_many_times_equals_one_time_solves():
+    # a profile whose even derivatives differ in size and sign, and a velocity on other node and level grids
+    xs = np.linspace(0.0, 1.0, 9)
+    profile = lambda x, order: core.scalar_mul((-1.0) ** (order // 2) * math.exp(x) / (1 + order), C)
+    u2 = FuzzyFunction(np.linspace(0.0, 1.0, 5), tuple(core.make_triangular(-1.0, 0.5, x, 10) for x in (1, 2, 3, 4, 5)))
+    times = (1.0, 0.0, 0.5, 2.0, 0.5, 1e-3)  # out of order, with t = 0 (order 0) and a repeat
+    for velocity in (None, u2):
+        batch = solve_wave(profile, velocity, times, xs, bound=2 * math.e, tol=1e-10)
+        assert len(batch) == len(times)
+        for t, got in zip(times, batch, strict=True):
+            (want,) = solve_wave(profile, velocity, (t,), xs, bound=2 * math.e, tol=1e-10)
+            assert np.array_equal(got.nodes, want.nodes) and np.array_equal(got.levels, want.levels)
+            assert got.ends.tobytes() == want.ends.tobytes(), t
+    assert solve_wave(profile, u2, (), xs, bound=2 * math.e) == []
+
+
+def test_wave_samples_each_derivative_once(monkeypatch, tmp_path):
+    # `example wave` at its defaults: 9 times on [0, 1], 65 nodes, engine tol 1e-9
+    orders = []
+    solve = cauchy.solve_wave
+
+    def counting(profile, *args, **kwargs):
+        return solve(lambda x, order: orders.append(order) or profile(x, order), *args, **kwargs)
+
+    monkeypatch.setattr(cauchy, "solve_wave", counting)
+    assert cli.main(["example", "wave", "--out", str(tmp_path / "wave.json")]) == 0
+    top = max(semigroup.required_order(t, 1.0, 1e-9 / (2 * math.e), "cosh") for t in np.linspace(0.0, 1.0, 9))
+    assert len(orders) == (top + 1) * 65 == 455
+    assert sorted(set(orders)) == list(range(0, 2 * top + 1, 2))
 
 
 def test_worked_systems_table_serves_example_and_verify():

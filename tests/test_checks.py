@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from fuzzsemi import checks
+from fuzzsemi import checks, operators
 
 import helpers
 
@@ -104,3 +105,30 @@ def test_a_nan_violation_fails_its_property():
         ("p", 3, False), ("q", 1, False), ("r", 1, True),
     ]
     assert math.isnan(out.records[0]["max_violation"])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_solver_suite_matches_per_draw_loops(seed):
+    # the float RK4 and the 200 cases drawn and judged in one pass, against the per-draw loops, bit for bit
+    names = ("crisp_collapse_rk4", "fuzziness_residual_iff_crisp")
+    got = [r for r in helpers.suite_records("solver", seed) if r["property"] in names]
+    assert repr(got) == repr(helpers.per_draw_solver_records(seed))
+
+
+@pytest.mark.parametrize("m_levels, span", [(16, 1.0), (1, 2.0)])
+def test_random_ends_is_sequential_random_fuzzy(m_levels, span):
+    batch_rng, draw_rng, rule_rng = (np.random.default_rng(5) for _ in range(3))
+    ends = operators._random_ends(batch_rng, (7, 2), m_levels, span)
+    draws = [operators.random_fuzzy(draw_rng, m_levels, span) for _ in range(14)]
+    assert ends.shape == (7, 2, 2, m_levels + 1)
+    assert ends.tobytes() == np.stack([u.ends for u in draws]).tobytes()
+    assert batch_rng.bit_generator.state == draw_rng.bit_generator.state
+    # random_fuzzy keeps its drawing rule
+    rule = [helpers.random_fuzzy_per_draw(rule_rng, m_levels, span) for _ in range(14)]
+    assert ends.tobytes() == np.array(rule).tobytes()
+    assert draw_rng.bit_generator.state == rule_rng.bit_generator.state
+    # both branches of the rule: a re-anchored upper branch meets the lower one at the top level
+    anchored = ends[..., 0, -1] == ends[..., 1, -1]
+    assert anchored.any()
+    if m_levels == 1:
+        assert not anchored.all()

@@ -548,6 +548,13 @@ def test_usage_error_exit_code(capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag[0] in err, (flag, err)
         assert "Traceback" not in err, (flag, err)
+    # a horizon below the float spacing near 0 repeats times on every worked system
+    for name in cli.EXAMPLE_NAMES:
+        capsys.readouterr()
+        assert run("example", name, "--t-max", "5e-324", "--t-points", "3") == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--t-max" in err, (name, err)
+        assert "Traceback" not in err, (name, err)
 
 
 def test_threads_flag_removed():

@@ -19,11 +19,15 @@ is the only element algebra: its kernels check their own operands (one
 kind, one arity, one domain) through the `Leaf._match` hook that `spaces`
 overrides, and `combine_rows` forms
 every real linear combination sum_j c_j x_j the series, quadrature and
-lifted matrices need, many at once: one left-to-right accumulation over
-the terms, one coefficient row per output (`combine` is its one-row case).
+wave need, many at once: one left-to-right accumulation over the terms,
+one coefficient row per output (`combine` is its one-row case).
 Levelwise that is midpoint-radius interval arithmetic (Rump, BIT 39,
 1999): a negative factor swaps the endpoints, a zero gives +0.0, and the
-rule is written once, in `_scaled`, for a coefficient per row.
+rule is written once, in `_scaled`, for a coefficient per row
+(`operators.lift_matrix` runs the same arithmetic as column passes).
+Batches stay arrays until the end: `stack_common` stacks leaves on common
+grids, `clamp_nested` repairs a whole batch (and leaves a clean one as it
+is), and `Leaf._with_rows` turns a batch back into one leaf per row.
 """
 
 from __future__ import annotations
@@ -80,6 +84,18 @@ class Leaf:
         out = object.__new__(type(self))
         out.__dict__.update(self.__dict__, **attrs)
         out.__dict__["ends"] = ends
+        return out
+
+    def _with_rows(self, batch) -> list:
+        # `_with` for each row of a fresh (n, *ends.shape) array: the batch is made
+        # read-only once, and every leaf shares this leaf's kind and grid objects
+        batch.flags.writeable = False
+        cls, attrs = type(self), self.__dict__
+        out = []
+        for ends in batch:
+            leaf = object.__new__(cls)
+            leaf.__dict__.update(attrs, ends=ends)
+            out.append(leaf)
         return out
 
     def resample(self, levels: np.ndarray):
@@ -209,9 +225,16 @@ def clamp_nested(ends: np.ndarray, tol=MONOTONICITY_TOLERANCE):
     the leaves).  Every leaf is clamped by monotone accumulation, the ones
     beyond ``tol`` too; the caller discards those.  Each leaf's result
     depends on its own endpoints only, so a batch gives every leaf the bits
-    it gets on its own.
+    it gets on its own.  A batch with no defect and no endpoint 0.0 is
+    returned as it is, without the accumulation, which would give back the
+    same bits.  A batch with a zero takes it (numpy does not promise which
+    of +0.0 and -0.0 a max or min of the two returns), and so does one with
+    a NaN (whose defect is NaN).
     """
-    ok = ~(nesting_defect(ends) > tol)
+    defect = nesting_defect(ends)
+    ok = ~(defect > tol)
+    if not defect.any() and ends.all():
+        return ends, ok
     lo, up = ends[..., 0, :], ends[..., 1, :]
     np.maximum.accumulate(lo, axis=-1, out=lo)
     np.minimum.accumulate(up, axis=-1, out=up)
@@ -333,11 +356,24 @@ def common_grid(u: Leaf, v: Leaf):
     return u.resample(merged), v.resample(merged)
 
 
+def _shares_grids(u: Leaf, v) -> bool:
+    # v is of u's kind and arity, and holds the very grid objects u holds
+    # (levels, and nodes for a function); False is no verdict
+    return type(v) is type(u) and v.ends.shape == u.ends.shape and all(
+        v.__dict__.get(name) is grid for name, grid in u.__dict__.items() if name != "ends"
+    )
+
+
 def stack_common(leaves):
     """Leaves of one kind on common grids (the union over all of them, as
     `common_grid` forms it pairwise): a leaf on those grids and the
-    endpoints of every leaf stacked along a new first axis."""
+    endpoints of every leaf stacked along a new first axis.  Leaves that
+    share the first one's kind, arity and grid objects (the states and
+    images of one flow or operator) are stacked in one pass, with the bits
+    and the errors of the pairwise alignment."""
     grid = leaves[0]
+    if isinstance(grid, Leaf) and all(_shares_grids(grid, u) for u in leaves):
+        return grid, np.stack([u.ends for u in leaves])
     for u in leaves[1:]:
         grid = common_grid(grid, u)[0]
     return grid, np.stack([common_grid(grid, u)[1].ends for u in leaves])

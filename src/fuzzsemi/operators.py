@@ -283,9 +283,13 @@ def builtin(name: str, c: FuzzyNumber | None = None) -> LinearOperator:
 def lift_matrix(entries) -> LinearOperator:
     """Lift a real k x k matrix to product elements: image_i = sum_j a_ij * w_j.
 
-    The rows are one `core.combine_rows` of the components.  Fully linear; the
-    certified bound is the max absolute row sum.  The operator keeps the
-    matrix, so the solvers take its exact flow.
+    The images are k column passes over the leading axis of the endpoints:
+    column j of the matrix scales component j as `core.scalar_mul` scales
+    it, and the passes add left to right as `core.add` adds, so each image
+    is the `core.combine_rows` chain bit for bit, without a leaf per term.
+    Fully linear; the certified bound is the max absolute row sum, and a
+    matrix whose row sum leaves the float range raises SeriesOverflow.  The
+    operator keeps the matrix, so the solvers take its exact flow.
     """
     m = np.asarray(entries, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -293,12 +297,17 @@ def lift_matrix(entries) -> LinearOperator:
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     k = m.shape[0]
-    bound = float(np.abs(m).sum(axis=1).max())
-    rows = m.tolist()
+    with np.errstate(over="ignore"):
+        bound = float(np.abs(m).sum(axis=1).max())
+    if not math.isfinite(bound):
+        raise SeriesOverflow("the matrix's absolute row sum leaves the float range; reduce the entries")
+    columns = m.T.copy()  # row j is column j of the matrix
 
     def fn(w):
-        parts = w.components
-        return w._with(np.stack([image.ends for image in core.combine_rows(rows, parts)]))
+        total = core._scaled(columns[0], w.ends[0])
+        for col, part in zip(columns[1:], w.ends[1:]):
+            total += core._scaled(col, part)
+        return w._with(total)
 
     label = "matrix[" + "; ".join(" ".join(f"{v:g}" for v in row) for row in m) + "]"
     return LinearOperator(fn, bound, LINEAR, label, ("product", k), m)

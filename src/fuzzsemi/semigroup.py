@@ -392,9 +392,12 @@ class MatrixFlow:
         input g: a forcing for exp, a velocity for cosh; times >= 0 only), in order.
 
         x itself where the map is exactly the identity (t = 0, or a t too small to
-        move any bit); otherwise the endpoints mid -/+ rad of `_image` pass one
-        batched `core.clamp_nested` at a tolerance relative to its norm bound.  The
-        domain is checked first.  SeriesOverflow, without a numpy warning, past the float range.
+        move any bit); when every time is 0 that is returned at once, after the
+        domain and argument checks, and no exponential is formed.  Otherwise the
+        endpoints mid -/+ rad of `_image` pass one batched `core.clamp_nested` at a
+        tolerance relative to its norm bound, and each row of the batch becomes one
+        state (`core.Leaf._with_rows`).  The domain is checked first.
+        SeriesOverflow, without a numpy warning, past the float range.
         """
         if (g is None) == self.forced:
             raise ValueError("a forced flow takes a forcing g, and only a forced flow does")
@@ -405,6 +408,8 @@ class MatrixFlow:
             return []
         if g is not None and min(times) < 0.0:
             raise ValueError("a forced flow is evaluated at times >= 0 only")
+        if not any(times):  # every map is the identity: no exponential to form
+            return [x] * len(times)
         with np.errstate(over="ignore", invalid="ignore"):
             grid, mid, rad, size, same = self._image(self.matrices(times), x, g)
             ends = np.stack((mid - rad, mid + rad), axis=-2)
@@ -423,7 +428,7 @@ class MatrixFlow:
                 f"rounding in the {self.kind} flow of {self.operator.name} breaks the nesting of level sets; "
                 "shorten the horizon"
             )
-        return [x if keep else grid._with(e) for keep, e in zip(same.tolist(), ends)]
+        return [x if keep else leaf for keep, leaf in zip(same.tolist(), grid._with_rows(ends))]
 
     def at(self, t: float, x):
         """The flow at one time t: the one-time case of `evaluate`."""

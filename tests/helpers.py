@@ -155,7 +155,7 @@ def random_fuzzy_per_draw(rng, m_levels, span=1.0):
 def per_draw_solver_records(seed):
     """The `crisp_collapse_rk4` and `fuzziness_residual_iff_crisp` records of
     `checks.suite_solver`, formed one RK4 step on numpy 2-vectors and one
-    drawn case at a time."""
+    drawn case at a time (every eighth case collapsed to crisp, as the suite does)."""
     out = checks._Worst("solver")
     a0, b0 = 1.5, -0.5
     for matrix in (cauchy.SWAP_MATRIX, cauchy.COUPLED_MATRIX):
@@ -173,10 +173,38 @@ def per_draw_solver_records(seed):
     out.close(1e-6)
     rng = np.random.default_rng([seed, 4])
     levels = core.level_grid(16)
-    for _ in range(200):
-        uu, vv = (core.FuzzyNumber(levels, *random_fuzzy_per_draw(rng, 16)) for _ in range(2))
+    for i in range(200):
+        drawn = [random_fuzzy_per_draw(rng, 16) for _ in range(2)]
+        if i % 8 == 7:  # the suite's crisp pairs: each number collapses onto its core lower endpoint
+            drawn = [(np.full(17, lo[-1]), np.full(17, lo[-1])) for lo, _ in drawn]
+        uu, vv = (core.FuzzyNumber(levels, *pair_ends) for pair_ends in drawn)
         e = core.norm(cauchy.fuzziness_residual(uu, vv))
         sum_spread = float((core.add(uu, vv).upper - core.add(uu, vv).lower).max())
         out.note("fuzziness_residual_iff_crisp", e if sum_spread < 1e-12 else float(e == 0.0))
     out.close(1e-12)
     return out.records
+
+
+def full_clamp(ends, tol=core.MONOTONICITY_TOLERANCE):
+    """`core.clamp_nested` without its early return: every batch takes the
+    monotone accumulation, on a copy; returns (ends, per-leaf ok)."""
+    ends = np.array(ends)
+    ok = ~(core.nesting_defect(ends) > tol)
+    lo, up = ends[..., 0, :], ends[..., 1, :]
+    np.maximum.accumulate(lo, axis=-1, out=lo)
+    np.minimum.accumulate(up, axis=-1, out=up)
+    crossed = lo[..., -1:] > up[..., -1:]
+    if crossed.any():
+        mid = 0.5 * (lo[..., -1:] + up[..., -1:])
+        lo[...] = np.where(crossed, np.minimum(lo, mid), lo)
+        up[...] = np.where(crossed, np.maximum(up, mid), up)
+    return ends, ok
+
+
+def pairwise_stack(leaves):
+    """`core.stack_common` by pairwise alignment alone: each leaf brought onto
+    the running common grids with `core.common_grid`, then stacked."""
+    grid = leaves[0]
+    for u in leaves[1:]:
+        grid = core.common_grid(grid, u)[0]
+    return grid, np.stack([core.common_grid(grid, u)[1].ends for u in leaves])

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fuzzsemi import checks, operators
+from fuzzsemi import cauchy, checks, core, operators
+from fuzzsemi.spaces import FuzzySequence
 
 import helpers
 
@@ -113,6 +114,22 @@ def test_solver_suite_matches_per_draw_loops(seed):
     names = ("crisp_collapse_rk4", "fuzziness_residual_iff_crisp")
     got = [r for r in helpers.suite_records("solver", seed) if r["property"] in names]
     assert repr(got) == repr(helpers.per_draw_solver_records(seed))
+
+
+def test_solver_suite_judges_crisp_sums_at_every_seed(monkeypatch):
+    # the fuzziness residual's 200 cases take both branches: some sums are crisp (spread
+    # below 1e-12, judged by E itself) and the rest are fuzzy (judged by E != 0)
+    judged = []
+    real = cauchy.fuzziness_residual
+    monkeypatch.setattr(cauchy, "fuzziness_residual", lambda u, v: judged.append((u, v)) or real(u, v))
+    for seed in range(40):
+        judged.clear()
+        checks.suite_solver(seed)
+        (uu, vv), = [(u, v) for u, v in judged if isinstance(u, FuzzySequence) and len(u) == 200]
+        sums = core.add(uu, vv).ends
+        crisp = (sums[:, 1] - sums[:, 0]).max(axis=-1) < 1e-12
+        assert 0 < crisp.sum() < 200, seed
+        assert not np.abs(real(uu, vv).ends[crisp]).any(), seed  # a crisp sum has E = 0 exactly
 
 
 @pytest.mark.parametrize("m_levels, span", [(16, 1.0), (1, 2.0)])

@@ -374,6 +374,21 @@ def test_solve_series_overflow_exits_cleanly(tmp_path, capsys, operator):
     assert not out.exists()
 
 
+def test_solve_matrix_with_an_overflowing_row_sum_exits_cleanly(tmp_path, capsys):
+    # finite entries whose absolute row sum leaves the float range: a typed error, no numpy warning
+    cfg = write_config(tmp_path, {"operator": {"kind": "matrix", "entries": [[1e308, 1e308], [0, 1]]},
+                                  "u0": {"tri": [0, 1, 2]}, "v0": {"tri": [0, 1, 2]}})
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert run("solve", cfg, "--out", str(out)) == 1
+    assert not seen, [str(w.message) for w in seen]
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.operator.entries: ") and "row sum leaves the float range" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not out.exists()
+
+
 def test_solve_forced_error_names_the_solve_time(tmp_path, capsys):
     # the exact solution u0 + t g + phi(g) (e^{2t} - 1 - 2t) / 4 of A1 leaves the
     # float range between the grid times 1 and 2: the error names t = 2.0

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzsemi import core
+from fuzzsemi import core, operators
 from fuzzsemi.errors import HDifferenceError, OrderViolation, SpaceMismatch
-from fuzzsemi.spaces import FuzzyFunction, ProductElement, pair
+from fuzzsemi.spaces import FuzzyFunction, FuzzySequence, ProductElement, pair
 
 import helpers
 
@@ -404,6 +404,101 @@ def test_combine_rows_match_each_row_bit_for_bit():
     for bad in ([], [()], [(1.0,), ()], [(1.0,) * 7]):
         with pytest.raises(ValueError):
             core.combine_rows(bad, numbers)
+
+
+# ---------------------------------------------------------------------------
+# the batch kernels: the nesting clamp, the common-grid stack, one leaf per row
+
+
+def _read_only(a):
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+def test_clamp_nested_early_return_gives_the_full_clamp_bits():
+    clean = operators._random_ends(np.random.default_rng(3), (3, 4), 16) + 5.0  # nested, no endpoint 0.0
+    assert not core.nesting_defect(clean).any() and clean.all()
+    signed = np.array([  # nested by value, with +-0 plateaus in both branches
+        [[-0.0, 0.0, -0.0, 0.0, 1.0], [2.0, 1.0, 1.0, 1.0, 1.0]],
+        [[-1.0, -1.0, -0.0, 0.0, 0.0], [0.0, -0.0, 0.0, -0.0, 0.0]],
+    ])
+    assert not core.nesting_defect(signed).any()
+    nan = clean.copy()
+    nan[0, 0, 0, 3] = np.nan
+    dirty = clean.copy()
+    dirty[1, 2, 0, 5] = dirty[1, 2, 0, 4] - 1e-13  # a rounding-size drop: clamped, ok
+    dirty[2, 3, 1, 9] = dirty[2, 3, 1, 8] + 1.0  # a real rise: clamped, not ok
+    cases = [(clean, core.MONOTONICITY_TOLERANCE), (signed, core.MONOTONICITY_TOLERANCE),
+             (nan, core.MONOTONICITY_TOLERANCE), (dirty, core.MONOTONICITY_TOLERANCE),
+             (dirty, np.array([[0.0], [1e-12], [2.0]])), (clean, np.full((3, 4), 1e-9))]
+    for ends, tol in cases:
+        got, ok = core.clamp_nested(ends.copy(), tol)
+        want, want_ok = helpers.full_clamp(ends, tol)
+        assert got.tobytes() == want.tobytes()
+        assert ok.shape == want_ok.shape and (ok == want_ok).all()
+    assert (~core.clamp_nested(dirty.copy())[1]).sum() == 1
+    # only the clean batch skips the accumulation: any other writes, which a read-only copy refuses
+    assert core.clamp_nested(_read_only(clean))[1].all()
+    for ends in (signed, nan, dirty):
+        with pytest.raises(ValueError, match="read-only"):
+            core.clamp_nested(_read_only(ends))
+
+
+def _stack_cases():
+    u = tri(-1, 0.5, 3)
+    nodes = np.linspace(0.0, 1.0, 4)
+    f = FuzzyFunction(nodes, tuple(core.scalar_mul(1.0 + x, u) for x in nodes))
+    f_moved = f.resample_nodes([0.0, 0.2, 0.7, 1.0])  # the same levels object, other nodes
+    w = pair(u, tri(0, 1, 2))
+    yield "shared grids", [u, core.scalar_mul(-2.0, u), core.add(u, u)]
+    yield "equal level grids", [tri(0, 1, 2), tri(1, 2, 3), u]
+    yield "mixed level grids", [tri(-1, 0.5, 3, m) for m in (4, 7, 5, 4)]
+    yield "shared function grids", [f, core.scalar_mul(0.5, f)]
+    yield "mixed node grids", [f, f_moved, f]
+    yield "shared product grids", [w, core.scalar_mul(3.0, w), w]
+    yield "mixed product grids", [w, pair(tri(0, 1, 2, 7), tri(1, 1, 4, 3))]
+    yield "one leaf", [w]
+    # errors
+    yield "kinds", [u, w]
+    yield "late kind", [w, w, u]
+    yield "arity", [w, ProductElement((u, tri(0, 1, 2), u))]
+    yield "products and sequences", [w, FuzzySequence((u, tri(0, 1, 2)))]
+    yield "domains", [f, FuzzyFunction(nodes + 1.0, f.values)]
+    yield "not a leaf", [u, 1.0]
+    yield "no leaf at all", [1.0]
+
+
+def test_stack_common_matches_pairwise_alignment():
+    for name, leaves in _stack_cases():
+        try:
+            want = helpers.pairwise_stack(leaves)
+        except Exception as exc:  # the one-pass stack raises what the pairwise one raises
+            with pytest.raises(type(exc)) as got:
+                core.stack_common(leaves)
+            assert str(got.value) == str(exc), name
+            continue
+        grid, ends = core.stack_common(leaves)
+        assert type(grid) is type(want[0]) and np.array_equal(grid.levels, want[0].levels), name
+        assert np.array_equal(getattr(grid, "nodes", ()), getattr(want[0], "nodes", ())), name
+        assert ends.shape == want[1].shape and ends.tobytes() == want[1].tobytes(), name
+
+
+def test_with_rows_builds_read_only_leaves_on_shared_grids():
+    u = tri(-1, 0.5, 3)
+    nodes = np.linspace(0.0, 1.0, 4)
+    for x in (u, FuzzyFunction(nodes, (u,) * 4), pair(u, tri(0, 1, 2))):
+        batch = np.stack([x.ends, 2.0 * x.ends, -0.0 * x.ends])
+        want = batch.copy()
+        leaves = x._with_rows(batch)
+        assert len(leaves) == 3 and not batch.flags.writeable
+        for leaf, ends in zip(leaves, want):
+            assert type(leaf) is type(x) and leaf.levels is x.levels
+            assert getattr(leaf, "nodes", None) is getattr(x, "nodes", None)
+            assert leaf.ends.tobytes() == ends.tobytes() and np.shares_memory(leaf.ends, batch)
+            with pytest.raises(ValueError):
+                leaf.ends[...] = 0.0
+        assert x.ends.tobytes() == want[0].tobytes()  # the source leaf is untouched
 
 
 def test_operator_sugar():

@@ -370,6 +370,27 @@ def _flow_cases():
     yield *_random_case(np.random.default_rng(13), 3), True
 
 
+@pytest.mark.parametrize("kind", ["exp", "cosh"])
+def test_flow_at_all_zero_times_forms_no_exponential(monkeypatch, kind):
+    calls = []
+    monkeypatch.setattr(semigroup, "_expm", lambda *a, real=semigroup._expm: calls.append(a) or real(*a))
+    for op, x, _ in _flow_cases():
+        cls = MatrixFlow if op.matrix is not None else RankOneFlow
+        for forced in (False, True):
+            flow, args = cls(op, kind, forced), (x, x) if forced else (x,)
+            assert all(u is x for u in flow.evaluate([0.0, -0.0, 0.0], *args)) and not calls, op.name
+            # a nonzero time forms one; its state is a fresh read-only leaf (on x's grids, for a matrix)
+            first, later = flow.evaluate([0.0, 0.5], *args)
+            assert first is x and len(calls) == 1, op.name
+            assert type(later) is type(x) and not later.ends.flags.writeable
+            assert later.levels is x.levels or op.matrix is None
+            calls.clear()
+            if op.domain != "any":  # the domain is still checked first
+                wrong = pair(U0, V0) if op.domain == "fuzzy" else U0
+                with pytest.raises(SpaceMismatch):
+                    flow.evaluate([0.0], *(wrong for _ in args))
+
+
 def test_second_solve_builds_no_flow(monkeypatch):
     built = []
     for cls in (MatrixFlow, RankOneFlow):

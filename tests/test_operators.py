@@ -323,6 +323,35 @@ def test_lift_matrix_matches_left_to_right_core_oracle(rng):
         assert got.ends.tobytes() == np.stack(want).tobytes()  # bit for bit, signed zeros too
 
 
+@pytest.mark.parametrize("m_levels", [16, 64])
+def test_lift_matrix_equals_the_combine_rows_chain_bit_for_bit(m_levels):
+    rng = np.random.default_rng(m_levels)
+    levels = core.level_grid(m_levels)
+    signed = core.FuzzyNumber(levels, np.full(m_levels + 1, -0.0), np.linspace(1.0, 0.0, m_levels + 1))
+    for k in range(1, 5):
+        for _ in range(6):
+            m = rng.uniform(-2.0, 2.0, (k, k))
+            m[rng.random((k, k)) < 0.25] = 0.0
+            m[rng.random((k, k)) < 0.25] = -0.0
+            comps = [random_fuzzy(rng, m_levels) for _ in range(k)]
+            comps[rng.integers(k)] = signed  # signed zeros in the data as well as in the matrix
+            w = spaces.ProductElement(comps)
+            want = np.stack([u.ends for u in core.combine_rows(m.tolist(), w.components)])
+            got = lift_matrix(m)(w)
+            assert type(got) is spaces.ProductElement and got.levels is w.levels
+            assert got.ends.tobytes() == want.tobytes() and not got.ends.flags.writeable
+
+
+def test_lift_matrix_with_an_overflowing_row_sum_raises_without_warning():
+    # each entry is finite, but the bound, the largest absolute row sum, is not
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(SeriesOverflow, match="absolute row sum leaves the float range"):
+            lift_matrix([[1e308, 1e308], [0, 1]])
+    assert not seen, [str(w.message) for w in seen]
+    assert lift_matrix([[1e308, 7e307], [0, 1]]).norm_bound == 1e308 + 7e307
+
+
 def test_lift_rejects_bad_matrices():
     with pytest.raises(ValueError):
         lift_matrix([[1, 2, 3]])

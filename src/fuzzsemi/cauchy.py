@@ -11,10 +11,9 @@ them and combines every time in one `core.combine_rows`.
 
 Each solve takes every T(t) from one `semigroup.propagator` map, with the
 problem's constant input g when it has one: the exact flow of an operator
-with a real matrix (`MatrixFlow`: `lift_matrix`, and `scale_operator` as
-1 x 1) or a rank-one map (`RankOneFlow`: every builtin), exact to rounding,
-or else the literal series truncated to tol, plus the Duhamel series of g.
-A flow is built once per operator instance and shared by every solve.
+with a matrix or a rank-one map, exact to rounding, or else the literal
+series truncated to tol, plus the Duhamel series of g.  A flow is built
+once per operator instance and shared by every solve.
 
 The velocity v0 is a constant input, and so is a forcing that returns one
 and the same object at all 15 Gauss-Kronrod nodes of [0, t], for every
@@ -61,7 +60,6 @@ import numpy as np
 
 from . import core
 from .errors import (
-    HDifferenceError,
     MissingDerivativeBound,
     NegativeForcedTime,
     NoApplicableForm,
@@ -336,25 +334,6 @@ def solve_wave(
 # residual checking
 
 
-def _quotient_forms(before, here, after, h: float):
-    """The four one-sided generalized difference quotients that exist, at one
-    time: the definition that `residual_check` evaluates for every sample
-    time in one array pass."""
-    forms = []
-    candidates = (
-        (1.0 / h, after, here),    # forward
-        (1.0 / h, here, before),   # backward
-        (-1.0 / h, here, after),   # forward, reversed orientation
-        (-1.0 / h, before, here),  # backward, reversed orientation
-    )
-    for factor, left, right in candidates:
-        try:
-            forms.append(core.scalar_mul(factor, core.hukuhara_diff(left, right)))
-        except HDifferenceError:
-            continue
-    return forms
-
-
 def residual_check(
     traj: Trajectory,
     operator: LinearOperator,
@@ -369,10 +348,11 @@ def residual_check(
     A[u(t)] + g(t); the trajectory is re-solved at t +- h through its
     evaluator, in one call covering t, t + h and t - h for every sample
     time.  A[u(t)] and g(t) are formed once per time, in order; then the
-    states and targets are stacked on common grids and the four quotients
-    of every time (`_quotient_forms`) are formed, checked, clamped, scaled
-    and measured in one array pass, each bit-identical to its own
-    `core.hukuhara_diff`, `core.scalar_mul` and `core.distance`.  Returns
+    states and targets are stacked on common grids, and the four one-sided
+    quotients of every time (forward and backward, each in both
+    orientations) are formed, checked, clamped, scaled and measured in one
+    array pass, each bit-identical to its own `core.hukuhara_diff`,
+    `core.scalar_mul` and `core.distance`.  Returns
     the maximum residual over the sampled times; raises NoApplicableForm,
     naming the first such time, when no quotient exists at some time.
     """
@@ -398,7 +378,7 @@ def residual_check(
         targets.append(target)
     _, ends = core.stack_common(states + targets)
     here, after, before, target = ends.reshape(4, n, *ends.shape[1:])
-    # forward, backward, then both with reversed orientation, as in _quotient_forms
+    # forward, backward, then both with reversed orientation
     diffs = np.empty((4, *here.shape))
     for out, (left, right) in zip(diffs, ((after, here), (here, before), (here, after), (before, here))):
         np.subtract(left, right, out=out)
@@ -451,29 +431,26 @@ def _h_cosh(t: float) -> float:
     return 0.25 * (math.cosh(t * math.sqrt(2.0)) - t * t - 1.0)
 
 
+def _coupled_flow(u0: core.FuzzyNumber, v0: core.FuzzyNumber, a: float, h: float | None = None) -> ProductElement:
+    """(u0 + a s + e, v0 - a s + e) with s = u0 + v0 and e = h fuzziness_residual(u0, v0), or no e without h."""
+    s = core.add(u0, v0)
+    u, v = core.add(u0, core.scalar_mul(a, s)), core.add(v0, core.scalar_mul(-a, s))
+    e = None if h is None else core.scalar_mul(h, fuzziness_residual(u0, v0))
+    return pair(u, v) if e is None else pair(core.add(u, e), core.add(v, e))
+
+
 def problem5_closed_form(u0: core.FuzzyNumber, v0: core.FuzzyNumber, t: float) -> ProductElement:
     """Flow of u' = u + v, v' = -(u + v), for t >= 0.
 
     Crisp data make the fuzziness residual vanish and the formula
     collapses to u0 + t(u0+v0), v0 - t(u0+v0).
     """
-    s = core.add(u0, v0)
-    e_term = core.scalar_mul(_h_exp(t), fuzziness_residual(u0, v0))
-    return pair(
-        core.add(core.add(u0, core.scalar_mul(t, s)), e_term),
-        core.add(core.add(v0, core.scalar_mul(-t, s)), e_term),
-    )
+    return _coupled_flow(u0, v0, t, _h_exp(t))
 
 
 def problem6_closed_form(u0: core.FuzzyNumber, v0: core.FuzzyNumber, t: float) -> ProductElement:
     """Flow of u'' = u + v, v'' = -(u + v) with zero initial velocity, t >= 0."""
-    s = core.add(u0, v0)
-    e_term = core.scalar_mul(_h_cosh(t), fuzziness_residual(u0, v0))
-    half_t2 = 0.5 * t * t
-    return pair(
-        core.add(core.add(u0, core.scalar_mul(half_t2, s)), e_term),
-        core.add(core.add(v0, core.scalar_mul(-half_t2, s)), e_term),
-    )
+    return _coupled_flow(u0, v0, 0.5 * t * t, _h_cosh(t))
 
 
 def naive_problem5_formula(u0: core.FuzzyNumber, v0: core.FuzzyNumber, t: float) -> ProductElement:
@@ -484,11 +461,7 @@ def naive_problem5_formula(u0: core.FuzzyNumber, v0: core.FuzzyNumber, t: float)
     uniformly in the step size, which is exactly what the residual checker
     detects.
     """
-    s = core.add(u0, v0)
-    return pair(
-        core.add(u0, core.scalar_mul(t, s)),
-        core.add(v0, core.scalar_mul(-t, s)),
-    )
+    return _coupled_flow(u0, v0, t)
 
 
 def _pair_system(matrix, order: int, closed_form: str, times, tol, levels, nodes):

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import cauchy, checks, core, spaces
 from .errors import FuzzsemiError, SchemaError
-from .operators import builtin, lift_matrix, scale_operator
+from .operators import builtin, identity, lift_matrix, scale_operator
 from .spaces import FuzzyFunction, ProductElement, pair
 
 log = logging.getLogger("fuzzsemi")
@@ -206,13 +206,6 @@ def cmd_example(args) -> int:
     run, default_t_max = cauchy.WORKED_SYSTEMS[args.name]
     if args.t_max is None:
         args.t_max = default_t_max
-    if not (
-        0 <= args.t_max < math.inf and 0 < args.tol < math.inf
-        and 1 <= args.t_points <= _MAX_GRID_POINTS and 1 <= args.levels <= _MAX_GRID_POINTS
-        and 2 <= args.nodes <= _MAX_GRID_POINTS
-    ):
-        print("error: --t-max/--t-points/--tol/--levels/--nodes out of range", file=sys.stderr)
-        return 1
     engine_tol = args.tol / 10.0  # keep truncation strictly inside the reported budget
     if args.t_max > 0 and args.t_points > 1:
         times = np.linspace(0.0, args.t_max, args.t_points)
@@ -293,7 +286,7 @@ def _parse_operator(obj, path, m_levels):
         except _BAD_DATA as exc:
             raise SchemaError(f"{path}.entries: {exc}") from exc
     if kind == "identity":
-        return scale_operator(1.0)
+        return identity()
     if kind == "scale":
         factor = obj.get("factor")
         _require(_finite_number(factor), path + ".factor",
@@ -356,12 +349,6 @@ def parse_problem(config, m_levels=core.DEFAULT_LEVELS):
 
 
 def cmd_solve(args) -> int:
-    if not 2 <= args.nodes <= _MAX_GRID_POINTS:
-        print(f"error: --nodes must be in [2, {_MAX_GRID_POINTS}]", file=sys.stderr)
-        return 1
-    if not 1 <= args.levels <= _MAX_GRID_POINTS:
-        print(f"error: --levels must be in [1, {_MAX_GRID_POINTS}]", file=sys.stderr)
-        return 1
     try:
         with open(args.config) as fh:
             config = json.load(fh)
@@ -412,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--levels", type=int, default=core.DEFAULT_LEVELS,
+    common.add_argument("--levels", type=_grid_size("--levels", 1), default=core.DEFAULT_LEVELS,
                         help="membership-grid panels (default %(default)s)")
     common.add_argument("--out", help="write the JSON payload to this path")
     common.add_argument("--csv", help="write level-band CSV to this path")
@@ -422,35 +409,43 @@ def build_parser() -> argparse.ArgumentParser:
     ex = sub.add_parser("example", parents=[common],
                         help="run a worked system against its closed form")
     ex.add_argument("name", help=f"one of: {', '.join(EXAMPLE_NAMES)}")
-    ex.add_argument("--tol", type=float, default=1e-8)
-    ex.add_argument("--t-max", type=float, default=None)
-    ex.add_argument("--t-points", type=int, default=9)
-    ex.add_argument("--nodes", type=int, default=65,
+    ex.add_argument("--tol", default=1e-8,
+                    type=_flag_type("--tol", float, lambda v: 0 < v < math.inf, "finite and > 0"))
+    ex.add_argument("--t-max", type=_flag_type("--t-max", float, lambda v: 0 <= v < math.inf, "finite and >= 0"))
+    ex.add_argument("--t-points", type=_grid_size("--t-points", 1), default=9)
+    ex.add_argument("--nodes", type=_grid_size("--nodes", 2), default=65,
                     help="space-grid points for the wave example")
     ex.set_defaults(func=cmd_example)
 
     so = sub.add_parser("solve", parents=[common], help="solve a problem from a JSON config")
     so.add_argument("config", help="path to the problem JSON")
-    so.add_argument("--nodes", type=int, default=cauchy.DEFAULT_TIME_NODES,
+    so.add_argument("--nodes", type=_grid_size("--nodes", 2), default=cauchy.DEFAULT_TIME_NODES,
                     help="time nodes (default %(default)s)")
     so.set_defaults(func=cmd_solve)
 
     ve = sub.add_parser("verify", help="run the seeded property suites")
     ve.add_argument("suite", choices=checks.SUITE_NAMES + ("all",))
     ve.add_argument("--out", help="write the JSON report to this path")
-    ve.add_argument("--seed", type=_seed, default=0, help="nonnegative integer (default %(default)s)")
+    ve.add_argument("--seed", type=_flag_type("--seed", int, lambda n: n >= 0, "an integer >= 0"), default=0,
+                    help="nonnegative integer (default %(default)s)")
     ve.set_defaults(func=cmd_verify)
     return parser
 
 
-def _seed(text):
-    try:
-        seed = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad seed {text!r}") from exc
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
-    return seed
+def _flag_type(flag, convert, accept, wanted):
+    """argparse type: ``convert(text)`` if ``accept``-ed, else a `_UsageError` naming ``flag``."""
+    def parse(text):
+        try:
+            if accept(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise _UsageError(f"{flag} must be {wanted}, got {text!r}")
+    return parse
+
+
+def _grid_size(flag, low):
+    return _flag_type(flag, int, lambda n: low <= n <= _MAX_GRID_POINTS, f"an integer in [{low}, {_MAX_GRID_POINTS}]")
 
 
 def _band_list(text):

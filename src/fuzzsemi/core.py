@@ -150,12 +150,13 @@ class FuzzyNumber(Leaf):
             raise ValueError("need at least the 0 and 1 membership levels")
         if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
             raise ValueError("endpoints must be finite")
-        if levels[0] != 0.0 or levels[-1] != 1.0 or (np.diff(levels) <= 0).any():
-            raise ValueError("levels must increase strictly from 0 to 1")
-        if (np.diff(lower) < 0).any():
-            raise ValueError("lower endpoints must be nondecreasing in the level")
-        if (np.diff(upper) > 0).any():
-            raise ValueError("upper endpoints must be nonincreasing in the level")
+        with np.errstate(over="ignore"):  # an overflowed difference is +-inf, of the right sign
+            if levels[0] != 0.0 or levels[-1] != 1.0 or not (np.diff(levels) > 0).all():  # NaN fails too
+                raise ValueError("levels must increase strictly from 0 to 1")
+            if (np.diff(lower) < 0).any():
+                raise ValueError("lower endpoints must be nondecreasing in the level")
+            if (np.diff(upper) > 0).any():
+                raise ValueError("upper endpoints must be nonincreasing in the level")
         if (lower > upper).any():
             raise ValueError("lower endpoint exceeds upper endpoint")
         object.__setattr__(self, "levels", levels)
@@ -200,9 +201,10 @@ def nesting_defect(ends: np.ndarray) -> np.ndarray:
     """Per leaf of ``ends``, the worst drop of a lower endpoint, rise of an
     upper endpoint or excess of lower over upper; 0 for nested level sets."""
     lo, up = ends[..., 0, :], ends[..., 1, :]
-    drop = (lo[..., :-1] - lo[..., 1:]).max(axis=-1)
-    rise = (up[..., 1:] - up[..., :-1]).max(axis=-1)
-    return np.maximum(np.maximum(drop, rise), np.maximum((lo - up).max(axis=-1), 0.0))
+    with np.errstate(over="ignore"):  # an overflowed difference is +-inf, of the right sign
+        drop = (lo[..., :-1] - lo[..., 1:]).max(axis=-1)
+        rise = (up[..., 1:] - up[..., :-1]).max(axis=-1)
+        return np.maximum(np.maximum(drop, rise), np.maximum((lo - up).max(axis=-1), 0.0))
 
 
 def _try_build(x: Leaf, ends, tol=MONOTONICITY_TOLERANCE, **attrs):

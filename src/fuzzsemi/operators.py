@@ -7,18 +7,18 @@ operator, and nothing downstream needs it: the series engine only
 consumes an upper bound, and `phi_distance` is an explicit probe-set
 lower bound on the operator metric, clearly labeled as such.
 
-`lift_matrix` and `scale_operator` also keep the real matrix they apply
-(1 x 1 for a scale) as the operator's ``matrix``, and every builtin, a map
-x -> phi(x) c, keeps the pair (phi, c) as its ``rank_one``.  The solvers
-evaluate such an operator by its exact flow (`semigroup.MatrixFlow`,
-`semigroup.RankOneFlow`); compositions and operators built from a bare
-map carry neither and take the literal series.
+`lift_matrix` and `scale_operator` (so `identity` and `zero_operator` too)
+keep the real matrix they apply (1 x 1 for a scale) as ``matrix``, and
+every builtin, a map x -> phi(x) c, keeps (phi, c) as its ``rank_one``.
+That structure alone picks the engine: the exact flow (`semigroup.MatrixFlow`,
+`semigroup.RankOneFlow`) of an operator with either, and the literal series
+of every other (compositions, `power(a, k >= 1)`, bare maps).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -93,14 +93,6 @@ class LinearOperator:
         return self.fn(x)
 
 
-def identity(name: str = "I") -> LinearOperator:
-    return LinearOperator(lambda x: x, 1.0, LINEAR, name)
-
-
-def zero_operator(name: str = "O") -> LinearOperator:
-    return LinearOperator(core.zero_like, 0.0, LINEAR, name)
-
-
 def scale_operator(factor: float) -> LinearOperator:
     """x -> factor * x; homogeneous under every real factor.  Its matrix is
     the 1 x 1 matrix [[factor]]."""
@@ -108,6 +100,14 @@ def scale_operator(factor: float) -> LinearOperator:
     return LinearOperator(
         lambda x: core.scalar_mul(factor, x), abs(factor), LINEAR, f"scale({factor:g})", matrix=[[factor]]
     )
+
+
+def identity(name: str = "I") -> LinearOperator:
+    return replace(scale_operator(1.0), name=name)  # the scale [[1]] under its own name
+
+
+def zero_operator(name: str = "O") -> LinearOperator:
+    return replace(scale_operator(0.0), name=name)  # the scale [[0]] under its own name
 
 
 def compose(a: LinearOperator, b: LinearOperator) -> LinearOperator:

@@ -37,9 +37,9 @@ for cosh, which is the top-left block of the exponential of
 scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005), in
 numpy, their degree taken from `required_order` so that the tail is below
 the unit roundoff.  `RankOneFlow` runs the same kernel on a 4 x 4 matrix
-for every builtin.  `propagator`, the one map for T(t) with an optional
-constant input (a forcing for exp, a velocity for cosh), picks a flow or the
-literal series for the solvers and `exp_apply`/`cosh_apply`/`sinh_apply`;
+for every builtin, and sinh reads the forced cosh flow (`_sinh_flow`).
+`propagator`, the one map for T(t), takes the flow of every operator with a
+matrix or a rank-one map and the literal series of every other;
 `SemigroupEvaluator` stays the literal series and the flows' test oracle.
 A flow depends on the operator alone, so it is built on first use and kept,
 read-only, on the operator instance (`_flow`).
@@ -211,8 +211,6 @@ class SemigroupEvaluator:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
         _check_tol(self.tol)
-        if not math.isfinite(self.operator.norm_bound):
-            raise ValueError("operator norm bound must be finite")
 
     def order_for(self, t: float, x) -> int:
         return required_order(t, self.operator.norm_bound, self.tol / max(1.0, core.norm(x)), self.kind)
@@ -497,20 +495,34 @@ def _flow(operator: LinearOperator, kind: str, forced: bool = False):
     return flow
 
 
+def _sinh_flow(operator: LinearOperator, flow: MatrixFlow, times, x) -> list:
+    """S(t)x = A(integral_0^|t| C(r)x dr), odd in t (Fattorini, 1985), from the forced cosh ``flow``
+    with velocity x, whose coefficients are >= 0; the +0.0 zero element at t = 0, as in the series."""
+    times, zero = [float(t) for t in times], core.zero_like(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        images = [operator(v) for v in flow.evaluate([abs(t) for t in times], zero, x)]
+    for t, u in zip(times, images):
+        if not np.isfinite(u.ends).all():
+            raise SeriesOverflow(f"the sinh flow of {operator.name} overflows at t = {t!r}; shorten the horizon")
+    return [zero if t == 0.0 else u if t > 0.0 else core.scalar_mul(-1.0, u) for t, u in zip(times, images)]
+
+
 def propagator(operator: LinearOperator, kind: str = "exp") -> Callable:
     """The map (times, x, tols, g=None) -> T(t)(x) at each of ``times`` in one batch, one truncation
     tol per time, T the ``kind`` family; with a constant input g (exp or cosh, times >= 0), plus
     integral_0^t T(r)(g) dr: u(t) for u' = Au + g (exp) or u'' = Au, u'(0) = g (cosh), u(0) = x.
-    exp and cosh of an operator with a matrix or a rank-one map take its `MatrixFlow` or
-    `RankOneFlow` (`_flow`, forced with g; ``tols`` unused), exact to rounding; every other case
-    the literal series as `SemigroupEvaluator` truncates it, plus the Duhamel series of g (`_series`).
+    An operator with a matrix or a rank-one map takes its flow (`_flow`, forced with g, or
+    `_sinh_flow`; ``tols`` unused), exact to rounding; every other operator the literal series as
+    `SemigroupEvaluator` truncates it, plus the Duhamel series of g (`_series`).
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
 
     def evaluate(times, x, tols, g=None):
-        flow = _flow(operator, kind, g is not None) if kind in FLOW_KINDS else None
-        return _series(operator, kind, times, x, tols, g) if flow is None else flow.evaluate(times, x, g)
+        flow = _flow(operator, "cosh", True) if kind == "sinh" else _flow(operator, kind, g is not None)
+        if flow is None or kind == "sinh" and g is not None:  # sinh takes no constant input: `_series` raises
+            return _series(operator, kind, times, x, tols, g)
+        return _sinh_flow(operator, flow, times, x) if kind == "sinh" else flow.evaluate(times, x, g)
 
     return evaluate
 

@@ -12,7 +12,8 @@ import math
 import numpy as np
 
 from fuzzsemi import cauchy, checks, core
-from fuzzsemi.operators import lift_matrix
+from fuzzsemi.errors import HDifferenceError
+from fuzzsemi.operators import LinearOperator, lift_matrix
 from fuzzsemi.spaces import pair
 
 
@@ -208,3 +209,28 @@ def pairwise_stack(leaves):
     for u in leaves[1:]:
         grid = core.common_grid(grid, u)[0]
     return grid, np.stack([core.common_grid(grid, u)[1].ends for u in leaves])
+
+
+def quotient_forms(before, here, after, h):
+    """The four one-sided generalized difference quotients that exist at one
+    time, each by its own `core.hukuhara_diff` and `core.scalar_mul`: the
+    definition that `cauchy.residual_check` evaluates in one array pass."""
+    forms = []
+    candidates = (
+        (1.0 / h, after, here),    # forward
+        (1.0 / h, here, before),   # backward
+        (-1.0 / h, here, after),   # forward, reversed orientation
+        (-1.0 / h, before, here),  # backward, reversed orientation
+    )
+    for factor, left, right in candidates:
+        try:
+            forms.append(core.scalar_mul(factor, core.hukuhara_diff(left, right)))
+        except HDifferenceError:
+            continue
+    return forms
+
+
+def bare(op):
+    """The same map without its matrix or rank-one data: it takes the literal series, and a
+    constant input its Duhamel series."""
+    return LinearOperator(op.fn, op.norm_bound, op.homogeneity, f"bare {op.name}", op.domain)

@@ -68,7 +68,8 @@ def test_quadrature_stall(monkeypatch):
 def test_quadrature_stalls_at_once_below_rounding_floor():
     # a forcing value of 1e300 puts the rounding of every Gauss-Kronrod sum
     # far above tol 1e-6; bisection cannot help, so the first interval stops
-    # (a new object per call, so the forcing is not constant and the quadrature runs)
+    # (a new object per call, so the forcing is not constant and the quadrature runs,
+    # its integrand values from the literal series of the bare identity)
     g = core.make_triangular(-1e300, 0.5, 1, 4)
     calls = []
 
@@ -77,7 +78,7 @@ def test_quadrature_stalls_at_once_below_rounding_floor():
         return _copy_of(g, s)
 
     problem = CauchyProblem(
-        identity(), core.make_triangular(0, 1, 2, 4), forcing=forcing, horizon=0.5, tol=1e-6
+        helpers.bare(identity()), core.make_triangular(0, 1, 2, 4), forcing=forcing, horizon=0.5, tol=1e-6
     )
     with pytest.raises(QuadratureStall, match="rounding floor"):
         solve_first_order(problem, np.array([0.0, 0.5]))
@@ -141,7 +142,7 @@ def test_forced_fuzzy_64_nodes_within_tol():
 
 
 def test_constant_forcing_takes_one_rule_per_node():
-    # identity() carries no matrix, so its constant forcing takes the Duhamel series;
+    # the bare identity carries no matrix, so its constant forcing takes the Duhamel series;
     # telling it constant calls it once per node of the first Gauss-Kronrod interval
     calls = []
 
@@ -150,7 +151,7 @@ def test_constant_forcing_takes_one_rule_per_node():
         return V0
 
     grid = np.linspace(0.0, 1.0, 9)
-    problem = CauchyProblem(identity(), U0, forcing=forcing, horizon=1.0, tol=1e-9)
+    problem = CauchyProblem(helpers.bare(identity()), U0, forcing=forcing, horizon=1.0, tol=1e-9)
     traj = solve_first_order(problem, grid)
     assert 0 < len(calls) <= 15 * (grid.size - 1)
     for t, st in zip(traj.times, traj.states):
@@ -595,19 +596,13 @@ def test_second_order_rejects_forcing():
 
 def test_second_order_nonzero_velocity_matches_closed_form():
     # u'' = u, u(0) = U0, u'(0) = 1: cosh(t) U0 + sinh(t), through the Duhamel series
-    # of the cosh family, since identity() carries no matrix
+    # of the cosh family, since the bare identity carries no matrix
     traj = solve_second_order(
-        CauchyProblem(identity(), U0, initial_velocity=core.crisp(1.0), horizon=1.0)
+        CauchyProblem(helpers.bare(identity()), U0, initial_velocity=core.crisp(1.0), horizon=1.0)
     )
     for t, st in zip(traj.times, traj.states):
         want = core.add(core.scalar_mul(math.cosh(t), U0), core.crisp(math.sinh(t)))
         assert core.distance(st, want) <= 1e-9 * max(1.0, core.norm(want)), t
-
-
-def _bare(op):
-    """The same map without its matrix or rank-one data: it takes the literal series, and a
-    constant input its Duhamel series."""
-    return LinearOperator(op.fn, op.norm_bound, op.homogeneity, f"bare {op.name}", op.domain)
 
 
 def _velocity_cases():
@@ -626,7 +621,7 @@ def test_velocity_flow_matches_the_quadrature():
     tol, times = 1e-11, np.array([0.0, 0.4, 1.0])
     for op, x, v in _velocity_cases():
         exact = solve_second_order(CauchyProblem(op, x, initial_velocity=v, tol=tol), times)
-        quad = solve_second_order(CauchyProblem(_bare(op), x, initial_velocity=v, tol=tol), times)
+        quad = solve_second_order(CauchyProblem(helpers.bare(op), x, initial_velocity=v, tol=tol), times)
         for t, a, b in zip(times, exact.states, quad.states):
             assert core.distance(a, b) <= tol * max(1.0, core.norm(b)), (op.name, t)
 
@@ -634,15 +629,16 @@ def test_velocity_flow_matches_the_quadrature():
 def test_no_constant_input_reaches_the_quadrature(monkeypatch):
     # a constant forcing (exp) and a velocity (cosh) go into the propagator as its
     # constant input, for every operator with a flow and for its bare copy, which
-    # takes the Duhamel series; identity() and I∘A1 never had a flow, and are the
+    # takes the Duhamel series; the bare identity and I∘A1 have no flow, and are the
     # same maps as scale(1) and A1
     from test_matrix_flow import _flow_cases
 
     _no_quadrature(monkeypatch)
     tol, times = 1e-10, np.array([0.0, 0.4, 1.0])
     cases = [(op, x, core.scalar_mul(-0.5, x)) for op, x, _ in _flow_cases()] + list(_velocity_cases())
-    pairs = [(op, _bare(op), x, g) for op, x, g in cases]
-    pairs += [(scale_operator(1.0), identity(), U0, V0), (builtin("A1"), compose(identity(), builtin("A1")), U0, V0)]
+    pairs = [(op, helpers.bare(op), x, g) for op, x, g in cases]
+    pairs += [(scale_operator(1.0), helpers.bare(identity()), U0, V0),
+              (builtin("A1"), compose(identity(), builtin("A1")), U0, V0)]
     for op, flowless, x, g in pairs:
         assert semigroup._flow(flowless, "exp") is None
         for solve, problem in (
@@ -658,9 +654,10 @@ def test_no_constant_input_reaches_the_quadrature(monkeypatch):
 def test_constant_input_of_the_zero_operator_is_exact():
     # M = 0: the Duhamel series is its one term t g, for a forcing and for a velocity alike
     g, times = core.make_triangular(-0.5, 0.2, 0.8), np.array([0.0, 0.25, 1.0, 3.0])
+    zero = helpers.bare(zero_operator())
     for traj in (
-        solve_first_order(CauchyProblem(zero_operator(), U0, forcing=lambda s: g, horizon=3.0), times),
-        solve_second_order(CauchyProblem(zero_operator(), U0, initial_velocity=g, horizon=3.0), times),
+        solve_first_order(CauchyProblem(zero, U0, forcing=lambda s: g, horizon=3.0), times),
+        solve_second_order(CauchyProblem(zero, U0, initial_velocity=g, horizon=3.0), times),
     ):
         assert traj.states[0] is U0
         for t, st in zip(times, traj.states):
@@ -680,7 +677,7 @@ def test_velocity_of_a_scale_meets_its_crisp_closed_form(a):
 
 
 def test_velocity_trajectory_rejects_negative_times():
-    for op in (scale_operator(0.5), builtin("A1"), identity()):
+    for op in (scale_operator(0.5), builtin("A1"), helpers.bare(identity())):  # matrix, rank one, series
         traj = solve_second_order(CauchyProblem(op, U0, initial_velocity=V0), np.array([0.0, 1.0]))
         with pytest.raises(NegativeForcedTime, match="velocity") as err:
             traj.evaluate([0.5, -0.25])
@@ -693,7 +690,7 @@ def test_velocity_from_another_space_is_rejected():
         (builtin("A1"), U0, w0),
         (scale_operator(0.5), U0, w0),  # a scale acts on any element, but u0 and v0 share one space
         (lift_matrix(cauchy.COUPLED_MATRIX), w0, U0),
-        (identity(), U0, w0),  # the series path
+        (helpers.bare(identity()), U0, w0),  # the series path
     )
     for op, x, v in cases:
         for velocity in (v, core.zero_like(v)):  # a zero velocity is no forcing, but still of u0's space
@@ -705,7 +702,9 @@ def test_zero_velocity_is_the_cosh_family():
     # a vanishing velocity is no forcing: the states are those of C(t)(u0), bit for bit,
     # and negative times stay allowed
     times = np.linspace(0.0, 2.0, 5)
-    cases = ((lift_matrix(cauchy.COUPLED_MATRIX), pair(U0, V0)), (builtin("RemarkA", C), U0), (identity(), U0))
+    cases = (
+        (lift_matrix(cauchy.COUPLED_MATRIX), pair(U0, V0)), (builtin("RemarkA", C), U0), (helpers.bare(identity()), U0)
+    )
     for op, x in cases:
         problem = CauchyProblem(op, x, initial_velocity=core.zero_like(x), horizon=2.0, tol=1e-9)
         traj = solve_second_order(problem, times)
@@ -906,7 +905,7 @@ def _residual_per_time(traj, operator, forcing, h, times):
         target = operator(here)
         if forcing is not None:
             target = core.add(target, forcing(t))
-        worst = max(worst, min(core.distance(q, target) for q in cauchy._quotient_forms(before, here, after, h)))
+        worst = max(worst, min(core.distance(q, target) for q in helpers.quotient_forms(before, here, after, h)))
     return worst
 
 

@@ -492,19 +492,65 @@ def _mutate(config, rng):
     return config
 
 
-def test_solve_fuzzed_configs_keep_exit_code_contract(tmp_path, capsys):
-    rng = random.Random(20261018)
-    path = tmp_path / "config.json"
-    for case in range(300):
-        config = _mutate(rng.choice(_FUZZ_BASES), rng)
-        path.write_text(json.dumps(config))  # NaN and +-Infinity as JSON extensions
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def _fuzzy_dicts(node):
+    if isinstance(node, dict) and "levels" in node:
+        yield node
+    for child in node.values() if isinstance(node, dict) else node if isinstance(node, list) else ():
+        yield from _fuzzy_dicts(child)
+
+
+def _solve_keeps_contract(tmp_path, capsys, config, case):
+    """Solve ``config`` and check the exit-code contract: exit 0 with finite, nested states,
+    or exit 1 with stderr starting ``error: ``; no traceback and no warning either way."""
+    path, out = tmp_path / "config.json", tmp_path / "out.json"
+    path.write_text(json.dumps(config))  # NaN and +-Infinity as JSON extensions
+    out.unlink(missing_ok=True)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
         try:
-            code = run("solve", str(path), "--levels", "4", "--nodes", "2", "--out", str(tmp_path / "out.json"))
+            code = run("solve", str(path), "--levels", "4", "--nodes", "2", "--out", str(out))
         except Exception as exc:  # report the input that broke the contract
             raise AssertionError(f"case {case}: {config!r} raised {exc!r}") from exc
-        err = capsys.readouterr().err
-        assert code in (0, 1, 2), (case, config, code)
-        assert "Traceback" not in err, (case, config, err)
+    err = capsys.readouterr().err
+    assert code in (0, 1), (case, config, code)
+    assert "Traceback" not in err, (case, config, err)
+    assert not seen, (case, config, [str(w.message) for w in seen])
+    if code == 1:
+        assert err.startswith("error: "), (case, config, err)
+        return err
+    states = json.loads(out.read_text(), parse_constant=_reject_constant)["states"]
+    for leaf in _fuzzy_dicts(states):
+        ends = np.array([leaf["lower"], leaf["upper"]])
+        assert np.isfinite(ends).all() and np.isfinite(leaf["levels"]).all(), (case, config)
+        assert core.nesting_defect(ends) == 0.0, (case, config)
+    return err
+
+
+def test_solve_fuzzed_configs_keep_exit_code_contract(tmp_path, capsys):
+    rng = random.Random(20261018)
+    for case in range(300):
+        _solve_keeps_contract(tmp_path, capsys, _mutate(rng.choice(_FUZZ_BASES), rng), case)
+
+
+@pytest.mark.parametrize("config, message", [
+    # NaN compares False with everything, so an ordering test written as "no step <= 0" passed it
+    ({"u0": {"levels": [0, math.nan, 1], "lower": [0, 0.5, 1], "upper": [2, 1.5, 1]},
+      "operator": {"kind": "scale", "factor": 0.5}}, "error: config.u0: levels must increase strictly from 0 to 1"),
+    ({"u0": {"levels": [0, math.nan, 1], "lower": [0, 0.5, 1], "upper": [2, 1.5, 1]},
+      "operator": {"kind": "builtin", "name": "A1"}}, "error: config.u0: levels must increase strictly from 0 to 1"),
+    # endpoint differences that leave the float range, in the flow's nesting check and in validation
+    ({"u0": {"tri": [-1e308, 0, 1e308]}, "operator": {"kind": "scale", "factor": 0.5}}, None),
+    ({"u0": {"tri": [0, 1, 2]}, "operator": {"kind": "builtin", "name": "A2",
+      "c": {"levels": [0, 1], "lower": [0, 0], "upper": [1e308, -1e308]}}},
+     "error: config.operator.c: lower endpoint exceeds upper endpoint"),
+], ids=["nan-level-scale", "nan-level-builtin", "overflowing-nesting-check", "overflowing-validation"])
+def test_solve_regressions_keep_exit_code_contract(tmp_path, capsys, config, message):
+    err = _solve_keeps_contract(tmp_path, capsys, config, "regression")
+    assert err.splitlines() == ([message] if message else []), err
 
 
 # ---------------------------------------------------------------------------

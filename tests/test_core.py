@@ -78,6 +78,27 @@ def test_constructor_rejects_bad_arrays():
         core.FuzzyNumber(g, np.array([0.0, np.nan, 1.0]), np.ones(3))
 
 
+def test_constructor_rejects_nan_levels():
+    # every comparison with NaN is False, so no level may slip through as "not decreasing"
+    for levels in ([0.0, np.nan, 1.0], [0.0, 0.5, np.nan, 1.0], [np.nan, 0.5, 1.0]):
+        n = len(levels)
+        with pytest.raises(ValueError, match="levels must increase strictly from 0 to 1"):
+            core.FuzzyNumber(np.array(levels), np.zeros(n), np.ones(n))
+
+
+def test_validation_and_nesting_defect_take_overflowing_differences_without_warning():
+    # a difference past the float range is +-inf of the right sign: the same verdicts, no warning
+    ends = np.array([[-1e308, 1e308], [1e308, -1e308]])
+    assert core.nesting_defect(ends) == np.inf
+    assert core.nesting_defect(np.array([[-1e308, 0.0], [1e308, 0.0]])) == 0.0
+    with pytest.raises(ValueError, match="lower endpoint exceeds upper endpoint"):
+        core.FuzzyNumber(core.level_grid(1), np.zeros(2), np.array([1e308, -1e308]))
+    with pytest.raises(ValueError, match="lower endpoints must be nondecreasing"):
+        core.FuzzyNumber(core.level_grid(1), np.array([1e308, -1e308]), np.full(2, 1e308))
+    with pytest.raises(ValueError, match="levels must increase strictly"):
+        core.FuzzyNumber(np.array([0.0, 1e308, -1e308, 1.0]), np.zeros(4), np.ones(4))
+
+
 def test_values_are_immutable():
     u = tri(0, 1, 2)
     with pytest.raises(ValueError):

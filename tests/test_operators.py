@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fuzzsemi import core, operators, semigroup, spaces
+from fuzzsemi import cli, core, operators, semigroup, spaces
 from fuzzsemi.errors import MuNotPositive, ProbeNormViolation, SeriesOverflow, SpaceMismatch
 from fuzzsemi.operators import (
     builtin,
@@ -142,6 +142,16 @@ def test_builtin_rejects_wrong_space():
 
 # ---------------------------------------------------------------------------
 # composition and powers
+
+
+def test_identity_and_zero_are_scales_under_their_own_names():
+    # so they take the scale's exact flow; the CLI's identity kind is the library's identity()
+    x = tri(-1, 0.5, 3)
+    for op, factor, name in ((identity(), 1.0, "I"), (zero_operator(), 0.0, "O"), (identity("J"), 1.0, "J")):
+        assert op.name == name and op.matrix.tolist() == [[factor]] and op.norm_bound == factor
+        assert op(x).ends.tobytes() == scale_operator(factor)(x).ends.tobytes()
+    assert semigroup.exp_apply(zero_operator(), 5.0, x) is x  # e^{0} is the identity map, bit for bit
+    assert cli.parse_problem({"operator": {"kind": "identity"}, "u0": {"tri": [0, 1, 2]}}).operator.name == "I"
 
 
 def test_power_zero_is_identity():

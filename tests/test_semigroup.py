@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from fuzzsemi import core
+from fuzzsemi import cauchy, core
 from fuzzsemi.errors import MixedSignsError, SeriesOverflow
 from fuzzsemi.operators import (
+    BUILTIN_NAMES,
     LinearOperator,
     builtin,
     canonical_probes,
@@ -315,9 +316,9 @@ def test_exp_apply_meets_long_horizon_rotation():
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
-@pytest.mark.parametrize("op", [scale_operator(1.0), identity()], ids=["flow", "series"])
+@pytest.mark.parametrize("op", [scale_operator(1.0), helpers.bare(identity())], ids=["flow", "series"])
 def test_one_shot_api_rejects_a_bad_tol_on_every_path(op, tol):
-    # the flow ignores tol, and an infinite tol truncated the series of identity() to x
+    # the flow ignores tol, and an infinite tol truncated the series of the bare identity to x
     for apply in (exp_apply, cosh_apply, sinh_apply):
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
             apply(op, 1.0, X, tol)
@@ -346,14 +347,20 @@ def test_propagator_truncates_each_time_to_its_own_tol():
         assert u.ends.tobytes() == SemigroupEvaluator(op, "cosh", tol).at(t, x).ends.tobytes()
 
 
+def _sinh_by_cosh_flow(flow_cls, op, times, x):
+    # S(t)x = A(integral_0^|t| C(r)x dr) times the sign of t, from a fresh forced cosh flow; +0.0 at t = 0
+    integrals = flow_cls(op, "cosh", forced=True).evaluate([abs(t) for t in times], core.zero_like(x), x)
+    signs = [math.copysign(1.0, t) for t in times]
+    return [core.scalar_mul(sign, op(v)) if t else core.zero_like(x) for t, sign, v in zip(times, signs, integrals)]
+
+
 @pytest.mark.parametrize("kind", ["exp", "cosh", "sinh"])
 def test_propagator_takes_the_flow_for_exp_and_cosh_of_a_matrix(kind):
     op = lift_matrix(((0.5, -1.0), (1.0, 0.25)))
     x = pair(core.make_triangular(0, 1, 2), core.make_triangular(-1, 0.5, 3))
     times = [0.7, -0.4, 0.0, 2.0]
     got = propagator(op, kind)(times, x, [1e-9] * 4)
-    oracle = SemigroupEvaluator(op, kind) if kind == "sinh" else MatrixFlow(op, kind)
-    want = oracle.evaluate(times, x)
+    want = _sinh_by_cosh_flow(MatrixFlow, op, times, x) if kind == "sinh" else MatrixFlow(op, kind).evaluate(times, x)
     assert [u.ends.tobytes() for u in got] == [u.ends.tobytes() for u in want]
     # the public wrappers are its one-time calls
     wrapper = {"exp": exp_apply, "cosh": cosh_apply, "sinh": sinh_apply}[kind]
@@ -365,8 +372,44 @@ def test_propagator_takes_the_rank_one_flow_for_exp_and_cosh_of_a_builtin(kind):
     op, x = builtin("A2", C), core.make_triangular(-1, 0.5, 3)
     times = [0.7, -0.4, 0.0, 2.0]
     got = propagator(op, kind)(times, x, [1e-9] * 4)
-    oracle = SemigroupEvaluator(op, kind) if kind == "sinh" else RankOneFlow(op, kind)
-    assert [u.ends.tobytes() for u in got] == [u.ends.tobytes() for u in oracle.evaluate(times, x)]
+    want = _sinh_by_cosh_flow(RankOneFlow, op, times, x) if kind == "sinh" else RankOneFlow(op, kind).evaluate(times, x)
+    assert [u.ends.tobytes() for u in got] == [u.ends.tobytes() for u in want]
+
+
+def test_exp_of_the_identity_meets_a_long_horizon_decay():
+    # identity() is the scale operator [[1]] and takes its flow: the literal series gave 0.3117
+    got = exp_apply(identity(), -40.0, core.crisp(1.0))
+    assert core.is_crisp(got) and got.lower[0] == pytest.approx(math.exp(-40.0), rel=1e-13)
+
+
+def test_sinh_of_a_scale_meets_a_long_horizon_rotation():
+    # for A = -1, S(t) is -sin(t): the literal series gave -1.0697 at t = 40
+    for t in (40.0, -40.0):
+        got = sinh_apply(scale_operator(-1.0), t, core.crisp(1.0))
+        assert core.is_crisp(got) and got.lower[0] == pytest.approx(-math.sin(t), rel=1e-13)
+
+
+def _structured_cases():
+    x = core.make_triangular(-1, 0.5, 3)
+    yield from ((builtin(name, C), x) for name in BUILTIN_NAMES)
+    yield from ((scale_operator(factor), x) for factor in (1.5, -1.5))
+    w = pair(core.make_triangular(0, 1, 2), x)
+    yield from ((lift_matrix(matrix), w) for matrix in (cauchy.SWAP_MATRIX, cauchy.COUPLED_MATRIX))
+
+
+def test_sinh_flow_meets_the_literal_series():
+    times = [0.5, 1.0, 2.0, -0.3, -1.0]
+    for op, x in _structured_cases():
+        got = propagator(op, "sinh")([*times, 0.0, -0.0], x, [1e-13] * 7)
+        want = SemigroupEvaluator(op, "sinh", 1e-13).evaluate(times, x)
+        for t, a, b in zip(times, got, want):
+            assert core.distance(a, b) <= 1e-12 * core.norm(b), (op.name, t)
+        coarse = propagator(op, "sinh")(times, x, [1.0] * 5)  # a flow takes no tol; the series would truncate
+        assert [u.ends.tobytes() for u in coarse] == [u.ends.tobytes() for u in got[:5]]
+        for zero in got[-2:]:  # the +0.0 zero element, as the series gives it
+            assert zero.ends.tobytes() == core.zero_like(x).ends.tobytes() and not np.signbit(zero.ends).any()
+        with pytest.raises(ValueError, match="constant input"):
+            propagator(op, "sinh")([1.0], x, [1e-9], x)
 
 
 def test_propagator_rejects_an_unknown_kind():

@@ -67,7 +67,7 @@ from .errors import (
     SeriesOverflow,
 )
 from .operators import LinearOperator, builtin, lift_matrix
-from .semigroup import _check_tol, _coefficients, generator_pair_closed_form, propagator, required_order
+from .semigroup import _check_tol, _coefficients, _relative_tol, generator_pair_closed_form, propagator, required_order
 from .spaces import FuzzyFunction, ProductElement, pair
 
 DEFAULT_TIME_NODES = 64
@@ -316,7 +316,7 @@ def solve_wave(
     if not times:
         return []
     x_nodes = np.asarray(x_nodes, dtype=float)
-    orders = [required_order(t, 1.0, tol / bound, "cosh") for t in times]
+    orders = [required_order(t, 1.0, _relative_tol(tol, bound), "cosh") for t in times]
 
     def derivative(k):  # the k-th derivative of the profile, sampled at every node
         return FuzzyFunction(x_nodes, tuple(u1_derivatives(float(x), k) for x in x_nodes))

@@ -196,25 +196,20 @@ def _example_payload(name, times, series_states, closed_states, tol):
 EXAMPLE_NAMES = tuple(cauchy.WORKED_SYSTEMS)
 
 
-def cmd_example(args) -> int:
-    if args.name not in cauchy.WORKED_SYSTEMS:
-        print(
-            f"error: unknown example {args.name!r}; valid names: {', '.join(EXAMPLE_NAMES)}",
-            file=sys.stderr,
-        )
-        return 1
-    run, default_t_max = cauchy.WORKED_SYSTEMS[args.name]
-    if args.t_max is None:
-        args.t_max = default_t_max
-    engine_tol = args.tol / 10.0  # keep truncation strictly inside the reported budget
-    if args.t_max > 0 and args.t_points > 1:
-        times = np.linspace(0.0, args.t_max, args.t_points)
-    else:
-        times = np.array([0.0])
-    if not (np.diff(times) > 0).all():  # linspace repeats times below the float spacing near 0
-        print(f"error: --t-max {args.t_max!r} over --t-points {args.t_points} gives repeated times", file=sys.stderr)
-        return 1
+def _time_grid(t_max, points, t_name, points_name):
+    """``points`` uniform times on [0, t_max], or 0 alone for t_max 0 or one point; SchemaError naming
+    both inputs when the grid repeats a time, as linspace does below the float spacing near 0."""
+    times = np.linspace(0.0, t_max, points) if t_max > 0 and points > 1 else np.array([0.0])
+    if not (np.diff(times) > 0).all():
+        raise SchemaError(f"{t_name} {t_max!r} over {points_name} {points} gives repeated times")
+    return times
 
+
+def cmd_example(args) -> int:
+    run, default_t_max = cauchy.WORKED_SYSTEMS[args.name]
+    t_max = default_t_max if args.t_max is None else args.t_max
+    times = _time_grid(t_max, args.t_points, "--t-max", "--t-points")
+    engine_tol = args.tol / 10.0  # keep truncation strictly inside the reported budget
     states, closed = run(times, engine_tol, args.levels, args.nodes)
 
     payload = _example_payload(args.name, times, states, closed, args.tol)
@@ -244,10 +239,6 @@ def _finite_number(value):
         return _is_number(value) and math.isfinite(value)
     except OverflowError:
         return False
-
-
-def _positive_finite(value):
-    return _finite_number(value) and value > 0
 
 
 def _require_numbers(value, path):
@@ -337,10 +328,9 @@ def parse_problem(config, m_levels=core.DEFAULT_LEVELS):
         else:
             g_val = _parse_fuzzy(value, "config.g.value", m_levels)
         forcing = lambda s, g_val=g_val: g_val
-    horizon = config.get("T", 1.0)
-    _require(_positive_finite(horizon), "config.T", "must be a finite number > 0")
-    tol = config.get("tol", 1e-9)
-    _require(_positive_finite(tol), "config.tol", "must be a finite number > 0")
+    horizon, tol = config.get("T", 1.0), config.get("tol", 1e-9)
+    for key, value in (("T", horizon), ("tol", tol)):
+        _require(_finite_number(value) and value > 0, f"config.{key}", "must be a finite number > 0")
     velocity = core.zero_like(initial) if order == 2 else None
     return cauchy.CauchyProblem(
         op, initial, forcing=forcing, initial_velocity=velocity,
@@ -356,7 +346,7 @@ def cmd_solve(args) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     problem = parse_problem(config, args.levels)
-    grid = cauchy.uniform_times(problem.horizon, args.nodes)
+    grid = _time_grid(problem.horizon, args.nodes, "config.T", "--nodes")
     solver = cauchy.solve_second_order if problem.initial_velocity is not None else cauchy.solve_first_order
     traj = solver(problem, grid)
     payload = {
@@ -403,14 +393,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="membership-grid panels (default %(default)s)")
     common.add_argument("--out", help="write the JSON payload to this path")
     common.add_argument("--csv", help="write level-band CSV to this path")
-    common.add_argument("--bands", type=_band_list, default=DEFAULT_BANDS,
+    bands = _flag_type("--bands", lambda text: tuple(map(float, text.split(","))),
+                       lambda values: all(0 <= r <= 1 for r in values), "comma-separated levels in [0, 1]")
+    common.add_argument("--bands", type=bands, default=DEFAULT_BANDS,
                         help="comma-separated membership levels for the CSV bands")
 
     ex = sub.add_parser("example", parents=[common],
                         help="run a worked system against its closed form")
-    ex.add_argument("name", help=f"one of: {', '.join(EXAMPLE_NAMES)}")
-    ex.add_argument("--tol", default=1e-8,
-                    type=_flag_type("--tol", float, lambda v: 0 < v < math.inf, "finite and > 0"))
+    ex.add_argument("name", choices=EXAMPLE_NAMES)
+    ex.add_argument("--tol", default=1e-8,  # the engine runs at tol / 10, a positive double too
+                    type=_flag_type("--tol", float, lambda v: 0 < v / 10.0 and v < math.inf, "finite and >= 3e-323"))
     ex.add_argument("--t-max", type=_flag_type("--t-max", float, lambda v: 0 <= v < math.inf, "finite and >= 0"))
     ex.add_argument("--t-points", type=_grid_size("--t-points", 1), default=9)
     ex.add_argument("--nodes", type=_grid_size("--nodes", 2), default=65,
@@ -446,16 +438,6 @@ def _flag_type(flag, convert, accept, wanted):
 
 def _grid_size(flag, low):
     return _flag_type(flag, int, lambda n: low <= n <= _MAX_GRID_POINTS, f"an integer in [{low}, {_MAX_GRID_POINTS}]")
-
-
-def _band_list(text):
-    try:
-        values = tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad band list {text!r}") from exc
-    if not values or any(not 0.0 <= v <= 1.0 for v in values):
-        raise argparse.ArgumentTypeError("bands must lie in [0, 1]")
-    return values
 
 
 def main(argv=None) -> int:

@@ -52,6 +52,11 @@ class NegativeForcedTime(FuzzsemiError, ValueError):
     time before 0: its Duhamel integral is taken over [0, t], for t >= 0 only."""
 
 
+class ToleranceUnderflow(FuzzsemiError, ValueError):
+    """A positive tol, taken relative to the norm of the data or to a derivative
+    bound, underflows to a truncation target of 0."""
+
+
 class QuadratureStall(FuzzsemiError):
     """Adaptive quadrature failed to converge within its interval budget."""
 

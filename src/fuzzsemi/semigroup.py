@@ -56,7 +56,7 @@ from typing import Callable
 import numpy as np
 
 from . import core, operators
-from .errors import HDifferenceError, MixedSignsError, SeriesOverflow
+from .errors import HDifferenceError, MixedSignsError, SeriesOverflow, ToleranceUnderflow
 from .operators import LinearOperator
 
 KINDS = ("exp", "cosh", "sinh")
@@ -164,6 +164,14 @@ def _check_tol(tol: float) -> None:
         raise ValueError("tol must be finite and > 0")
 
 
+def _relative_tol(tol: float, scale: float, factor: float = 1.0) -> float:
+    """The truncation target factor * tol / scale; ToleranceUnderflow when it underflows to 0."""
+    target = factor * tol / scale
+    if not target > 0.0:
+        raise ToleranceUnderflow(f"tol {tol!r} relative to the scale {scale!r} underflows to 0; raise tol")
+    return target
+
+
 def _series(op: LinearOperator, kind: str, times, x, tols, g=None) -> list:
     """The literal series at each of ``times``, truncated below that time's tol / max(1, ||x||),
     in one `partial_sums` batch; SeriesOverflow, without a numpy warning, past the float range.
@@ -179,10 +187,10 @@ def _series(op: LinearOperator, kind: str, times, x, tols, g=None) -> list:
             raise ValueError("a constant input is taken by exp and cosh at times >= 0 only")
         ladder, scale = "sinh" if kind == "cosh" else kind, max(1.0, core.norm(g))
         tols = [0.5 * tol for _, tol in zip(times, tols)]
-        g_orders = [required_order(t, m, m * tol / scale, ladder) if m else int(t > 0.0)  # M = 0: t g is exact
-                    for t, tol in zip(times, tols)]
+        g_orders = [required_order(t, m, _relative_tol(tol, scale, m), ladder) if m else int(t > 0.0)
+                    for t, tol in zip(times, tols)]  # M = 0: t g is exact
     scale = max(1.0, core.norm(x))
-    orders = [required_order(t, m, tol / scale, kind) for t, tol in zip(times, tols)]
+    orders = [required_order(t, m, _relative_tol(tol, scale), kind) for t, tol in zip(times, tols)]
     with np.errstate(over="ignore", invalid="ignore"):
         states = partial_sums(op, kind, times, x, orders)
         if g is not None:
@@ -213,7 +221,7 @@ class SemigroupEvaluator:
         _check_tol(self.tol)
 
     def order_for(self, t: float, x) -> int:
-        return required_order(t, self.operator.norm_bound, self.tol / max(1.0, core.norm(x)), self.kind)
+        return required_order(t, self.operator.norm_bound, _relative_tol(self.tol, max(1.0, core.norm(x))), self.kind)
 
     def evaluate(self, times, x) -> list:
         """Truncated series at each of ``times``, in order; exact identity (or

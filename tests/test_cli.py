@@ -1,5 +1,7 @@
 import copy
+import csv
 import functools
+import itertools
 import json
 import math
 import random
@@ -64,6 +66,24 @@ def test_each_example_passes(tmp_path, name):
 def test_wave_example(tmp_path):
     out = tmp_path / "wave.json"
     assert run("example", "wave", "--t-points", "3", "--nodes", "9", "--out", str(out)) == 0
+
+
+def test_example_csv_of_a_function_valued_state(tmp_path):
+    # one row per time, node and band; x is the node's repr and the component is empty
+    out, csv_path = tmp_path / "wave.json", tmp_path / "wave.csv"
+    assert run("example", "wave", "--t-points", "2", "--nodes", "3", "--out", str(out), "--csv", str(csv_path)) == 0
+    payload = json.loads(out.read_text())
+    with open(csv_path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["t", "component", "x", "r", "lower", "upper"]
+    assert len(rows) == 2 * 3 * 3
+    want = [
+        [repr(t), "", repr(x), repr(r), *(repr(float(np.interp(r, v["levels"], v[side]))) for side in ("lower", "upper"))]
+        for t, state in zip(payload["times"], payload["series"])
+        for x, v in zip(state["nodes"], state["values"])
+        for r in cli.DEFAULT_BANDS
+    ]
+    assert rows == want
 
 
 def test_example_csv_bands(tmp_path):
@@ -503,8 +523,8 @@ def _fuzzy_dicts(node):
         yield from _fuzzy_dicts(child)
 
 
-def _solve_keeps_contract(tmp_path, capsys, config, case):
-    """Solve ``config`` and check the exit-code contract: exit 0 with finite, nested states,
+def _solve_keeps_contract(tmp_path, capsys, config, case, nodes=2):
+    """Solve ``config`` on ``nodes`` time nodes and check the exit-code contract: exit 0 with finite, nested states,
     or exit 1 with stderr starting ``error: ``; no traceback and no warning either way."""
     path, out = tmp_path / "config.json", tmp_path / "out.json"
     path.write_text(json.dumps(config))  # NaN and +-Infinity as JSON extensions
@@ -512,7 +532,7 @@ def _solve_keeps_contract(tmp_path, capsys, config, case):
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         try:
-            code = run("solve", str(path), "--levels", "4", "--nodes", "2", "--out", str(out))
+            code = run("solve", str(path), "--levels", "4", "--nodes", str(nodes), "--out", str(out))
         except Exception as exc:  # report the input that broke the contract
             raise AssertionError(f"case {case}: {config!r} raised {exc!r}") from exc
     err = capsys.readouterr().err
@@ -536,21 +556,76 @@ def test_solve_fuzzed_configs_keep_exit_code_contract(tmp_path, capsys):
         _solve_keeps_contract(tmp_path, capsys, _mutate(rng.choice(_FUZZ_BASES), rng), case)
 
 
-@pytest.mark.parametrize("config, message", [
+@pytest.mark.parametrize("config, nodes, message", [
     # NaN compares False with everything, so an ordering test written as "no step <= 0" passed it
     ({"u0": {"levels": [0, math.nan, 1], "lower": [0, 0.5, 1], "upper": [2, 1.5, 1]},
-      "operator": {"kind": "scale", "factor": 0.5}}, "error: config.u0: levels must increase strictly from 0 to 1"),
+      "operator": {"kind": "scale", "factor": 0.5}}, 2, "error: config.u0: levels must increase strictly from 0 to 1"),
     ({"u0": {"levels": [0, math.nan, 1], "lower": [0, 0.5, 1], "upper": [2, 1.5, 1]},
-      "operator": {"kind": "builtin", "name": "A1"}}, "error: config.u0: levels must increase strictly from 0 to 1"),
+      "operator": {"kind": "builtin", "name": "A1"}}, 2, "error: config.u0: levels must increase strictly from 0 to 1"),
     # endpoint differences that leave the float range, in the flow's nesting check and in validation
-    ({"u0": {"tri": [-1e308, 0, 1e308]}, "operator": {"kind": "scale", "factor": 0.5}}, None),
+    ({"u0": {"tri": [-1e308, 0, 1e308]}, "operator": {"kind": "scale", "factor": 0.5}}, 2, None),
     ({"u0": {"tri": [0, 1, 2]}, "operator": {"kind": "builtin", "name": "A2",
-      "c": {"levels": [0, 1], "lower": [0, 0], "upper": [1e308, -1e308]}}},
+      "c": {"levels": [0, 1], "lower": [0, 0], "upper": [1e308, -1e308]}}}, 2,
      "error: config.operator.c: lower endpoint exceeds upper endpoint"),
-], ids=["nan-level-scale", "nan-level-builtin", "overflowing-nesting-check", "overflowing-validation"])
-def test_solve_regressions_keep_exit_code_contract(tmp_path, capsys, config, message):
-    err = _solve_keeps_contract(tmp_path, capsys, config, "regression")
+    # a horizon below the float spacing near 0 repeats times on the default grid; two nodes stay apart
+    ({"u0": {"tri": [0, 1, 2]}, "operator": {"kind": "scale", "factor": 0.5}, "T": 5e-324},
+     cauchy.DEFAULT_TIME_NODES, "error: config.T 5e-324 over --nodes 64 gives repeated times"),
+    ({"u0": {"tri": [0, 1, 2]}, "operator": {"kind": "scale", "factor": 0.5}, "T": 5e-324}, 2, None),
+], ids=["nan-level-scale", "nan-level-builtin", "overflowing-nesting-check", "overflowing-validation",
+        "subnormal-horizon", "subnormal-horizon-two-nodes"])
+def test_solve_regressions_keep_exit_code_contract(tmp_path, capsys, config, nodes, message):
+    err = _solve_keeps_contract(tmp_path, capsys, config, "regression", nodes)
     assert err.splitlines() == ([message] if message else []), err
+
+
+# seeded example flag sets from edge values: the same contract, exit 2 included
+
+_EXAMPLE_T_MAX = ("0", "5e-324", "1e-300", "0.5", "30", "700", "1e308")
+_EXAMPLE_TOL = ("5e-324", "3e-323", "1e-300", "1e-16", "1e-8", "1", "1e308")
+
+
+def _example_keeps_contract(tmp_path, capsys, argv):
+    """Run ``example *argv`` and check the exit-code contract: exit 0 or 2 with a JSON payload free
+    of NaN and Infinity, or exit 1 with stderr starting ``error: ``; no exception and no warning."""
+    out = tmp_path / "out.json"
+    out.unlink(missing_ok=True)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            code = run("example", *argv, "--out", str(out))
+        except Exception as exc:  # report the flags that broke the contract
+            raise AssertionError(f"{argv!r} raised {exc!r}") from exc
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (argv, code)
+    assert not seen, (argv, [str(w.message) for w in seen])
+    if code == 1:
+        assert err.startswith("error: "), (argv, err)
+    else:
+        json.loads(out.read_text(), parse_constant=_reject_constant)
+    return code, err
+
+
+def test_example_fuzzed_flags_keep_exit_code_contract(tmp_path, capsys):
+    # every name, --t-max and --tol together, each with seeded grid sizes
+    rng = random.Random(20261020)
+    for name, t_max, tol in itertools.product(cli.EXAMPLE_NAMES, _EXAMPLE_T_MAX, _EXAMPLE_TOL):
+        argv = (name, "--t-max", t_max, "--tol", tol, "--t-points", str(rng.randint(1, 3)),
+                "--levels", str(rng.randint(1, 4)), *(("--nodes", "3") if name == "wave" else ()))
+        _example_keeps_contract(tmp_path, capsys, argv)
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    # the engine runs at tol / 10, which was 0
+    (("problem4", "--tol", "5e-324"), "error: --tol must be finite and >= 3e-323, got '5e-324'"),
+    # the engine tol 5e-324 is positive, but its target relative to the wave's bound 2e was 0
+    (("wave", "--tol", "3e-323", "--t-points", "2", "--nodes", "3"), "error: tol 5e-324 relative to the scale "),
+    (("nope",), "error: argument name: invalid choice: "),
+    (("remarkA", "--bands", "2,3"), "error: --bands must be comma-separated levels in [0, 1], got '2,3'"),
+    (("problem4", "--t-max", "5e-324", "--t-points", "3"), "error: --t-max 5e-324 over --t-points 3 gives repeated times"),
+], ids=["engine-tol-zero", "wave-target-underflow", "unknown-name", "bands-out-of-range", "subnormal-t-max"])
+def test_example_regressions_keep_exit_code_contract(tmp_path, capsys, argv, prefix):
+    code, err = _example_keeps_contract(tmp_path, capsys, argv)
+    assert code == 1 and len(err.splitlines()) == 1 and err.startswith(prefix), (argv, err)
 
 
 # ---------------------------------------------------------------------------

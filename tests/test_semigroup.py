@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fuzzsemi import cauchy, core
-from fuzzsemi.errors import MixedSignsError, SeriesOverflow
+from fuzzsemi.errors import FuzzsemiError, MixedSignsError, SeriesOverflow, ToleranceUnderflow
 from fuzzsemi.operators import (
     BUILTIN_NAMES,
     LinearOperator,
@@ -324,6 +324,21 @@ def test_one_shot_api_rejects_a_bad_tol_on_every_path(op, tol):
             apply(op, 1.0, X, tol)
     with pytest.raises(ValueError, match="tol must be finite and > 0"):
         SemigroupEvaluator(op, "exp", tol)
+
+
+def test_a_tol_that_underflows_relative_to_the_data_is_typed():
+    # tol / ||x|| = 1e-300 / 1.7e300 underflows to 0, which required_order rejected as "tol must be > 0"
+    x = core.make_triangular(1e300, 1.5e300, 1.7e300, 4)
+    ev = SemigroupEvaluator(builtin("A4"), "exp", 1e-300)
+    for call in (lambda: ev.at(0.5, x), lambda: ev.order_for(0.5, x)):
+        with pytest.raises(ToleranceUnderflow, match=r"tol 1e-300 relative to the scale 1\.7e\+300") as err:
+            call()
+        assert isinstance(err.value, FuzzsemiError) and isinstance(err.value, ValueError)
+    # the Duhamel orders take the same target: tol / 2 against ||g||
+    with pytest.raises(ToleranceUnderflow, match="relative to the scale 1.7e"):
+        propagator(helpers.bare(identity()))((0.5,), X, (1e-300,), x)
+    # a target that stays positive is served as before
+    assert ev.order_for(0.5, X) == required_order(0.5, builtin("A4").norm_bound, 1e-300 / max(1.0, core.norm(X)))
 
 
 def test_propagator_holds_no_state():

@@ -13,7 +13,9 @@ Each solve takes every T(t) from one `semigroup.propagator` map, with the
 problem's constant input g when it has one: the exact flow of an operator
 with a matrix or a rank-one map, exact to rounding, or else the literal
 series truncated to tol, plus the Duhamel series of g.  A flow is built
-once per operator instance and shared by every solve.
+once per operator instance and shared by every solve, and it keeps the
+matrices of each time it has formed, within a fixed byte budget, for the
+instance's life: a solve repeated on the same grid forms no exponential.
 
 The velocity v0 is a constant input, and so is a forcing that returns one
 and the same object at all 15 Gauss-Kronrod nodes of [0, t], for every

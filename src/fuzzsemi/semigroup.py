@@ -42,7 +42,10 @@ for every builtin, and sinh reads the forced cosh flow (`_sinh_flow`).
 matrix or a rank-one map and the literal series of every other;
 `SemigroupEvaluator` stays the literal series and the flows' test oracle.
 A flow depends on the operator alone, so it is built on first use and kept,
-read-only, on the operator instance (`_flow`).
+read-only, on the operator instance (`_flow`).  So do its matrices at each
+time: `MatrixFlow.matrices` keeps them per flow, read-only, within a fixed
+byte budget (`_MEMO_BYTES`), and they live as long as the operator instance.
+A solve repeated on a grid already seen forms no exponential.
 """
 
 from __future__ import annotations
@@ -244,6 +247,7 @@ class SemigroupEvaluator:
 
 FLOW_KINDS = ("exp", "cosh")
 _UNIT_ROUNDOFF = 2.0**-53
+_MEMO_BYTES = 1 << 20  # each flow keeps at most this many bytes of matrices (`MatrixFlow.matrices`)
 # Taylor degree whose tail at |tau| * ||base|| <= 1 is below the unit roundoff
 _TAYLOR_DEGREE = required_order(1.0, 1.0, _UNIT_ROUNDOFF)
 _TAYLOR_DIVISORS = np.arange(1.0, _TAYLOR_DEGREE + 1)
@@ -306,7 +310,10 @@ class MatrixFlow:
     e^{|t| |A|} times ||x||; no truncation tolerance is involved.  The
     powers of both Taylor bases are formed once per operator (`_flow`) and
     are read-only; a base with no sign bit set is its own absolute value,
-    and one set of powers serves both.
+    and one set of powers serves both.  The flow also keeps the matrices of
+    every time it has formed, keyed by the time's bits, in a memo of at most
+    `_MEMO_BYTES` (1 MiB) that lives and dies with the flow, and so with its
+    operator instance's ``_flows`` (see `matrices`).
 
     ``forced`` adds a constant input g: `evaluate(times, x, g)` gives
     T(t)x + integral_0^t T(r)g dr at t >= 0 from the top block rows of the
@@ -340,7 +347,7 @@ class MatrixFlow:
         while powers.shape[1] < _TAYLOR_DEGREE:
             powers = np.concatenate((powers, _matmul(powers, powers[:, -1:])), axis=1)
         self.__dict__.update(_k=k, _width=len(a) if self.forced else k, _balance=b, _scale=scale,
-                             _powers=core._frozen(powers[:, :_TAYLOR_DEGREE]))
+                             _powers=core._frozen(powers[:, :_TAYLOR_DEGREE]), _memo={})
 
     def _real_matrix(self) -> tuple:
         """The generator and the block through which a forcing enters it."""
@@ -358,10 +365,40 @@ class MatrixFlow:
         over one row of taus when the base is its own absolute value and the
         signed taus carry no sign bit (every forced exp and every cosh flow, and
         exp at t >= 0): the two exponentials are then one, bit for bit.
+
+        Each time's pair is formed once per flow: the times missing from the
+        memo are formed in one batch and kept, read-only, keyed by their bit
+        pattern (so -0.0 and +0.0 are two times).  `_expm` gives an item the same
+        bits in any batch, so a kept pair equals a fresh one bit for bit.  The
+        memo holds at most `_MEMO_BYTES`: it is cleared when an insert would
+        pass that, and a batch larger than it is returned but not kept.  The
+        returned stack is a fresh writable array, and is read from a snapshot of
+        the memo, so a concurrent call can at worst form a time twice; two
+        racing inserts can also leave the memo one batch past its budget until
+        its next clear.
         """
         times = np.asarray(times, dtype=float)
         if not np.isfinite(times).all():
             raise ValueError("times must be finite")
+        keys = times.view(np.uint64).tolist()  # by bit pattern: -0.0 and +0.0 are two keys
+        # a snapshot of the hits: nothing reads the memo after it, so a concurrent clear cannot raise
+        known = {key: hit for key in keys if (hit := self._memo.get(key)) is not None}
+        missing = list(dict.fromkeys(key for key in keys if key not in known))
+        if missing:
+            batch = core._frozen(self._exponentials(np.array(missing, dtype=np.uint64).view(float)))
+            fresh = dict(zip(missing, batch.swapaxes(0, 1)))
+            known.update(fresh)
+            if batch.nbytes <= _MEMO_BYTES:  # a batch past the budget is returned but not kept
+                if (len(self._memo) + len(fresh)) * (batch.nbytes // len(fresh)) > _MEMO_BYTES:
+                    self._memo.clear()
+                self._memo.update(fresh)
+        out = np.empty((2, len(keys), self._k, self._width))
+        for i, key in enumerate(keys):
+            out[:, i] = known[key]
+        return out
+
+    def _exponentials(self, times: np.ndarray) -> np.ndarray:
+        """`matrices` of finite ``times``, formed afresh in one batch."""
         signed = times if self.kind == "exp" else np.abs(times)
         taus = np.stack((signed, np.abs(times)))
         if len(self._powers) == 1 and not np.signbit(signed).any():
@@ -492,8 +529,9 @@ class RankOneFlow(MatrixFlow):
 def _flow(operator: LinearOperator, kind: str, forced: bool = False):
     """The operator's ``kind`` flow: `MatrixFlow` for an operator with a matrix,
     `RankOneFlow` for a rank-one map, else None.  Built on first use and kept in
-    the instance's ``_flows``, so every solve with the operator shares it; it is
-    read-only, and a race can at worst build it twice."""
+    the instance's ``_flows``, so every solve with the operator shares it, and
+    with it the matrices it keeps per time (`MatrixFlow.matrices`) for as long as
+    the instance lives; its arrays are read-only, and a race can at worst build it twice."""
     cls = MatrixFlow if operator.matrix is not None else RankOneFlow if operator.rank_one is not None else None
     if cls is None:
         return None

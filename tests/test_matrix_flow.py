@@ -8,6 +8,8 @@ series misses.
 
 import dataclasses
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -391,8 +393,16 @@ def test_flow_at_all_zero_times_forms_no_exponential(monkeypatch, kind):
                     flow.evaluate([0.0], *(wrong for _ in args))
 
 
+def _exponentials_formed(monkeypatch) -> list:
+    """A list that gains, for every `_expm` call from now on, the number of times it forms."""
+    formed = []
+    monkeypatch.setattr(semigroup, "_expm", lambda powers, taus, real=semigroup._expm:
+                        formed.append(taus.shape[-1]) or real(powers, taus))
+    return formed
+
+
 def test_second_solve_builds_no_flow(monkeypatch):
-    built = []
+    built, formed = [], _exponentials_formed(monkeypatch)
     for cls in (MatrixFlow, RankOneFlow):
         monkeypatch.setattr(cls, "_real_matrix", lambda self, real=cls._real_matrix: built.append(self) or real(self))
     g = core.make_triangular(-0.5, 0.2, 0.8)
@@ -402,27 +412,70 @@ def test_second_solve_builds_no_flow(monkeypatch):
         for problem in problems:
             solve = solve_second_order if problem.initial_velocity is not None else solve_first_order
             first = solve(problem)
-            count = len(built)
+            count, items = len(built), sum(formed)
             again = solve(problem)
-            assert len(built) == count, op.name
+            # the same grid again forms no flow and no exponential
+            assert len(built) == count and sum(formed) == items, op.name
             for a, b in zip(first.states, again.states, strict=True):
                 assert a.ends.tobytes() == b.ends.tobytes()
-    # exp, forced exp and forced cosh: three flows per operator, each built once
-    assert len(built) == 2 * 3 and len({id(f) for f in built}) == len(built)
+            if solve is solve_first_order:  # the residual forms t + h and t - h, and reads t from the memo
+                residual_check(first, op, problem.forcing, h=1e-3)
+                assert sum(formed) == items + 2 * (len(first.times) - 2), op.name
+            # a fresh operator forms every time of the grid
+            formed.clear()
+            fresh = solve(dataclasses.replace(problem, operator=dataclasses.replace(op)))
+            assert sum(formed) == len(first.times) and fresh.states[-1].ends.tobytes() == first.states[-1].ends.tobytes()
+    # exp, forced exp and forced cosh: three flows per operator and one per fresh copy, each built once
+    assert len(built) == 2 * (3 + 3) and len({id(f) for f in built}) == len(built)
+
+
+def _memo_bytes(flow) -> int:
+    return sum(entry.nbytes for entry in flow._memo.values())
+
+
+def test_memo_keeps_to_its_byte_budget(monkeypatch):
+    formed = _exponentials_formed(monkeypatch)
+    flow = MatrixFlow(scale_operator(-1.5))  # a signed 1 x 1 base: one entry is 2 x 1 x 1 doubles
+    monkeypatch.setattr(semigroup, "_MEMO_BYTES", 4 * 16)
+    keys = lambda *ts: np.array(ts).view(np.uint64).tolist()
+    for times, kept, new in (([0.1, 0.2, 0.3], (0.1, 0.2, 0.3), 3),
+                             ([0.1, 0.4], (0.1, 0.2, 0.3, 0.4), 1),  # fills the budget exactly
+                             ([0.2, 0.5], (0.5,), 1),  # would pass it: cleared first
+                             ([0.5, 0.6, 0.7, 0.8], (0.5, 0.6, 0.7, 0.8), 3),
+                             ([1.0, 1.1, 1.2, 1.3, 1.4], (0.5, 0.6, 0.7, 0.8), 5),  # past the budget: not kept
+                             ([0.8, 0.6, 0.8], (0.5, 0.6, 0.7, 0.8), 0),
+                             ([0.9, 0.9], (0.9,), 1)):
+        want = MatrixFlow(flow.operator).matrices(times).tobytes()
+        formed.clear()
+        assert flow.matrices(times).tobytes() == want
+        assert sum(formed) == new and list(flow._memo) == keys(*kept), times
+        assert _memo_bytes(flow) <= semigroup._MEMO_BYTES
+
+
+# overlapping, repeated and mixed cached and new batches, with +-0.0 and negative times; then
+# every time at once, shuffled, and nothing
+_MEMO_BATCHES = ([0.3, 1.0], [1.0, 0.3, 2.5, 1.0], [0.0, -0.0, 2.5, -1.0, 0.0], [-1.0, 4.0, 1e-300, -0.0, -2.5])
+_MEMO_BATCHES += (list(np.random.default_rng(5).permutation(sum(_MEMO_BATCHES, []))), [])
 
 
 def test_memoised_flow_matches_a_fresh_one_bit_for_bit():
-    times = [0.0, 0.3, 1.0, 2.5]
     for op, x, _ in _flow_cases():
         cls = MatrixFlow if op.matrix is not None else RankOneFlow
         for kind in ("exp", "cosh"):
             assert semigroup._flow(op, kind) is semigroup._flow(op, kind)
-            memo = propagator(op, kind)([-1.0, *times], x, [1e-9] * 5)
-            fresh = cls(op, kind).evaluate([-1.0, *times], x)
-            memo += propagator(op, kind)(times, x, [1e-9] * 4, x)
-            fresh += cls(op, kind, forced=True).evaluate(times, x, x)
-            for a, b in zip(memo, fresh, strict=True):
-                assert a.ends.tobytes() == b.ends.tobytes(), (op.name, kind)
+            for forced in (False, True):
+                flow = semigroup._flow(op, kind, forced)
+                for times in _MEMO_BATCHES:
+                    got, want = flow.matrices(times), cls(op, kind, forced).matrices(times)
+                    assert got.shape == (2, len(times), flow._k, flow._width)
+                    assert got.tobytes() == want.tobytes(), (op.name, kind, forced, times)
+                    # the states of the memoised map against a fresh flow's (a forced one at |t|)
+                    times = [abs(t) for t in times] if forced else times
+                    args = (times, x, x) if forced else (times, x)
+                    memo = propagator(op, kind)(*args[:2], [1e-9] * len(times), *args[2:])
+                    fresh = cls(op, kind, forced).evaluate(*args)
+                    for a, b in zip(memo, fresh, strict=True):
+                        assert a.ends.tobytes() == b.ends.tobytes(), (op.name, kind, forced, times)
 
 
 def test_replaced_matrix_gets_its_own_flow():
@@ -449,6 +502,47 @@ def test_flow_powers_are_read_only_and_matrices_fresh():
         want = first.copy()
         first[...] = np.nan
         assert np.array_equal(flow.matrices([0.5, 1.0]), want)
+        # the memo's entries are read-only, and no returned stack shares memory with them
+        again = flow.matrices([1.0, 0.5, 1.0])
+        assert again.flags.writeable and len(flow._memo) == 2
+        for entry in flow._memo.values():
+            assert not entry.flags.writeable and not np.shares_memory(again, entry)
+            with pytest.raises(ValueError):
+                entry[...] = 0.0
+        assert flow.matrices([]).shape == (2, 0, flow._k, flow._width)
+
+
+def test_concurrent_evaluation_matches_the_serial_one(monkeypatch):
+    # 4 threads on one flow over overlapping grids, with a budget that clears the memo often
+    op, _ = _random_case(np.random.default_rng(17), 3)
+    grids = [list(np.arange(-4 + i, 8 + i) * 0.125) for i in range(8)]
+    want = [MatrixFlow(op).matrices(grid).tobytes() for grid in grids]
+    flow = MatrixFlow(op)
+    monkeypatch.setattr(semigroup, "_MEMO_BYTES", 16 * flow.matrices([0.0]).nbytes)
+    errors, done = [], []
+
+    def work(shift):
+        try:
+            for j in range(200):
+                i = (shift + 3 * j) % len(grids)
+                if flow.matrices(grids[i]).tobytes() != want[i]:
+                    errors.append((shift, i))
+            done.append(shift)
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(shift,)) for shift in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors and sorted(done) == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("kind", ["exp", "cosh"])

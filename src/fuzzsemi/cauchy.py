@@ -237,6 +237,13 @@ def _constant_value(forcing: Callable, times):
 # solvers
 
 
+def _check_forced_times(times: list) -> None:
+    """NegativeForcedTime at the first time not >= 0: a forcing or a velocity acts over [0, t]."""
+    bad = [t for t in times if not t >= 0.0]
+    if bad:
+        raise NegativeForcedTime(f"solved for t >= 0 only with a forcing or a velocity, not at t = {bad[0]!r}")
+
+
 def _solve(problem: CauchyProblem, grid: np.ndarray | None, kind: str, forcing) -> Trajectory:
     """T(t)(u0) + integral_0^t T(t-s)(forcing(s)) ds on a time grid, T the ``kind`` family; a leaf forcing is g."""
     times = uniform_times(problem.horizon) if grid is None else np.asarray(grid, dtype=float)
@@ -263,9 +270,7 @@ def _solve(problem: CauchyProblem, grid: np.ndarray | None, kind: str, forcing) 
         times = [float(t) for t in times]
         if forcing is None:
             return evolve(times, problem.initial, repeat(problem.tol))
-        bad = [t for t in times if not t >= 0.0]
-        if bad:
-            raise NegativeForcedTime(f"solved for t >= 0 only with a forcing or a velocity, not at t = {bad[0]!r}")
+        _check_forced_times(times)
         g = _constant_value(forcing, times) if callable(forcing) else forcing
         if g is not None:
             return evolve(times, problem.initial, repeat(problem.tol), g)
@@ -301,7 +306,7 @@ def solve_wave(
     bound: float | None = None,
     tol: float = 1e-9,
 ) -> list:
-    """Series solution of the fuzzy wave equation, one state per time t >= 0 of ``times``.
+    """Series solution of the fuzzy wave equation, one state per time of ``times`` (t >= 0 with ``u2``).
 
     ``u1_derivatives(x, 2p)`` must return the even-order derivative of the
     initial profile at x, and ``bound`` must certify a uniform norm bound
@@ -315,6 +320,8 @@ def solve_wave(
     if bound is None or not (bound > 0) or not math.isfinite(bound):
         raise MissingDerivativeBound("a positive uniform bound on the even derivatives is required")
     times = [float(t) for t in times]
+    if u2 is not None:
+        _check_forced_times(times)
     if not times:
         return []
     x_nodes = np.asarray(x_nodes, dtype=float)

@@ -240,12 +240,12 @@ def clamp_nested(ends: np.ndarray, tol=MONOTONICITY_TOLERANCE):
     lo, up = ends[..., 0, :], ends[..., 1, :]
     np.maximum.accumulate(lo, axis=-1, out=lo)
     np.minimum.accumulate(up, axis=-1, out=up)
-    # with lo nondecreasing and up nonincreasing the only possible order
-    # violation is at the top level; a midpoint clamp there keeps both
-    # monotonicities intact (min/max against a constant)
+    # with lo nondecreasing and up nonincreasing the only possible order violation is at the
+    # top level; a midpoint clamp there keeps both monotonicities intact (min/max against a
+    # constant), and halving each end first keeps it finite at the float limit
     crossed = lo[..., -1:] > up[..., -1:]
     if crossed.any():
-        mid = 0.5 * (lo[..., -1:] + up[..., -1:])
+        mid = 0.5 * lo[..., -1:] + 0.5 * up[..., -1:]
         lo[...] = np.where(crossed, np.minimum(lo, mid), lo)
         up[...] = np.where(crossed, np.maximum(up, mid), up)
     return ends, ok

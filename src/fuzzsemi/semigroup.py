@@ -37,15 +37,15 @@ for cosh, which is the top-left block of the exponential of
 scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005), in
 numpy, their degree taken from `required_order` so that the tail is below
 the unit roundoff.  `RankOneFlow` runs the same kernel on a 4 x 4 matrix
-for every builtin, and sinh reads the forced cosh flow (`_sinh_flow`).
+for every builtin.  A flow forms the exponential of one generator: A, the
+[[A, I], [0, 0]] of a constant forcing, or the cosh matrix, which serves
+cosh, cosh with a velocity and sinh (`_sinh_flow`) alike.
 `propagator`, the one map for T(t), takes the flow of every operator with a
-matrix or a rank-one map and the literal series of every other;
-`SemigroupEvaluator` stays the literal series and the flows' test oracle.
-A flow depends on the operator alone, so it is built on first use and kept,
-read-only, on the operator instance (`_flow`).  So do its matrices at each
-time: `MatrixFlow.matrices` keeps them per flow, read-only, within a fixed
-byte budget (`_MEMO_BYTES`), and they live as long as the operator instance.
-A solve repeated on a grid already seen forms no exponential.
+matrix or a rank-one map and the literal series of every other, and alone
+checks the constant-input contract; `SemigroupEvaluator` stays the literal
+series and the flows' test oracle.  A flow is built on first use and kept on
+the operator instance (`_flow`), with its matrices at each time, within a byte
+budget (`MatrixFlow.matrices`): a solve repeated on one grid forms no exponential.
 """
 
 from __future__ import annotations
@@ -186,8 +186,6 @@ def _series(op: LinearOperator, kind: str, times, x, tols, g=None) -> list:
     """
     times, m = [float(t) for t in times], op.norm_bound
     if g is not None:
-        if kind == "sinh" or min(times, default=0.0) < 0.0:
-            raise ValueError("a constant input is taken by exp and cosh at times >= 0 only")
         ladder, scale = "sinh" if kind == "cosh" else kind, max(1.0, core.norm(g))
         tols = [0.5 * tol for _, tol in zip(times, tols)]
         g_orders = [required_order(t, m, _relative_tol(tol, scale, m), ladder) if m else int(t > 0.0)
@@ -245,7 +243,7 @@ class SemigroupEvaluator:
 # ---------------------------------------------------------------------------
 # exact flow of operators that carry a real matrix
 
-FLOW_KINDS = ("exp", "cosh")
+FLOW_KINDS = ("exp", "forced_exp", "cosh")  # the generators A, [[A, I], [0, 0]] and the cosh matrix
 _UNIT_ROUNDOFF = 2.0**-53
 _MEMO_BYTES = 1 << 20  # each flow keeps at most this many bytes of matrices (`MatrixFlow.matrices`)
 # Taylor degree whose tail at |tau| * ||base|| <= 1 is below the unit roundoff
@@ -265,13 +263,6 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     over j along a contiguous last axis per entry, so an item's bits do not
     depend on the batch."""
     return (a[..., :, None, :] * np.swapaxes(b, -1, -2)[..., None, :, :]).sum(axis=-1)
-
-
-def _augmented(a: np.ndarray, inject: np.ndarray) -> np.ndarray:
-    """[[a, inject], [0, 0]]: the generator of (x, g)' = (a x + inject g, 0), whose flow
-    carries x forward with the integral of a's flow applied to inject g."""
-    n, m = inject.shape
-    return np.block([[a, inject], [np.zeros((m, n + m))]])
 
 
 def _expm(powers: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -307,24 +298,22 @@ class MatrixFlow:
     midpoints and radii of x, levelwise, by two k x k matrices: e^{tA} and
     e^{|t| |A|} for exp, the cosh series of (tA, |t| |A|) for cosh (see
     `matrices`).  Computed in floating point to a few ulps of the growth
-    e^{|t| |A|} times ||x||; no truncation tolerance is involved.  The
-    powers of both Taylor bases are formed once per operator (`_flow`) and
-    are read-only; a base with no sign bit set is its own absolute value,
-    and one set of powers serves both.  The flow also keeps the matrices of
-    every time it has formed, keyed by the time's bits, in a memo of at most
-    `_MEMO_BYTES` (1 MiB) that lives and dies with the flow, and so with its
-    operator instance's ``_flows`` (see `matrices`).
+    e^{|t| |A|} times ||x||; no truncation tolerance is involved.
 
-    ``forced`` adds a constant input g: `evaluate(times, x, g)` gives
-    T(t)x + integral_0^t T(r)g dr at t >= 0 from the top block rows of the
-    exponentials: of B = [[A, I], [0, 0]] and |B| for exp, u' = Au + g (Van
-    Loan, IEEE TAC 23, 1978), and of cosh's own [[0, b I], [A / b, 0]], whose
-    top block row is [C(t), b S(t)], for cosh, u'' = Au with u'(0) = g.
+    ``kind`` names the generator whose exponential's top block row is the map
+    (Van Loan, IEEE TAC 23, 1978): A for "exp"; [[A, I], [0, 0]] for
+    "forced_exp", adding a constant forcing g, u' = Au + g; the balanced
+    [[0, b I], [A / b, 0]] for "cosh", whose row [C(t), b S(t)] adds a
+    velocity g, u'' = Au, u'(0) = g.  `evaluate` reads x's k columns, and g's
+    where the generator has input columns ("exp" has none).  The powers of
+    both Taylor bases are formed once per flow, read-only; a base with no sign
+    bit set is its own absolute value, and one set of powers serves both.
+    The matrices of every time formed are kept, keyed by the time's bits, in
+    a memo of at most `_MEMO_BYTES` that lives as long as the flow (`matrices`).
     """
 
     operator: LinearOperator
     kind: str = "exp"
-    forced: bool = False
 
     def __post_init__(self):
         if self.kind not in FLOW_KINDS:
@@ -336,8 +325,8 @@ class MatrixFlow:
             # power of two near sqrt(||A||), balances the blocks exactly
             b = 2.0 ** (int(_binary_exponent(np.abs(a).sum(axis=1).max())) // 2)
             a = np.block([[np.zeros((k, k)), b * np.eye(k)], [a / b, np.zeros((k, k))]])
-        elif self.forced:
-            a = _augmented(a, inject)
+        elif self.kind == "forced_exp":  # (x, g)' = (A x + inject g, 0)
+            a = np.block([[a, inject], [np.zeros((inject.shape[1], sum(inject.shape)))]])
         # a base with no sign bit set is |A| bit for bit: its powers serve both
         bases = np.stack((a, np.abs(a))) if np.signbit(a).any() else a[None]
         # a power of two brings both bases to norm at most 1 and moves into the times
@@ -346,7 +335,7 @@ class MatrixFlow:
         powers = np.ldexp(bases, -scale)[:, None]
         while powers.shape[1] < _TAYLOR_DEGREE:
             powers = np.concatenate((powers, _matmul(powers, powers[:, -1:])), axis=1)
-        self.__dict__.update(_k=k, _width=len(a) if self.forced else k, _balance=b, _scale=scale,
+        self.__dict__.update(_k=k, _width=len(a), _balance=b, _scale=scale,
                              _powers=core._frozen(powers[:, :_TAYLOR_DEGREE]), _memo={})
 
     def _real_matrix(self) -> tuple:
@@ -361,10 +350,10 @@ class MatrixFlow:
         the flow overflowed (numpy warns unless the caller silences it).
 
         Each is the top block row of its exponential (see the class): the map
-        of x, or of x and then g when forced.  Both kinds take one `_expm` call,
-        over one row of taus when the base is its own absolute value and the
-        signed taus carry no sign bit (every forced exp and every cosh flow, and
-        exp at t >= 0): the two exponentials are then one, bit for bit.
+        of x, and then of the input g where the generator has input columns.
+        Every kind takes one `_expm` call, over one row of taus when the base is
+        its own absolute value and the signed taus carry no sign bit (cosh, and
+        exp or forced exp at t >= 0): the two exponentials are then one, bit for bit.
 
         Each time's pair is formed once per flow: the times missing from the
         memo are formed in one batch and kept, read-only, keyed by their bit
@@ -399,14 +388,14 @@ class MatrixFlow:
 
     def _exponentials(self, times: np.ndarray) -> np.ndarray:
         """`matrices` of finite ``times``, formed afresh in one batch."""
-        signed = times if self.kind == "exp" else np.abs(times)
+        signed = np.abs(times) if self.kind == "cosh" else times
         taus = np.stack((signed, np.abs(times)))
         if len(self._powers) == 1 and not np.signbit(signed).any():
             taus = taus[1:]
         out = _expm(self._powers, np.ldexp(taus, self._scale))[:, :, : self._k, : self._width]
         if len(out) == 1:
             out = np.concatenate((out, out))
-        out[..., self._k :] /= self._balance  # b S(t) -> S(t), exact: b is a power of two (1 for exp)
+        out[..., self._k :] /= self._balance  # b S(t) -> S(t), exact: b is a power of two (1 for forced exp)
         return out
 
     def _image(self, flows, x, g):
@@ -431,8 +420,8 @@ class MatrixFlow:
         return grid, mid, rad, flows[1].sum(axis=2).max(axis=1) * size, same
 
     def evaluate(self, times, x, g=None) -> list:
-        """The flow at each of ``times`` applied to x (and, when forced, the constant
-        input g: a forcing for exp, a velocity for cosh; times >= 0 only), in order.
+        """The flow at each of ``times`` applied to x (and to the input g, where the generator
+        takes one: a forcing for forced exp, a velocity for cosh), in order.
 
         x itself where the map is exactly the identity (t = 0, or a t too small to
         move any bit); when every time is 0 that is returned at once, after the
@@ -442,24 +431,26 @@ class MatrixFlow:
         state (`core.Leaf._with_rows`).  The domain is checked first.
         SeriesOverflow, without a numpy warning, past the float range.
         """
-        if (g is None) == self.forced:
-            raise ValueError("a forced flow takes a forcing g, and only a forced flow does")
+        if g is not None and self._width == self._k:
+            raise ValueError(f"the {self.kind} flow has no input columns: it takes no constant input")
         for arg in (x,) if g is None else (x, g):
             self.operator._check_domain(core._leaf(arg))
         times = [float(t) for t in times]
         if not times:
             return []
-        if g is not None and min(times) < 0.0:
-            raise ValueError("a forced flow is evaluated at times >= 0 only")
         if not any(times):  # every map is the identity: no exponential to form
             return [x] * len(times)
         with np.errstate(over="ignore", invalid="ignore"):
-            grid, mid, rad, size, same = self._image(self.matrices(times), x, g)
+            flows = self.matrices(times)
+            if g is None:  # the map of x alone: the first k columns
+                flows = np.ascontiguousarray(flows[..., : self._k])
+            grid, mid, rad, size, same = self._image(flows, x, g)
             ends = np.stack((mid - rad, mid + rad), axis=-2)
         # a non-finite matrix entry makes its image non-finite too (0 * inf is nan)
         finite = np.isfinite(ends).reshape(len(times), -1).all(axis=1)
+        name = self.kind.removeprefix("forced_")
         if not finite.all():
-            what = f"forced {self.kind}" if self.forced else self.kind
+            what = name if g is None else f"forced {name}"
             raise SeriesOverflow(
                 f"the {what} flow of {self.operator.name} overflows at t = {times[np.argmin(finite)]!r}; "
                 "shorten the horizon or reduce the operator's norm or data"
@@ -468,7 +459,7 @@ class MatrixFlow:
         ends, ok = core.clamp_nested(ends, tol)
         if not ok.all():
             raise SeriesOverflow(
-                f"rounding in the {self.kind} flow of {self.operator.name} breaks the nesting of level sets; "
+                f"rounding in the {name} flow of {self.operator.name} breaks the nesting of level sets; "
                 "shorten the horizon"
             )
         return [x if keep else leaf for keep, leaf in zip(same.tolist(), grid._with_rows(ends))]
@@ -526,25 +517,24 @@ class RankOneFlow(MatrixFlow):
 # the one choice of how T(t) is evaluated
 
 
-def _flow(operator: LinearOperator, kind: str, forced: bool = False):
-    """The operator's ``kind`` flow: `MatrixFlow` for an operator with a matrix,
-    `RankOneFlow` for a rank-one map, else None.  Built on first use and kept in
-    the instance's ``_flows``, so every solve with the operator shares it, and
-    with it the matrices it keeps per time (`MatrixFlow.matrices`) for as long as
-    the instance lives; its arrays are read-only, and a race can at worst build it twice."""
+def _flow(operator: LinearOperator, kind: str):
+    """The operator's flow of the generator ``kind`` (`FLOW_KINDS`): `MatrixFlow` for an operator
+    with a matrix, `RankOneFlow` for a rank-one map, else None.  Built on first use and kept in the
+    instance's ``_flows``, at most three, for every solve with the instance to share with the
+    matrices each keeps per time; read-only, and a race can at worst build one twice."""
     cls = MatrixFlow if operator.matrix is not None else RankOneFlow if operator.rank_one is not None else None
     if cls is None:
         return None
-    flow = operator._flows.get((kind, forced))
+    flow = operator._flows.get(kind)
     if flow is None:
-        flow = operator._flows[kind, forced] = cls(operator, kind, forced)
+        flow = operator._flows[kind] = cls(operator, kind)
     return flow
 
 
-def _sinh_flow(operator: LinearOperator, flow: MatrixFlow, times, x) -> list:
-    """S(t)x = A(integral_0^|t| C(r)x dr), odd in t (Fattorini, 1985), from the forced cosh ``flow``
-    with velocity x, whose coefficients are >= 0; the +0.0 zero element at t = 0, as in the series."""
-    times, zero = [float(t) for t in times], core.zero_like(x)
+def _sinh_flow(operator: LinearOperator, flow: MatrixFlow, times: list, x) -> list:
+    """S(t)x = A(integral_0^|t| C(r)x dr), odd in t (Fattorini, 1985), from the cosh ``flow`` with
+    velocity x, whose coefficients are >= 0; the +0.0 zero element at t = 0, as in the series."""
+    zero = core.zero_like(x)
     with np.errstate(over="ignore", invalid="ignore"):
         images = [operator(v) for v in flow.evaluate([abs(t) for t in times], zero, x)]
     for t, u in zip(times, images):
@@ -555,18 +545,21 @@ def _sinh_flow(operator: LinearOperator, flow: MatrixFlow, times, x) -> list:
 
 def propagator(operator: LinearOperator, kind: str = "exp") -> Callable:
     """The map (times, x, tols, g=None) -> T(t)(x) at each of ``times`` in one batch, one truncation
-    tol per time, T the ``kind`` family; with a constant input g (exp or cosh, times >= 0), plus
-    integral_0^t T(r)(g) dr: u(t) for u' = Au + g (exp) or u'' = Au, u'(0) = g (cosh), u(0) = x.
-    An operator with a matrix or a rank-one map takes its flow (`_flow`, forced with g, or
-    `_sinh_flow`; ``tols`` unused), exact to rounding; every other operator the literal series as
+    tol per time, T the ``kind`` family; with a constant input g (exp or cosh, times >= 0, else
+    ValueError), plus integral_0^t T(r)(g) dr: u(t) for u' = Au + g (exp) or u'' = Au, u'(0) = g
+    (cosh), u(0) = x.  An operator with a matrix or a rank-one map takes the flow of its generator
+    (`_flow`; ``tols`` unused), exact to rounding; every other operator the literal series as
     `SemigroupEvaluator` truncates it, plus the Duhamel series of g (`_series`).
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
 
     def evaluate(times, x, tols, g=None):
-        flow = _flow(operator, "cosh", True) if kind == "sinh" else _flow(operator, kind, g is not None)
-        if flow is None or kind == "sinh" and g is not None:  # sinh takes no constant input: `_series` raises
+        times = [float(t) for t in times]
+        if g is not None and (kind == "sinh" or any(not t >= 0.0 for t in times)):
+            raise ValueError("a constant input is taken by exp and cosh at times >= 0 only")
+        flow = _flow(operator, "cosh" if kind != "exp" else "exp" if g is None else "forced_exp")
+        if flow is None:
             return _series(operator, kind, times, x, tols, g)
         return _sinh_flow(operator, flow, times, x) if kind == "sinh" else flow.evaluate(times, x, g)
 

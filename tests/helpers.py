@@ -196,7 +196,7 @@ def full_clamp(ends, tol=core.MONOTONICITY_TOLERANCE):
     np.minimum.accumulate(up, axis=-1, out=up)
     crossed = lo[..., -1:] > up[..., -1:]
     if crossed.any():
-        mid = 0.5 * (lo[..., -1:] + up[..., -1:])
+        mid = 0.5 * lo[..., -1:] + 0.5 * up[..., -1:]
         lo[...] = np.where(crossed, np.minimum(lo, mid), lo)
         up[...] = np.where(crossed, np.maximum(up, mid), up)
     return ends, ok

@@ -770,6 +770,21 @@ def test_wave_at_many_times_equals_one_time_solves():
     assert solve_wave(profile, u2, (), xs, bound=2 * math.e) == []
 
 
+def test_wave_with_velocity_rejects_negative_times():
+    # t u2 is the velocity's part for t >= 0 only, as for solve_second_order; without u2 the series is even in t
+    xs = np.linspace(0.0, 1.0, 5)
+    profile = lambda x, order: core.scalar_mul(math.exp(x), C)
+    u2 = FuzzyFunction(xs, tuple(core.make_triangular(0, 1, 2) for _ in xs))
+    for times in ([-1.0, 1.0], [0.5, -1e-300], [math.nan]):
+        with pytest.raises(NegativeForcedTime, match="velocity") as err:
+            solve_wave(profile, u2, times, xs, bound=2 * math.e)
+        assert f"t = {[t for t in times if not t >= 0.0][0]!r}" in str(err.value)
+    back, forth = solve_wave(profile, None, [-1.0, 1.0], xs, bound=2 * math.e)
+    assert back.ends.tobytes() == forth.ends.tobytes()
+    assert solve_wave(profile, u2, [-0.0], xs, bound=2 * math.e)[0].ends.tobytes() == \
+        solve_wave(profile, None, [0.0], xs, bound=2 * math.e)[0].ends.tobytes()
+
+
 def test_wave_samples_each_derivative_once(monkeypatch, tmp_path):
     # `example wave` at its defaults: 9 times on [0, 1], 65 nodes, engine tol 1e-9
     orders = []

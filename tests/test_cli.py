@@ -12,6 +12,7 @@ import pytest
 
 from fuzzsemi import cauchy, checks, cli, core
 from fuzzsemi.errors import SchemaError
+from fuzzsemi.operators import BUILTIN_NAMES
 
 import helpers
 
@@ -571,11 +572,62 @@ def test_solve_fuzzed_configs_keep_exit_code_contract(tmp_path, capsys):
     ({"u0": {"tri": [0, 1, 2]}, "operator": {"kind": "scale", "factor": 0.5}, "T": 5e-324},
      cauchy.DEFAULT_TIME_NODES, "error: config.T 5e-324 over --nodes 64 gives repeated times"),
     ({"u0": {"tri": [0, 1, 2]}, "operator": {"kind": "scale", "factor": 0.5}, "T": 5e-324}, 2, None),
+    # a flow image whose top level crosses by rounding near the float limit: the clamp's midpoint overflowed
+    ({"operator": {"kind": "scale", "factor": 1.0}, "u0": {"tri": [1e300, 1e308, 1e308]}, "T": 0.5}, 3, None),
+    ({"operator": {"kind": "identity"}, "u0": {"tri": [1e300, 1e308, 1e308]}, "T": 0.5}, 3, None),
+    ({"order": 2, "operator": {"kind": "scale", "factor": 1.0}, "u0": {"tri": [1e300, 1e308, 1e308]}, "T": 0.5},
+     3, None),
 ], ids=["nan-level-scale", "nan-level-builtin", "overflowing-nesting-check", "overflowing-validation",
-        "subnormal-horizon", "subnormal-horizon-two-nodes"])
+        "subnormal-horizon", "subnormal-horizon-two-nodes", "top-of-range-clamp-scale",
+        "top-of-range-clamp-identity", "top-of-range-clamp-order-2"])
 def test_solve_regressions_keep_exit_code_contract(tmp_path, capsys, config, nodes, message):
     err = _solve_keeps_contract(tmp_path, capsys, config, "regression", nodes)
     assert err.splitlines() == ([message] if message else []), err
+
+
+# seeded well-formed configs whose numbers are edge values: the same contract
+
+_EDGE_NUMBERS = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-170, 0.5, -0.5, 1, -1, 2, 700, -700,
+                 1e154, 1e300, -1e300, 1e308, -1e308, 1.7e308)
+_EDGE_TOP = tuple(v for v in _EDGE_NUMBERS if abs(v) >= 1e154)
+_EDGE_POSITIVE = tuple(v for v in _EDGE_NUMBERS if v > 0)
+
+
+def _edge_fuzzy(rng, components):
+    """``components`` triangles (one alone for 1) from sorted edge values, three in four from the top
+    of the float range, where a flow's image is nearest to overflowing."""
+    tris = [{"tri": sorted(rng.choice(_EDGE_TOP if rng.random() < 0.75 else _EDGE_NUMBERS) for _ in range(3))}
+            for _ in range(components)]
+    return tris[0] if components == 1 else tris
+
+
+def _edge_config(rng):
+    """A config that passes the schema, over every operator kind and both orders, with a constant g
+    (order 1) or a v0 (a two-component state) drawn at random, and every number an edge value."""
+    kind = rng.choice(("builtin", "matrix", "identity", "scale"))
+    components = 2 if kind == "matrix" or kind != "builtin" and rng.random() < 0.5 else 1
+    operator = {"kind": kind}
+    if kind == "builtin":
+        operator["name"] = rng.choice(BUILTIN_NAMES)
+        if rng.random() < 0.5:
+            operator["c"] = _edge_fuzzy(rng, 1)
+    elif kind == "matrix":
+        operator["entries"] = [[rng.choice(_EDGE_NUMBERS) for _ in range(2)] for _ in range(2)]
+    elif kind == "scale":
+        operator["factor"] = rng.choice(_EDGE_NUMBERS)
+    config = {"order": rng.choice((1, 2)), "operator": operator, "u0": _edge_fuzzy(rng, 1),
+              "T": rng.choice(_EDGE_POSITIVE), "tol": rng.choice(_EDGE_POSITIVE)}
+    if components == 2:
+        config["v0"] = _edge_fuzzy(rng, 1)
+    if config["order"] == 1 and rng.random() < 0.5:
+        config["g"] = {"kind": "const", "value": _edge_fuzzy(rng, components)}
+    return config
+
+
+def test_solve_edge_valued_configs_keep_exit_code_contract(tmp_path, capsys):
+    rng = random.Random(20261021)
+    for case in range(500):
+        _solve_keeps_contract(tmp_path, capsys, _edge_config(rng), case, rng.choice((2, 3)))
 
 
 # seeded example flag sets from edge values: the same contract, exit 2 included

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -464,6 +465,25 @@ def test_clamp_nested_early_return_gives_the_full_clamp_bits():
     for ends in (signed, nan, dirty):
         with pytest.raises(ValueError, match="read-only"):
             core.clamp_nested(_read_only(ends))
+
+
+def test_clamp_nested_midpoint_stays_finite_near_the_float_limit():
+    big = np.finfo(float).max
+    # top levels crossed by an ulp: the sum of the two ends overflows, their midpoint does not
+    ends = np.array([[[1e300, big], [big, np.nextafter(big, 0.0)]],
+                     [[-big, np.nextafter(-big, 0.0)], [np.nextafter(-big, 0.0), -big]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, ok = core.clamp_nested(ends.copy(), core.MONOTONICITY_TOLERANCE * big)  # relative, as a flow's
+    assert np.isfinite(got).all() and ok.all() and not core.nesting_defect(got).any()
+    assert got[0, 0, -1] == got[0, 1, -1] == 0.5 * big + 0.5 * np.nextafter(big, 0.0)
+    # away from the ends of the float range the midpoint has the bits of 0.5 * (lo + up)
+    rng = np.random.default_rng(8)
+    lo, up = rng.uniform(-1e3, 1e3, (2, 1000)) * 10.0 ** rng.integers(-300, 300, (2, 1000))
+    crossed = np.stack((np.stack((lo, np.maximum(lo, up)), -1), np.stack((np.maximum(lo, up), np.minimum(lo, up)), -1)), 1)
+    got, _ = core.clamp_nested(crossed.copy())
+    want = 0.5 * (np.maximum(lo, up) + np.minimum(lo, up))
+    assert np.array_equal(got[:, 0, -1], want) and np.array_equal(got[:, 1, -1], want)
 
 
 def _stack_cases():

@@ -26,6 +26,7 @@ import helpers
 
 EPS = float(np.finfo(float).eps)
 ROTATION = ((0.0, 1.0), (-1.0, 0.0))
+FORCED = {"exp": "forced_exp", "cosh": "cosh"}  # the generator that takes a constant input, per kind
 U0 = core.make_triangular(0, 1, 2)
 V0 = core.make_triangular(1, 2, 3)
 
@@ -101,7 +102,7 @@ def test_flow_matches_endpoint_rk4(kind):
             dy0 = np.concatenate([v.ends[:, 0, :], v.ends[:, 1, :]])
             ref = helpers.rk4(lambda _, y: np.concatenate([y[n:], gen @ y[:n]]),
                               np.concatenate([y0, dy0]), 1.0, steps=800)[:n]
-            got = MatrixFlow(op, kind, forced=True).evaluate([1.0], w, v)[0]
+            got = MatrixFlow(op, kind).evaluate([1.0], w, v)[0]
             assert np.abs(np.concatenate([got.ends[:, 0, :], got.ends[:, 1, :]]) - ref).max() <= 1e-8
 
 
@@ -323,7 +324,7 @@ def _forced_cases():
 def test_forced_flow_each_time_equals_its_own_evaluation(kind):
     times = [0.0, 1e-300, 0.3, 7.0, 0.001, 1.0]
     for op, x, g in _forced_cases():
-        flow = (MatrixFlow if op.matrix is not None else RankOneFlow)(op, kind, forced=True)
+        flow = (MatrixFlow if op.matrix is not None else RankOneFlow)(op, FORCED[kind])
         batch = flow.evaluate(times, x, g)
         for t, state in zip(times, batch):
             assert np.array_equal(flow.evaluate([t], x, g)[0].ends, state.ends), (op.name, t)
@@ -331,27 +332,31 @@ def test_forced_flow_each_time_equals_its_own_evaluation(kind):
 
 
 def test_forced_flow_without_forcing_is_the_flow():
-    # g = 0 adds 0 to the Duhamel part: the forced flow then agrees with the flow to rounding
+    # g = 0 adds 0 to the Duhamel part, and no g reads the first k columns alone:
+    # the forced flow then agrees with the flow to rounding
     times = [0.0, 0.3, 2.0]
     for op, x, g in _forced_cases():
         cls = MatrixFlow if op.matrix is not None else RankOneFlow
-        forced = cls(op, forced=True).evaluate(times, x, core.zero_like(g))
-        for a, b in zip(forced, cls(op).evaluate(times, x)):
-            assert core.distance(a, b) <= 1e-13 * max(1.0, core.norm(b))
+        forced = cls(op, "forced_exp")
+        for got in (forced.evaluate(times, x, core.zero_like(g)), forced.evaluate(times, x)):
+            for a, b in zip(got, cls(op).evaluate(times, x), strict=True):
+                assert core.distance(a, b) <= 1e-13 * max(1.0, core.norm(b))
 
 
 def test_forced_flow_validates_its_arguments():
-    flow = MatrixFlow(scale_operator(1.0), forced=True)
-    with pytest.raises(ValueError, match="forcing"):
-        flow.evaluate([1.0], U0)
-    with pytest.raises(ValueError, match="forcing"):
-        MatrixFlow(scale_operator(1.0)).evaluate([1.0], U0, V0)
-    with pytest.raises(ValueError, match=">= 0"):
-        flow.evaluate([0.5, -0.5], U0, V0)
+    flow = MatrixFlow(scale_operator(1.0), "forced_exp")
+    for op in (scale_operator(1.0), builtin("A1")):  # a generator without input columns takes no g
+        with pytest.raises(ValueError, match="constant input"):
+            (MatrixFlow if op.matrix is not None else RankOneFlow)(op).evaluate([1.0], U0, V0)
+    # the constant-input contract is the propagator's, for every operator
+    for op in (scale_operator(1.0), builtin("A1"), helpers.bare(scale_operator(1.0))):
+        for kind, times in (("exp", [0.5, -0.5]), ("cosh", [-1e-300]), ("exp", [math.nan]), ("sinh", [1.0])):
+            with pytest.raises(ValueError, match=">= 0"):
+                propagator(op, kind)(times, U0, [1e-9] * len(times), V0)
     with pytest.raises(SpaceMismatch):
-        RankOneFlow(builtin("A1"), forced=True).evaluate([1.0], U0, pair(U0, V0))
+        RankOneFlow(builtin("A1"), "forced_exp").evaluate([1.0], U0, pair(U0, V0))
     with pytest.raises(SpaceMismatch):
-        MatrixFlow(lift_matrix(ROTATION), forced=True).evaluate([1.0], pair(U0, V0), U0)
+        MatrixFlow(lift_matrix(ROTATION), "forced_exp").evaluate([1.0], pair(U0, V0), U0)
     with pytest.raises(SpaceMismatch):
         flow.evaluate([1.0], U0, pair(U0, V0))  # a scale acts on any element, but x and g share one space
 
@@ -378,8 +383,8 @@ def test_flow_at_all_zero_times_forms_no_exponential(monkeypatch, kind):
     monkeypatch.setattr(semigroup, "_expm", lambda *a, real=semigroup._expm: calls.append(a) or real(*a))
     for op, x, _ in _flow_cases():
         cls = MatrixFlow if op.matrix is not None else RankOneFlow
-        for forced in (False, True):
-            flow, args = cls(op, kind, forced), (x, x) if forced else (x,)
+        for generator, args in ((kind, (x,)), (FORCED[kind], (x, x))):
+            flow = cls(op, generator)  # a fresh flow, with an empty memo, each time
             assert all(u is x for u in flow.evaluate([0.0, -0.0, 0.0], *args)) and not calls, op.name
             # a nonzero time forms one; its state is a fresh read-only leaf (on x's grids, for a matrix)
             first, later = flow.evaluate([0.0, 0.5], *args)
@@ -425,8 +430,32 @@ def test_second_solve_builds_no_flow(monkeypatch):
             formed.clear()
             fresh = solve(dataclasses.replace(problem, operator=dataclasses.replace(op)))
             assert sum(formed) == len(first.times) and fresh.states[-1].ends.tobytes() == first.states[-1].ends.tobytes()
-    # exp, forced exp and forced cosh: three flows per operator and one per fresh copy, each built once
+    # exp, forced exp and cosh: three flows per operator and one per fresh copy, each built once
     assert len(built) == 2 * (3 + 3) and len({id(f) for f in built}) == len(built)
+
+
+def test_cosh_velocity_and_sinh_share_one_flow(monkeypatch):
+    # one generator: the unforced cosh solve, the velocity solve and sinh read one flow's matrices
+    built, formed = [], _exponentials_formed(monkeypatch)
+    for cls in (MatrixFlow, RankOneFlow):
+        monkeypatch.setattr(cls, "_real_matrix", lambda self, real=cls._real_matrix: built.append(self) or real(self))
+    grid, v = np.linspace(0.0, 1.5, 7), core.make_triangular(-0.5, 0.2, 0.8)
+    for op, x in ((builtin("RemarkA", U0), U0), (scale_operator(-1.5), U0), (lift_matrix(ROTATION), pair(U0, V0))):
+        built.clear()
+        formed.clear()
+        velocity = v if op.matrix is None or len(op.matrix) == 1 else pair(v, V0)
+        free = solve_second_order(CauchyProblem(op, x, initial_velocity=core.zero_like(x)), grid)
+        moving = solve_second_order(CauchyProblem(op, x, initial_velocity=velocity), grid)
+        sinh = propagator(op, "sinh")(grid, x, [1e-9] * len(grid))
+        assert len(built) == 1 and built[0].kind == "cosh" and op._flows == {"cosh": built[0]}, op.name
+        assert sum(formed) == len(grid), op.name
+        # each against a fresh flow of its own
+        cosh = MatrixFlow if op.matrix is not None else RankOneFlow
+        for got, want in ((free.states, cosh(op, "cosh").evaluate(grid, x)),
+                          (moving.states, cosh(op, "cosh").evaluate(grid, x, velocity)),
+                          (sinh, [op(u) if t else core.zero_like(x)
+                                  for t, u in zip(grid, cosh(op, "cosh").evaluate(grid, core.zero_like(x), x))])):
+            assert [u.ends.tobytes() for u in got] == [u.ends.tobytes() for u in want], op.name
 
 
 def _memo_bytes(flow) -> int:
@@ -464,16 +493,17 @@ def test_memoised_flow_matches_a_fresh_one_bit_for_bit():
         for kind in ("exp", "cosh"):
             assert semigroup._flow(op, kind) is semigroup._flow(op, kind)
             for forced in (False, True):
-                flow = semigroup._flow(op, kind, forced)
+                generator = FORCED[kind] if forced else kind
+                flow = semigroup._flow(op, generator)
                 for times in _MEMO_BATCHES:
-                    got, want = flow.matrices(times), cls(op, kind, forced).matrices(times)
+                    got, want = flow.matrices(times), cls(op, generator).matrices(times)
                     assert got.shape == (2, len(times), flow._k, flow._width)
                     assert got.tobytes() == want.tobytes(), (op.name, kind, forced, times)
                     # the states of the memoised map against a fresh flow's (a forced one at |t|)
                     times = [abs(t) for t in times] if forced else times
                     args = (times, x, x) if forced else (times, x)
                     memo = propagator(op, kind)(*args[:2], [1e-9] * len(times), *args[2:])
-                    fresh = cls(op, kind, forced).evaluate(*args)
+                    fresh = cls(op, generator).evaluate(*args)
                     for a, b in zip(memo, fresh, strict=True):
                         assert a.ends.tobytes() == b.ends.tobytes(), (op.name, kind, forced, times)
 
@@ -493,7 +523,7 @@ def test_replaced_matrix_gets_its_own_flow():
 
 def test_flow_powers_are_read_only_and_matrices_fresh():
     for op, _, _ in _flow_cases():
-        flow = semigroup._flow(op, "exp", forced=True)
+        flow = semigroup._flow(op, "forced_exp")
         assert not flow._powers.flags.writeable
         with pytest.raises(ValueError):
             flow._powers[...] = 0.0
@@ -555,7 +585,8 @@ def test_one_exponential_matches_the_stacked_pair_bit_for_bit(kind, forced):
         times += [-2.5, -0.001]
     for op, x, signed in _flow_cases():
         cls = MatrixFlow if op.matrix is not None else RankOneFlow
-        flow, stacked = cls(op, kind, forced), cls(op, kind, forced)
+        generator = FORCED[kind] if forced else kind
+        flow, stacked = cls(op, generator), cls(op, generator)
         assert len(flow._powers) == 1 + signed, op.name
         stacked.__dict__["_powers"] = np.array(np.broadcast_to(flow._powers, (2, *flow._powers.shape[1:])))
         assert flow.matrices(times).tobytes() == stacked.matrices(times).tobytes(), (op.name, kind)

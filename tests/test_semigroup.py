@@ -363,8 +363,8 @@ def test_propagator_truncates_each_time_to_its_own_tol():
 
 
 def _sinh_by_cosh_flow(flow_cls, op, times, x):
-    # S(t)x = A(integral_0^|t| C(r)x dr) times the sign of t, from a fresh forced cosh flow; +0.0 at t = 0
-    integrals = flow_cls(op, "cosh", forced=True).evaluate([abs(t) for t in times], core.zero_like(x), x)
+    # S(t)x = A(integral_0^|t| C(r)x dr) times the sign of t, from a fresh cosh flow; +0.0 at t = 0
+    integrals = flow_cls(op, "cosh").evaluate([abs(t) for t in times], core.zero_like(x), x)
     signs = [math.copysign(1.0, t) for t in times]
     return [core.scalar_mul(sign, op(v)) if t else core.zero_like(x) for t, sign, v in zip(times, signs, integrals)]
 

@@ -68,7 +68,7 @@ from .errors import (
     QuadratureStall,
     SeriesOverflow,
 )
-from .operators import LinearOperator, builtin, lift_matrix
+from .operators import LinearOperator, builtin, lift_matrix, matrix_image
 from .semigroup import _check_tol, _coefficients, _relative_tol, generator_pair_closed_form, propagator, required_order
 from .spaces import FuzzyFunction, ProductElement, pair
 
@@ -356,17 +356,19 @@ def residual_check(
     quotient forms whose partial difference exists, of the distance to
     A[u(t)] + g(t); the trajectory is re-solved at t +- h through its
     evaluator, in one call covering t, t + h and t - h for every sample
-    time.  A[u(t)] and g(t) are formed once per time, in order; then the
-    states and targets are stacked on common grids, and the four one-sided
-    quotients of every time (forward and backward, each in both
-    orientations) are formed, checked, clamped, scaled and measured in one
-    array pass, each bit-identical to its own `core.hukuhara_diff`,
-    `core.scalar_mul` and `core.distance`.  Returns
-    the maximum residual over the sampled times; raises NoApplicableForm,
-    naming the first such time, when no quotient exists at some time.
+    time.  The states and g(t) are stacked on common grids once; A[u(t)] is
+    one `operators.matrix_image` pass over every t for an operator with a
+    matrix (its domain checked once) and one call per t for any other.  The
+    four one-sided quotients of every time (forward and backward, each in
+    both orientations) are formed, checked, scaled and measured in one array
+    pass, and only the forms that exist are clamped: each is bit-identical to
+    its own `core.hukuhara_diff`, `core.scalar_mul` and `core.distance`.
+    Returns the maximum residual over the sampled times; NoApplicableForm
+    names the first time where no quotient exists, and ValueError the first
+    where t +- h rounds to t, or any h whose 1/h overflows.
     """
-    if not h > 0:
-        raise ValueError("h must be > 0")
+    if not (h > 0 and 0.0 < 1.0 / h < math.inf):
+        raise ValueError(f"h must be > 0 with 1/h finite, not {h!r}")
     if traj.evaluate is None:
         raise ValueError("trajectory carries no evaluator; re-solving at t +- h is impossible")
     if times is None:
@@ -374,33 +376,40 @@ def residual_check(
             raise ValueError("trajectory too short; pass explicit times")
         times = traj.times[1:-1]
     times = [float(t) for t in np.asarray(times, dtype=float)]
+    if stuck := [t for t in times if t + h == t or t - h == t]:
+        raise ValueError(f"h = {h!r} does not move the sample time t = {stuck[0]!r}; raise h")
     # one batch: every t, then every t + h, then every t - h
     states = traj.evaluate([*times, *(t + h for t in times), *(t - h for t in times)])
     n = len(times)
     if not n:
         return 0.0
-    targets = []
-    for t, here in zip(times, states):
-        target = operator(here)
-        if forcing is not None:
-            target = core.add(target, forcing(t))
-        targets.append(target)
-    _, ends = core.stack_common(states + targets)
-    here, after, before, target = ends.reshape(4, n, *ends.shape[1:])
+    images = [operator(here) for here in states[:n]] if operator.matrix is None else []
+    forced = [] if forcing is None else [forcing(t) for t in times]
+    grid, ends = core.stack_common(states + images + forced)
+    here, after, before, *rest = ends.reshape(-1, n, *ends.shape[1:])  # then A[u(t)] and g(t), if stacked
+    if operator.matrix is not None:  # the states share one kind and arity: the grid leaf stands for them all
+        operator._check_domain(grid)
+        rest.insert(0, matrix_image(operator.matrix, here))
+    target = rest[0] + rest[1] if forced else rest[0]
     # forward, backward, then both with reversed orientation
     diffs = np.empty((4, *here.shape))
     for out, (left, right) in zip(diffs, ((after, here), (here, before), (here, after), (before, here))):
         np.subtract(left, right, out=out)
-    diffs, exists = core.clamp_nested(diffs)
-    exists = exists.reshape(4, n, -1).all(axis=-1)
+    defect = core.nesting_defect(diffs)
+    exists = ~(defect > core.MONOTONICITY_TOLERANCE).reshape(4, n, -1).any(axis=-1)
+    missing = ~exists.any(axis=0)
+    if missing.any():
+        raise NoApplicableForm(f"no difference quotient exists at t = {times[int(np.argmax(missing))]}")
+    # only the forms that exist are repaired, each leaf from its own endpoints; forms with no
+    # defect and no endpoint 0.0 are what `core.clamp_nested` would return as they are
+    kept = diffs[exists]
+    if defect[exists].any() or not kept.all():
+        diffs[exists] = core.clamp_nested(kept)[0]
     diffs[:2] *= 1.0 / h
     diffs[2:] = diffs[2:, ..., ::-1, :] * (-1.0 / h)
     diffs -= target
     gaps = np.abs(diffs, out=diffs).reshape(4, n, -1).max(axis=-1)
-    missing = ~exists.any(axis=0)
-    if missing.any():
-        raise NoApplicableForm(f"no difference quotient exists at t = {times[int(np.argmax(missing))]}")
-    return max(0.0, float(np.where(exists, gaps, np.inf).min(axis=0).max()))
+    return float(np.where(exists, gaps, np.inf).min(axis=0).max())
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
+from itertools import repeat
+from operator import eq, is_
 
 import numpy as np
 
@@ -358,12 +360,17 @@ def common_grid(u: Leaf, v: Leaf):
     return u.resample(merged), v.resample(merged)
 
 
-def _shares_grids(u: Leaf, v) -> bool:
-    # v is of u's kind and arity, and holds the very grid objects u holds
-    # (levels, and nodes for a function); False is no verdict
-    return type(v) is type(u) and v.ends.shape == u.ends.shape and all(
-        v.__dict__.get(name) is grid for name, grid in u.__dict__.items() if name != "ends"
-    )
+def _shares_grids(leaves) -> bool:
+    # every leaf is of the first one's kind and arity and holds the very grid objects it holds (levels,
+    # and nodes for a function), each test one C-level pass over the leaves; False is no verdict
+    first = leaves[0]
+    if not all(map(is_, map(type, leaves), repeat(type(first)))):
+        return False
+    attrs = [u.__dict__ for u in leaves]
+    return all(
+        all(map(is_, map(dict.get, attrs, repeat(name)), repeat(grid)))
+        for name, grid in first.__dict__.items() if name != "ends"
+    ) and all(map(eq, [a["ends"].shape for a in attrs], repeat(first.ends.shape)))
 
 
 def stack_common(leaves):
@@ -374,8 +381,8 @@ def stack_common(leaves):
     images of one flow or operator) are stacked in one pass, with the bits
     and the errors of the pairwise alignment."""
     grid = leaves[0]
-    if isinstance(grid, Leaf) and all(_shares_grids(grid, u) for u in leaves):
-        return grid, np.stack([u.ends for u in leaves])
+    if isinstance(grid, Leaf) and _shares_grids(leaves):
+        return grid, np.array([u.ends for u in leaves])
     for u in leaves[1:]:
         grid = common_grid(grid, u)[0]
     return grid, np.stack([common_grid(grid, u)[1].ends for u in leaves])

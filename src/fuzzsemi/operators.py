@@ -93,13 +93,33 @@ class LinearOperator:
         return self.fn(x)
 
 
+def matrix_image(matrix: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The image under a real matrix of endpoints ``ends`` of any leading batch shape: a 1 x 1 matrix
+    scales the whole leaf as `core.scalar_mul` does; a k x k one takes k column passes over the
+    component axis (-3), column j scaling component j as `core.scalar_mul` does, added left to right
+    as `core.add` adds: each leaf's image is its `core.combine_rows` chain bit for bit, in any batch."""
+    if len(matrix) == 1:
+        return core._scaled(matrix[0], ends)[0]
+    parts = np.moveaxis(ends, -3, 0)  # component j of every leaf of the batch
+    total = core._scaled(matrix[:, 0], parts[0])
+    for col, part in zip(matrix.T[1:], parts[1:]):
+        total += core._scaled(col, part)
+    return np.moveaxis(total, 0, -3)
+
+
+def _matrix_operator(entries, bound: float, name: str, domain) -> LinearOperator:
+    """The fully linear x -> `matrix_image` of x, keeping the matrix."""
+    matrix = core._frozen(entries)
+    fn = lambda x: core._leaf(x)._with(matrix_image(matrix, x.ends))
+    return LinearOperator(fn, bound, LINEAR, name, domain, matrix)
+
+
 def scale_operator(factor: float) -> LinearOperator:
     """x -> factor * x; homogeneous under every real factor.  Its matrix is
-    the 1 x 1 matrix [[factor]]."""
+    the 1 x 1 matrix [[factor]], applied by `matrix_image` to a leaf or to a
+    batch of leaves of any kind."""
     factor = float(factor)
-    return LinearOperator(
-        lambda x: core.scalar_mul(factor, x), abs(factor), LINEAR, f"scale({factor:g})", matrix=[[factor]]
-    )
+    return _matrix_operator([[factor]], abs(factor), f"scale({factor:g})", "any")
 
 
 def identity(name: str = "I") -> LinearOperator:
@@ -283,31 +303,20 @@ def builtin(name: str, c: FuzzyNumber | None = None) -> LinearOperator:
 def lift_matrix(entries) -> LinearOperator:
     """Lift a real k x k matrix to product elements: image_i = sum_j a_ij * w_j.
 
-    The images are k column passes over the leading axis of the endpoints:
-    column j of the matrix scales component j as `core.scalar_mul` scales
-    it, and the passes add left to right as `core.add` adds, so each image
-    is the `core.combine_rows` chain bit for bit, without a leaf per term.
-    Fully linear; the certified bound is the max absolute row sum, and a
-    matrix whose row sum leaves the float range raises SeriesOverflow.  The
-    operator keeps the matrix, so the solvers take its exact flow.
+    The images are `matrix_image`'s k column passes over the component axis,
+    of one product or of a batch of them.  Fully linear; the certified bound
+    is the max absolute row sum, and a matrix whose row sum leaves the float
+    range raises SeriesOverflow.  The operator keeps the matrix, so the
+    solvers take its exact flow.
     """
     m = np.asarray(entries, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("entries must be a square matrix")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    k = m.shape[0]
     with np.errstate(over="ignore"):
         bound = float(np.abs(m).sum(axis=1).max())
     if not math.isfinite(bound):
         raise SeriesOverflow("the matrix's absolute row sum leaves the float range; reduce the entries")
-    columns = m.T.copy()  # row j is column j of the matrix
-
-    def fn(w):
-        total = core._scaled(columns[0], w.ends[0])
-        for col, part in zip(columns[1:], w.ends[1:]):
-            total += core._scaled(col, part)
-        return w._with(total)
-
     label = "matrix[" + "; ".join(" ".join(f"{v:g}" for v in row) for row in m) + "]"
-    return LinearOperator(fn, bound, LINEAR, label, ("product", k), m)
+    return _matrix_operator(m, bound, label, ("product", len(m)))

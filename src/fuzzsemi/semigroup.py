@@ -375,16 +375,13 @@ class MatrixFlow:
         missing = list(dict.fromkeys(key for key in keys if key not in known))
         if missing:
             batch = core._frozen(self._exponentials(np.array(missing, dtype=np.uint64).view(float)))
-            fresh = dict(zip(missing, batch.swapaxes(0, 1)))
+            fresh = {key: batch[:, i : i + 1] for i, key in enumerate(missing)}  # (2, 1, k, w) each
             known.update(fresh)
             if batch.nbytes <= _MEMO_BYTES:  # a batch past the budget is returned but not kept
                 if (len(self._memo) + len(fresh)) * (batch.nbytes // len(fresh)) > _MEMO_BYTES:
                     self._memo.clear()
                 self._memo.update(fresh)
-        out = np.empty((2, len(keys), self._k, self._width))
-        for i, key in enumerate(keys):
-            out[:, i] = known[key]
-        return out
+        return np.concatenate([np.empty((2, 0, self._k, self._width)), *map(known.get, keys)], axis=1)
 
     def _exponentials(self, times: np.ndarray) -> np.ndarray:
         """`matrices` of finite ``times``, formed afresh in one batch."""
@@ -447,9 +444,9 @@ class MatrixFlow:
             grid, mid, rad, size, same = self._image(flows, x, g)
             ends = np.stack((mid - rad, mid + rad), axis=-2)
         # a non-finite matrix entry makes its image non-finite too (0 * inf is nan)
-        finite = np.isfinite(ends).reshape(len(times), -1).all(axis=1)
         name = self.kind.removeprefix("forced_")
-        if not finite.all():
+        if not np.isfinite(ends).all():
+            finite = np.isfinite(ends).reshape(len(times), -1).all(axis=1)
             what = name if g is None else f"forced {name}"
             raise SeriesOverflow(
                 f"the {what} flow of {self.operator.name} overflows at t = {times[np.argmin(finite)]!r}; "
@@ -533,10 +530,16 @@ def _flow(operator: LinearOperator, kind: str):
 
 def _sinh_flow(operator: LinearOperator, flow: MatrixFlow, times: list, x) -> list:
     """S(t)x = A(integral_0^|t| C(r)x dr), odd in t (Fattorini, 1985), from the cosh ``flow`` with
-    velocity x, whose coefficients are >= 0; the +0.0 zero element at t = 0, as in the series."""
+    velocity x, whose coefficients are >= 0; the +0.0 zero element at t = 0, as in the series.
+    A matrix maps every time in one `operators.matrix_image` pass, a rank-one map once per time."""
     zero = core.zero_like(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        images = [operator(v) for v in flow.evaluate([abs(t) for t in times], zero, x)]
+        integrals = flow.evaluate([abs(t) for t in times], zero, x)
+        if operator.matrix is None or not integrals:
+            images = [operator(v) for v in integrals]
+        else:  # the flow checked x against the operator's domain
+            grid, ends = core.stack_common(integrals)
+            images = grid._with_rows(operators.matrix_image(operator.matrix, ends))
     for t, u in zip(times, images):
         if not np.isfinite(u.ends).all():
             raise SeriesOverflow(f"the sinh flow of {operator.name} overflows at t = {t!r}; shorten the horizon")

@@ -932,18 +932,94 @@ def test_residual_check_equals_per_time_loop():
     op = lift_matrix(cauchy.COUPLED_MATRIX)
     crisp_pair = pair(core.crisp(0.5), core.crisp(-1.0))
     one = core.crisp(1.0)
+    g = pair(core.crisp(0.5), core.make_triangular(0.0, 0.25, 0.5))
+    signed = lift_matrix(np.random.default_rng(11).uniform(-1.0, 1.0, (3, 3)))
+    triple = ProductElement((U0, V0, core.make_triangular(-1.0, 0.0, 0.5)))
+
+    def case(operator, initial, forcing=None):
+        return operator, CauchyProblem(operator, initial, forcing=forcing, horizon=1.0, tol=1e-9), forcing
+
     cases = (
-        (op, CauchyProblem(op, pair(U0, V0), horizon=1.0, tol=1e-9), None),
-        (op, CauchyProblem(op, crisp_pair, horizon=1.0, tol=1e-9), None),
-        (builtin("RemarkA", C), CauchyProblem(builtin("RemarkA", C), U0, horizon=1.0, tol=1e-9), None),
-        (scale_operator(1.0), CauchyProblem(scale_operator(1.0), one, forcing=lambda s: one, tol=1e-8), lambda t: one),
+        case(op, pair(U0, V0)),
+        case(op, crisp_pair),
+        case(lift_matrix(cauchy.SWAP_MATRIX), pair(U0, V0)),
+        case(signed, triple),
+        case(scale_operator(-0.7), pair(U0, V0)),
+        case(identity(), U0),
+        case(builtin("RemarkA", C), U0),
+        case(scale_operator(1.0), one, lambda s: one),
+        case(op, pair(U0, V0), lambda s: g),  # a forced matrix solve: the exact flow with an input
     )
     for operator, problem, forcing in cases:
         sample = times if forcing is None else times[2:]  # the forced re-solve needs t - h > 0
         traj = solve_first_order(problem, np.array([0.0]))
         fresh = solve_first_order(problem, np.array([0.0]))
         got = residual_check(traj, operator, forcing=forcing, h=h, times=sample)
-        assert got == _residual_per_time(fresh, operator, forcing, h, sample)
+        assert got == _residual_per_time(fresh, operator, forcing, h, sample), operator.name
+
+
+def test_residual_check_repairs_only_the_forms_that_exist():
+    # at t = 1 the forward quotient carries a drop of rounding size and exists once repaired, and
+    # so does its reversed orientation; both backward forms miss nesting by 0.5 and are discarded
+    h, levels = 0.5, core.level_grid(2)
+    here = core.FuzzyNumber(levels, [0.0, 0.5, 1.0], [3.0, 2.5, 2.0])
+    after = core.FuzzyNumber(levels, [1.0, 1.5 - 5e-13, 2.0], [4.0, 3.5, 3.0])
+    before = core.FuzzyNumber(levels, [0.0, 0.0, 1.0], [2.0, 1.5, 1.0])
+    states = {1.0: here, 1.5: after, 0.5: before}
+    traj = Trajectory(np.array([0.0]), (here,), lambda ts: [states[float(t)] for t in ts])
+    drop = core.nesting_defect(after.ends - here.ends)
+    assert 0.0 < drop <= core.MONOTONICITY_TOLERANCE
+    for left, right in ((here, before), (before, here)):
+        with pytest.raises(HDifferenceError):
+            core.hukuhara_diff(left, right)
+    assert len(helpers.quotient_forms(before, here, after, h)) == 2
+    for operator in (zero_operator(), scale_operator(0.5), builtin("A1")):
+        got = residual_check(traj, operator, h=h, times=[1.0])
+        assert got == _residual_per_time(traj, operator, None, h, [1.0]), operator.name
+        assert math.isfinite(got)
+    # the forward quotient, repaired, is crisp 2 exactly: its distance to A[u] = 0 is 2
+    assert residual_check(traj, zero_operator(), h=h, times=[1.0]) == 2.0
+
+
+def test_matrix_residual_applies_no_operator_call(monkeypatch):
+    # an operator with a matrix maps every sample time in one batch; any other is called once per time
+    calls = []
+    call = LinearOperator.__call__
+    monkeypatch.setattr(LinearOperator, "__call__", lambda self, x: calls.append(x) or call(self, x))
+    times = [0.2, 0.4, 0.6]
+    for operator, x in ((lift_matrix(cauchy.COUPLED_MATRIX), pair(U0, V0)), (scale_operator(-0.7), U0),
+                        (identity(), pair(U0, V0)), (zero_operator(), U0), (builtin("RemarkA", C), U0)):
+        traj = solve_first_order(CauchyProblem(operator, x, horizon=1.0, tol=1e-9), np.array([0.0]))
+        calls.clear()
+        residual_check(traj, operator, h=1e-3, times=times)
+        assert len(calls) == (0 if operator.matrix is not None else len(times)), operator.name
+
+
+def test_matrix_residual_checks_the_domain_once():
+    traj = Trajectory(np.array([0.0]), (U0,), lambda ts: [U0] * len(ts))
+    with pytest.raises(SpaceMismatch):
+        residual_check(traj, lift_matrix(cauchy.SWAP_MATRIX), h=1e-3, times=[0.5])
+    product = Trajectory(np.array([0.0]), (pair(U0, V0),), lambda ts: [pair(U0, V0)] * len(ts))
+    with pytest.raises(SpaceMismatch):
+        residual_check(product, lift_matrix(np.eye(3)), h=1e-3, times=[0.5, 0.7])
+    assert residual_check(product, zero_operator(), h=1e-3, times=[0.5, 0.7]) == 0.0
+
+
+@pytest.mark.parametrize("h", [5e-324, 1e-310, 1e-300])
+def test_residual_rejects_a_step_too_small_to_measure(h):
+    # 1/h overflows (5e-324, 1e-310), or t + h rounds to t (1e-300 at t = 0.5): each used to
+    # return a residual that means nothing (0.0, or the norm of A[u])
+    for operator, x in ((lift_matrix(cauchy.COUPLED_MATRIX), pair(U0, V0)), (scale_operator(1.0), U0)):
+        traj = solve_first_order(CauchyProblem(operator, x, horizon=1.0, tol=1e-9), np.array([0.0]))
+        with pytest.raises(ValueError, match="1/h" if h < 1e-300 else "t = 0.5"):
+            residual_check(traj, operator, h=h, times=[0.0, 0.5])
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.inf, math.nan])
+def test_residual_rejects_a_step_that_is_not_positive_and_finite(h):
+    traj = solve_first_order(CauchyProblem(scale_operator(1.0), U0, tol=1e-9), np.array([0.0]))
+    with pytest.raises(ValueError, match="h must be > 0"):
+        residual_check(traj, scale_operator(1.0), h=h, times=[0.5])
 
 
 def test_forced_trajectory_rejects_negative_times():

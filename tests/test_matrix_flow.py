@@ -458,6 +458,26 @@ def test_cosh_velocity_and_sinh_share_one_flow(monkeypatch):
             assert [u.ends.tobytes() for u in got] == [u.ends.tobytes() for u in want], op.name
 
 
+def test_matrix_sinh_maps_every_time_in_one_pass(monkeypatch):
+    # sinh of an operator with a matrix maps the cosh flow's batch of integrals in one
+    # `matrix_image` pass, each image bit-identical to its own operator call; a rank-one map
+    # is called once per time
+    calls = []
+    call = LinearOperator.__call__
+    monkeypatch.setattr(LinearOperator, "__call__", lambda self, x: calls.append(x) or call(self, x))
+    times = [0.0, -0.0, 1e-300, 0.3, -0.7, 1.0, 2.5]
+    for op, x, _ in _flow_cases():
+        calls.clear()
+        got = propagator(op, "sinh")(times, x, [1e-9] * len(times))
+        assert len(calls) == (0 if op.matrix is not None else len(times)), op.name
+        zero = core.zero_like(x)
+        for t, u in zip(times, got):
+            (v,) = (MatrixFlow if op.matrix is not None else RankOneFlow)(op, "cosh").evaluate([abs(t)], zero, x)
+            want = zero if t == 0.0 else call(op, v) if t > 0.0 else core.scalar_mul(-1.0, call(op, v))
+            assert u.ends.tobytes() == want.ends.tobytes(), (op.name, t)
+            assert semigroup.sinh_apply(op, t, x).ends.tobytes() == want.ends.tobytes(), (op.name, t)
+
+
 def _memo_bytes(flow) -> int:
     return sum(entry.nbytes for entry in flow._memo.values())
 

@@ -352,6 +352,29 @@ def test_lift_matrix_equals_the_combine_rows_chain_bit_for_bit(m_levels):
             assert got.ends.tobytes() == want.tobytes() and not got.ends.flags.writeable
 
 
+def test_matrix_image_of_a_batch_is_each_leaf_image_bit_for_bit():
+    # the one column-pass kernel of lift_matrix and scale_operator takes any leading batch shape
+    # (over the component axis for k x k, the whole leaf for 1 x 1) and gives each leaf its own bits
+    rng = np.random.default_rng(5)
+    levels = core.level_grid(8)
+    signed = core.FuzzyNumber(levels, np.full(9, -0.0), np.linspace(1.0, 0.0, 9))
+    for k in (1, 2, 3):
+        m = rng.uniform(-2.0, 2.0, (k, k))
+        m[0, -1] = 0.0
+        ops = [lift_matrix(m)] + [scale_operator(f) for f in (-0.7, 0.0, -0.0, 1.0)] * (k == 2)
+        for op in ops:
+            leaves = [spaces.ProductElement([signed if j == i % k else random_fuzzy(rng, 8) for j in range(k)])
+                      for i in range(6)]
+            batch = np.stack([w.ends for w in leaves]).reshape(2, 3, k, 2, 9)
+            got = operators.matrix_image(op.matrix, batch)
+            want = np.stack([op(w).ends for w in leaves]).reshape(2, 3, k, 2, 9)
+            assert got.shape == batch.shape and got.tobytes() == want.tobytes(), op.name
+    # a scale maps a batch of fuzzy numbers the same way
+    numbers = [random_fuzzy(rng, 8) for _ in range(4)]
+    got = operators.matrix_image(np.array([[-0.7]]), np.stack([u.ends for u in numbers]))
+    assert got.tobytes() == np.stack([core.scalar_mul(-0.7, u).ends for u in numbers]).tobytes()
+
+
 def test_lift_matrix_with_an_overflowing_row_sum_raises_without_warning():
     # each entry is finite, but the bound, the largest absolute row sum, is not
     with warnings.catch_warnings(record=True) as seen:

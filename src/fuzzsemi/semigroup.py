@@ -33,7 +33,10 @@ arithmetic (Rump, BIT 39, 1999): a factor c maps (mid, rad) to
 series at any t, of either sign, sums to mid(t) = e^{tA} mid0 and
 rad(t) = e^{|t| |A|} rad0 for exp, and to the cosh series of (tA, |t| |A|)
 for cosh, which is the top-left block of the exponential of
-[[0, t I], [t A, 0]].  The matrix exponentials are Taylor polynomials with
+[[0, t I], [t A, 0]].  Where A and the signed tau have no sign bit (every
+cosh time, exp at t >= +0.0) the two are one F >= 0, which maps the lower
+and upper endpoints directly, exactly nested; signed bases stay
+midpoint-radius.  The matrix exponentials are Taylor polynomials with
 scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005), in
 numpy, their degree taken from `required_order` so that the tail is below
 the unit roundoff.  `RankOneFlow` runs the same kernel on a 4 x 4 matrix
@@ -298,7 +301,8 @@ class MatrixFlow:
     midpoints and radii of x, levelwise, by two k x k matrices: e^{tA} and
     e^{|t| |A|} for exp, the cosh series of (tA, |t| |A|) for cosh (see
     `matrices`).  Computed in floating point to a few ulps of the growth
-    e^{|t| |A|} times ||x||; no truncation tolerance is involved.
+    e^{|t| |A|} times ||x||; no truncation tolerance is involved.  Where the
+    two are one F >= 0 (`_one_matrix`), it maps each endpoint instead.
 
     ``kind`` names the generator whose exponential's top block row is the map
     (Van Loan, IEEE TAC 23, 1978): A for "exp"; [[A, I], [0, 0]] for
@@ -395,38 +399,55 @@ class MatrixFlow:
         out[..., self._k :] /= self._balance  # b S(t) -> S(t), exact: b is a power of two (1 for forced exp)
         return out
 
+    def _one_matrix(self, times: list) -> list:
+        """Per time, whether its two matrices are one, e^{|t| |A|}: the base has no sign bit and
+        the signed tau (|t| for cosh) has none, as in `_exponentials`."""
+        one = len(self._powers) == 1
+        return [one and (self.kind == "cosh" or math.copysign(1.0, t) > 0.0) for t in times]
+
     def _image(self, flows, x, g):
-        """(grid, mid, rad, size, same): the leaf whose grids the image takes, its midpoints
-        and radii, its norm bound, and whether the map is exactly the identity, per time.
-        A forced flow maps the stack (x, g)."""
+        """(grid, ends, size, same): the leaf whose grids the image takes, the image's endpoints,
+        the norm bound for the clamp (None: no clamp), and whether the map is exactly the identity,
+        per time.  A pair of matrices maps midpoints and radii to mid -/+ rad; one F >= 0 maps the
+        lower and upper endpoints alike.  A forced flow maps the stack (x, g)."""
         rows, cols = flows.shape[-2:]
         if g is None:
-            grid, ends, size = x, x.ends, core.norm(x)
+            grid, ends = x, x.ends
         else:
             grid, g = core.common_grid(x, g)
-            ends, size = np.stack((grid.ends, g.ends)), max(core.norm(x), core.norm(g))
-        half = 0.5 * ends
-        lo, up = half[..., 0, :], half[..., 1, :]
-        parts = np.stack((lo + up, up - lo)).reshape(2, 1, cols, -1)
+            ends = np.stack((grid.ends, g.ends))
+        size = None  # one F >= 0 maps the endpoints, with nothing to repair
+        if len(flows) == 2:  # a pair maps (mid, rad) = (lo + up, up - lo) / 2, then the clamp
+            size = flows[1].sum(axis=2).max(axis=1) * max(map(core.norm, (x,) if g is None else (x, g)))
+            half = 0.5 * ends
+            lo, up = half[..., 0, :], half[..., 1, :]
+            ends = np.stack((lo + up, up - lo))
+        parts = ends.reshape(len(flows), 1, cols, -1)
         # flows @ parts, one column of flows at a time: the parts are long rows
         image = flows[..., :1] * parts[:, :, :1]
         for j in range(1, cols):
             image += flows[..., j : j + 1] * parts[:, :, j : j + 1]
-        mid, rad = image.reshape(2, flows.shape[1], *grid.ends.shape[:-2], -1)
-        same = (flows == np.eye(rows, cols)).all(axis=(0, 2, 3))
-        return grid, mid, rad, flows[1].sum(axis=2).max(axis=1) * size, same
+        if size is None:
+            ends = image.reshape(flows.shape[1], *grid.ends.shape)
+        else:
+            mid, rad = image.reshape(2, flows.shape[1], *grid.ends.shape[:-2], -1)
+            ends = np.stack((mid - rad, mid + rad), axis=-2)
+        return grid, ends, size, (flows == np.eye(rows, cols)).all(axis=(0, 2, 3))
 
     def evaluate(self, times, x, g=None) -> list:
         """The flow at each of ``times`` applied to x (and to the input g, where the generator
         takes one: a forcing for forced exp, a velocity for cosh), in order.
 
-        x itself where the map is exactly the identity (t = 0, or a t too small to
-        move any bit); when every time is 0 that is returned at once, after the
-        domain and argument checks, and no exponential is formed.  Otherwise the
-        endpoints mid -/+ rad of `_image` pass one batched `core.clamp_nested` at a
-        tolerance relative to its norm bound, and each row of the batch becomes one
-        state (`core.Leaf._with_rows`).  The domain is checked first.
-        SeriesOverflow, without a numpy warning, past the float range.
+        x itself where the map is exactly the identity (t = 0, or a t too small to move any bit);
+        when every time is 0 that is returned at once, after the domain and argument checks, and
+        no exponential is formed.  A time whose two matrices are one F >= 0 (`_one_matrix`) maps
+        the endpoints by F: every weight is >= 0 and every input leaf is exactly nested, so
+        monotone rounding keeps the images exactly nested (defect 0) and nothing is repaired.
+        Every other time maps (mid, rad), and mid -/+ rad pass one batched `core.clamp_nested` at
+        a tolerance relative to its norm bound.  The two kinds of time are evaluated apart, each
+        with the bits of its own evaluation; each row of a batch becomes one state
+        (`core.Leaf._with_rows`).  The domain is checked first.  SeriesOverflow, without a numpy
+        warning, past the float range.
         """
         if g is not None and self._width == self._k:
             raise ValueError(f"the {self.kind} flow has no input columns: it takes no constant input")
@@ -437,12 +458,15 @@ class MatrixFlow:
             return []
         if not any(times):  # every map is the identity: no exponential to form
             return [x] * len(times)
+        one = self._one_matrix(times)
+        if len(set(one)) == 2:  # both kinds of time: each evaluated apart, merged back in order
+            split = {o: iter(self.evaluate([t for t, u in zip(times, one) if u == o], x, g)) for o in (False, True)}
+            return [next(split[o]) for o in one]
         with np.errstate(over="ignore", invalid="ignore"):
-            flows = self.matrices(times)
+            flows = self.matrices(times)[1:] if one[0] else self.matrices(times)
             if g is None:  # the map of x alone: the first k columns
                 flows = np.ascontiguousarray(flows[..., : self._k])
-            grid, mid, rad, size, same = self._image(flows, x, g)
-            ends = np.stack((mid - rad, mid + rad), axis=-2)
+            grid, ends, size, same = self._image(flows, x, g)
         # a non-finite matrix entry makes its image non-finite too (0 * inf is nan)
         name = self.kind.removeprefix("forced_")
         if not np.isfinite(ends).all():
@@ -452,13 +476,14 @@ class MatrixFlow:
                 f"the {what} flow of {self.operator.name} overflows at t = {times[np.argmin(finite)]!r}; "
                 "shorten the horizon or reduce the operator's norm or data"
             )
-        tol = core.MONOTONICITY_TOLERANCE * np.maximum(1.0, size).reshape(-1, *(1,) * (ends.ndim - 3))
-        ends, ok = core.clamp_nested(ends, tol)
-        if not ok.all():
-            raise SeriesOverflow(
-                f"rounding in the {name} flow of {self.operator.name} breaks the nesting of level sets; "
-                "shorten the horizon"
-            )
+        if size is not None:
+            tol = core.MONOTONICITY_TOLERANCE * np.maximum(1.0, size).reshape(-1, *(1,) * (ends.ndim - 3))
+            ends, ok = core.clamp_nested(ends, tol)
+            if not ok.all():
+                raise SeriesOverflow(
+                    f"rounding in the {name} flow of {self.operator.name} breaks the nesting of level sets; "
+                    "shorten the horizon"
+                )
         return [x if keep else leaf for keep, leaf in zip(same.tolist(), grid._with_rows(ends))]
 
     def at(self, t: float, x):
@@ -482,6 +507,10 @@ class RankOneFlow(MatrixFlow):
     [[M, I, 0], [0, 0, I], [0, 0, 0]], and t^(2p+1) / (2p+1)! for cosh, from S(t)
     of K's 8 x 8 cosh matrix.  Either top block row ends in G(t), and holds t at [2, -2].
     """
+
+    def _one_matrix(self, times: list) -> list:
+        """Never: m is signed, so every time keeps the pair, midpoint-radius and the clamp."""
+        return [False] * len(times)
 
     def _real_matrix(self) -> tuple:
         if self.operator.rank_one is None:
@@ -507,7 +536,8 @@ class RankOneFlow(MatrixFlow):
             t, (lg, ug) = flows[0, :, 2, -2], 0.5 * ends[2]
             mid, rad = mid + t[:, None] * (lg + ug), rad + t[:, None] * (ug - lg)
             size, same = size + t * core.norm(g), same & (t == 0)
-        return grid, mid + m[:, None] * (lc + uc), rad + r[:, None] * (uc - lc), size + r * core.norm(c), same
+        mid, rad = mid + m[:, None] * (lc + uc), rad + r[:, None] * (uc - lc)
+        return grid, np.stack((mid - rad, mid + rad), axis=-2), size + r * core.norm(c), same
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,15 @@ def test_long_horizon_rotation_matches_cos_sin():
     assert abs(last[1].lower[0] + math.sin(40.0)) <= 1e-12
 
 
+def _sign_free_cases(rng):
+    """Operators whose matrix has no sign bit, each with a state: the swap, scale(2), a 2 x 2
+    with a zero entry and a random nonnegative 3 x 3."""
+    yield lift_matrix(cauchy.SWAP_MATRIX), pair(U0, V0)
+    yield scale_operator(2.0), random_fuzzy(rng, 16)
+    yield lift_matrix([[0.5, 0.0], [1.0, 2.0]]), pair(random_fuzzy(rng, 16), random_fuzzy(rng, 16))
+    yield lift_matrix(rng.uniform(0.0, 0.6, (3, 3))), ProductElement(tuple(random_fuzzy(rng, 16) for _ in range(3)))
+
+
 @pytest.mark.parametrize("kind", ["exp", "cosh"])
 def test_each_time_equals_its_own_evaluation(kind):
     rng = np.random.default_rng(3)
@@ -137,6 +146,87 @@ def test_each_time_equals_its_own_evaluation(kind):
         # t = 0 gives x itself; so does t = 1e-300 where both matrices round to
         # the identity: under a scale, and for cosh (t^2 underflows)
         assert batch[0] is x and (batch[1] is x) == (k == 1 or kind == "cosh")
+    # a sign-free matrix maps the endpoints at t >= +0.0 (every time, for cosh) and
+    # midpoint-radius at the others; a batch mixing both gives each time its own bits
+    mixed = [0.0, -0.0, 1e-300, -2.5, 0.3, -1e-300, 4.0, -0.0, 1.0]
+    for op, x in _sign_free_cases(rng):
+        flow = MatrixFlow(op, kind)
+        assert any(flow._one_matrix(mixed)) and all(flow._one_matrix(mixed)) == (kind == "cosh")
+        batch = flow.evaluate(mixed, x)
+        for t, state in zip(mixed, batch):
+            assert state.ends.tobytes() == flow.at(t, x).ends.tobytes(), (op.name, t)
+        assert batch[0] is x and batch[1] is x and batch[7] is x
+
+
+WIDE = core.make_triangular(-1e300, 0.5, 1, 4)  # endpoints near the core tiny beside the support width
+
+
+def _relative_ulps(got, want):
+    return (np.abs(got - want) / (EPS * np.abs(want))).max()
+
+
+def test_sign_free_flow_keeps_endpoints_small_beside_the_support_width():
+    # judged endpoint by endpoint against math's closed forms; midpoint-radius lost these
+    # endpoints to the rounding of a 1e300 midpoint (relative error up to 0.75)
+    op, t, g = scale_operator(1.0), 0.5, core.make_triangular(0.25, 0.5, 2, 4)
+    assert _relative_ulps(semigroup.exp_apply(op, t, WIDE).ends, math.exp(t) * WIDE.ends) <= 4
+    assert _relative_ulps(semigroup.cosh_apply(op, t, WIDE).ends, math.cosh(t) * WIDE.ends) <= 4
+    problem = CauchyProblem(op, WIDE, forcing=lambda s: g, horizon=t, tol=1e-9)
+    forced = solve_first_order(problem, np.array([0.0, t])).states[-1]
+    assert _relative_ulps(forced.ends, math.exp(t) * WIDE.ends + math.expm1(t) * g.ends) <= 4
+    # the swap u' = v, v' = u: cosh t u0 + sinh t v0 and sinh t u0 + cosh t v0, endpoint by endpoint
+    v0 = core.make_triangular(-1e300, 0.25, 2, 4)
+    for t in (0.5, 2.0):
+        got = semigroup.exp_apply(lift_matrix(cauchy.SWAP_MATRIX), t, pair(WIDE, v0))
+        ch, sh = math.cosh(t), math.sinh(t)
+        assert _relative_ulps(got.ends, np.stack((ch * WIDE.ends + sh * v0.ends, sh * WIDE.ends + ch * v0.ends))) <= 4
+
+
+def _nonnegative_state(rng, k, spread):
+    """A state for a k x k matrix: crisp numbers, narrow ones (a support a few ulps wide) or
+    wide ones (one side of the support up to 1e20 times the other)."""
+    def number():
+        c = rng.uniform(-2.0, 2.0)
+        if spread == "crisp":
+            return core.crisp(c, 16)
+        if spread == "narrow":
+            left, right = 8 * EPS * abs(c) * rng.random(2)
+        else:
+            left, right = rng.permutation([1e20 * rng.random(), rng.random()])
+        return core.make_triangular(c - left, c, c + right, 16)
+    return number() if k == 1 else ProductElement(tuple(number() for _ in range(k)))
+
+
+def test_sign_free_flows_are_exactly_nested():
+    # the judge that replaces the repair: a sign-free flow maps endpoints by one F >= 0, and
+    # monotone rounding keeps every image exactly nested, with no clamp
+    rng = np.random.default_rng(29)
+    times = [0.0, 1e-300, 0.3, 1.0, 4.0]
+    for case in range(120):
+        k = 1 + case % 4
+        a = rng.choice([0.0, 0.5, 1.0, 2.0], (k, k)) if case % 8 < 4 else rng.uniform(0.0, 2.0, (k, k))
+        op = scale_operator(float(a[0, 0])) if k == 1 else lift_matrix(a)
+        spread = ("crisp", "narrow", "wide")[case % 3]
+        x, g = _nonnegative_state(rng, k, spread), _nonnegative_state(rng, k, spread)
+        for generator, args in (("exp", (x,)), ("cosh", (x,)), ("cosh", (x, g)), ("forced_exp", (x, g))):
+            flow = MatrixFlow(op, generator)
+            assert all(flow._one_matrix(times)), (case, generator)
+            for state in flow.evaluate(times, *args):
+                assert core.nesting_defect(state.ends).max() == 0.0, (case, generator)
+
+
+def test_sign_free_flow_gives_no_negative_zero_where_midpoint_radius_gives_positive_zero():
+    # zero entries of F on data with negative endpoints: 0 * (negative) is -0.0, and its sum
+    # with the diagonal term (F_ii >= 1 times an endpoint +0.0) must not keep that sign
+    x = pair(core.make_triangular(-1.0, 0.0, 1.0, 8), core.make_triangular(-2.0, -1.0, 0.0, 8))
+    times = [0.3, 1.0, 2.0]
+    for matrix in ([[1.0, 0.0], [0.0, 2.0]], [[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]):
+        for kind in ("exp", "cosh"):
+            flow, stacked = MatrixFlow(lift_matrix(matrix), kind), MatrixFlow(lift_matrix(matrix), kind)
+            stacked.__dict__["_powers"] = np.array(np.broadcast_to(flow._powers, (2, *flow._powers.shape[1:])))
+            for a, b in zip(flow.evaluate(times, x), stacked.evaluate(times, x), strict=True):
+                positive_zero = (b.ends == 0.0) & ~np.signbit(b.ends)
+                assert not np.signbit(a.ends[positive_zero]).any(), (matrix, kind)
 
 
 @pytest.mark.parametrize("kind", ["exp", "cosh"])
@@ -599,7 +689,10 @@ def test_concurrent_evaluation_matches_the_serial_one(monkeypatch):
 @pytest.mark.parametrize("forced", [False, True])
 def test_one_exponential_matches_the_stacked_pair_bit_for_bit(kind, forced):
     # a generator with no sign bit set is its own absolute value: one set of powers, and
-    # one exponential where the taus agree too; the stacked pair of powers is the reference
+    # one exponential where the taus agree too; the stacked pair of powers is the reference.
+    # Its matrices agree bit for bit.  Its states take midpoint-radius at every time, where a
+    # sign-free matrix flow maps the endpoints: those agree to a few roundings of the growth
+    # e^{|t| max(1, M)} (1 + |t|) ||x||, the rest (signed or rank-one) bit for bit
     times = [0.0, 1e-300, 0.3, 1.0, 4.0, 19.0]
     if not forced:
         times += [-2.5, -0.001]
@@ -611,5 +704,8 @@ def test_one_exponential_matches_the_stacked_pair_bit_for_bit(kind, forced):
         stacked.__dict__["_powers"] = np.array(np.broadcast_to(flow._powers, (2, *flow._powers.shape[1:])))
         assert flow.matrices(times).tobytes() == stacked.matrices(times).tobytes(), (op.name, kind)
         args = (times, x, x) if forced else (times, x)
-        for a, b in zip(flow.evaluate(*args), stacked.evaluate(*args), strict=True):
-            assert a.ends.tobytes() == b.ends.tobytes(), (op.name, kind)
+        for t, a, b in zip(times, flow.evaluate(*args), stacked.evaluate(*args), strict=True):
+            if signed or op.matrix is None:
+                assert a.ends.tobytes() == b.ends.tobytes(), (op.name, kind)
+            growth = math.exp(abs(t) * max(1.0, op.norm_bound)) * (1.0 + abs(t)) * core.norm(x)
+            assert core.distance(a, b) <= 4 * EPS * growth, (op.name, kind, t)
